@@ -40,7 +40,7 @@ from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.distributed.scaling import THREAD_SCALING_MODEL
 from repro.kernels import corpus_buckets
 from repro.kernels.jit import jit_available
-from repro.kernels.warp import document_phase, word_phase
+from repro.kernels.warp import document_phase, slot_table_width, word_phase
 
 REPO_ROOT = _harness.REPO_ROOT
 
@@ -132,22 +132,33 @@ def timed_fit(
     }
 
 
-def working_set_bytes(max_cells: int, num_topics: int, num_mh_steps: int) -> int:
-    """Estimated live bytes per chunk task for a given ``max_cells`` budget.
+def working_set_bytes(
+    slab_lens: List[int], max_cells: int, num_topics: int, num_mh_steps: int
+) -> int:
+    """Estimated live bytes of the largest chunk task under a ``max_cells`` budget.
 
-    Counts the chain state one task touches: current + proposal topics
-    (int64 each), the pre-drawn uniforms (float64 per MH step), the per-row
-    topic-count slab (``max_rows × K`` float64, with ``max_rows`` capped at
-    ``max_cells // K`` exactly as :func:`repro.kernels.warp._phase_chunks`
-    does), and the shared stale ``c_k`` vector.
+    Counts the chain state one task touches for a bucket of each padded row
+    length in ``slab_lens``: current + proposal topics (int64 each), the
+    pre-drawn uniforms (float64 per MH step) and the per-row count table —
+    ``rows × W`` cells with ``W`` from
+    :func:`repro.kernels.warp.slot_table_width`, the very helper the kernel
+    sizes its chunks and tables with, so ``rows`` is capped at ``max_cells //
+    W`` here as it is there.  A dense table (``W == K``) is one float64 per
+    cell; a slot table adds the int64 owner and the contested flag.  The
+    shared stale ``c_k`` vector is counted once.
     """
-    max_rows = max(1, max_cells // max(1, num_topics))
-    return (
-        max_cells * 8 * 2  # current + proposals
-        + max_cells * 8 * num_mh_steps  # pre-drawn uniforms
-        + max_rows * num_topics * 8  # row-count slab
-        + num_topics * 8  # stale topic counts
-    )
+
+    def chunk_bytes(slab_len: int) -> int:
+        width = slot_table_width(num_topics, slab_len)
+        rows = max(1, min(max_cells // slab_len, max_cells // max(1, width)))
+        table_cell_bytes = 8 if width == num_topics else 8 + 8 + 1
+        return (
+            rows * slab_len * 8 * 2  # current + proposals
+            + rows * slab_len * 8 * num_mh_steps  # pre-drawn uniforms
+            + rows * width * table_cell_bytes  # per-row count table
+        )
+
+    return max(map(chunk_bytes, slab_lens)) + num_topics * 8  # + stale topic counts
 
 
 def timed_cache_point(
@@ -272,12 +283,19 @@ def main(argv=None) -> int:
     # Table 4-style: per-task working set vs threaded throughput.
     # ---------------------------------------------------------------- #
     cache_analysis: Dict[str, Dict[str, object]] = {}
+    slab_lens = sorted(
+        {
+            bucket.slab_len
+            for axis in ("word", "doc")
+            for bucket in corpus_buckets(corpus, axis)
+        }
+    )
     for max_cells in CACHE_SWEEP_CELLS:
         rate = timed_cache_point(corpus, args, recorded_threads, max_cells)
         cache_analysis[f"cells_{max_cells}"] = {
             "max_cells": max_cells,
             "working_set_bytes": working_set_bytes(
-                max_cells, args.topics, 2
+                slab_lens, max_cells, args.topics, 2
             ),
             "tokens_per_sec": round(rate, 1),
         }

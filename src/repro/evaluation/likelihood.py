@@ -71,37 +71,48 @@ def log_joint_likelihood(
     if beta <= 0:
         raise ValueError("beta must be positive")
 
-    num_topics = doc_topic.shape[1]
-    vocabulary_size = word_topic.shape[0]
-    alpha_vector = _as_alpha_vector(alpha, num_topics)
-    alpha_sum = float(alpha_vector.sum())
-    beta_sum = float(beta * vocabulary_size)
-
-    doc_lengths = doc_topic.sum(axis=1).astype(np.float64)
-    topic_counts = word_topic.sum(axis=0).astype(np.float64)
-
-    # Document part.  gammaln(alpha_k + C_dk) - gammaln(alpha_k) is zero for
-    # zero counts, so restrict to the non-zero entries.
+    alpha_vector = _as_alpha_vector(alpha, doc_topic.shape[1])
+    # gammaln(alpha_k + C_dk) - gammaln(alpha_k) is zero for zero counts, so
+    # only the non-zero entries (in row-major order) enter the sums.
     doc_rows, doc_cols = np.nonzero(doc_topic)
-    doc_part = float(
-        np.sum(
-            gammaln(alpha_vector[doc_cols] + doc_topic[doc_rows, doc_cols])
-            - gammaln(alpha_vector[doc_cols])
-        )
-    )
-    doc_part += float(
-        np.sum(gammaln(alpha_sum) - gammaln(alpha_sum + doc_lengths))
-    )
-
-    # Topic/word part.
     word_rows, word_cols = np.nonzero(word_topic)
-    word_part = float(
-        np.sum(gammaln(beta + word_topic[word_rows, word_cols]) - gammaln(beta))
-    )
-    word_part += float(
-        np.sum(gammaln(beta_sum) - gammaln(beta_sum + topic_counts))
+    return _log_joint_from_nonzeros(
+        alpha_vector[doc_cols],
+        doc_topic[doc_rows, doc_cols],
+        doc_topic.sum(axis=1),
+        word_topic[word_rows, word_cols],
+        word_topic.sum(axis=0),
+        float(alpha_vector.sum()),
+        beta,
+        float(beta * word_topic.shape[0]),
     )
 
+
+def _log_joint_from_nonzeros(
+    doc_alpha: np.ndarray,
+    doc_counts: np.ndarray,
+    doc_lengths: np.ndarray,
+    word_counts: np.ndarray,
+    topic_counts: np.ndarray,
+    alpha_sum: float,
+    beta: float,
+    beta_sum: float,
+) -> float:
+    """The four gammaln sums of the joint, over the non-zero counts only.
+
+    ``doc_counts`` are the non-zero ``C_dk`` in row-major order with
+    ``doc_alpha`` the matching ``α_k``; ``word_counts`` the non-zero ``C_wk``
+    likewise.  Both callers feed the same values in the same order, so the
+    dense-matrix and the per-token entry points agree to the last bit.
+    """
+    doc_part = float(np.sum(gammaln(doc_alpha + doc_counts) - gammaln(doc_alpha)))
+    doc_part += float(
+        np.sum(gammaln(alpha_sum) - gammaln(alpha_sum + doc_lengths.astype(np.float64)))
+    )
+    word_part = float(np.sum(gammaln(beta + word_counts) - gammaln(beta)))
+    word_part += float(
+        np.sum(gammaln(beta_sum) - gammaln(beta_sum + topic_counts.astype(np.float64)))
+    )
     return doc_part + word_part
 
 
@@ -117,8 +128,12 @@ def log_joint_likelihood_from_assignments(
 ) -> float:
     """Compute ``log p(W, Z | α, β)`` directly from per-token assignments.
 
-    Used by WarpLDA, which does not store the count matrices; they are built
-    here on the fly.
+    Used by WarpLDA, which does not store the count matrices.  Nor are they
+    built here: the non-zero ``(doc, topic)`` and ``(word, topic)`` counts
+    come from ``np.unique`` over ``row * K + topic`` keys — the same cells in
+    the same row-major order a dense ``np.nonzero`` would visit, so the value
+    is bit-equal to :func:`log_joint_likelihood` on the materialised matrices
+    while memory stays O(tokens + D + V + K) whatever ``K`` is.
     """
     token_documents = np.asarray(token_documents, dtype=np.int64)
     token_words = np.asarray(token_words, dtype=np.int64)
@@ -127,9 +142,23 @@ def log_joint_likelihood_from_assignments(
         raise ValueError("token_documents, token_words and assignments must align")
     if assignments.size and (assignments.min() < 0 or assignments.max() >= num_topics):
         raise ValueError("assignments contain out-of-range topics")
+    if beta <= 0:
+        raise ValueError("beta must be positive")
 
-    doc_topic = np.zeros((num_documents, num_topics), dtype=np.int64)
-    np.add.at(doc_topic, (token_documents, assignments), 1)
-    word_topic = np.zeros((vocabulary_size, num_topics), dtype=np.int64)
-    np.add.at(word_topic, (token_words, assignments), 1)
-    return log_joint_likelihood(doc_topic, word_topic, alpha, beta)
+    alpha_vector = _as_alpha_vector(alpha, num_topics)
+    doc_keys, doc_counts = np.unique(
+        token_documents * num_topics + assignments, return_counts=True
+    )
+    _, word_counts = np.unique(
+        token_words * num_topics + assignments, return_counts=True
+    )
+    return _log_joint_from_nonzeros(
+        alpha_vector[doc_keys % num_topics],
+        doc_counts,
+        np.bincount(token_documents, minlength=num_documents),
+        word_counts,
+        np.bincount(assignments, minlength=num_topics),
+        float(alpha_vector.sum()),
+        beta,
+        float(beta * vocabulary_size),
+    )

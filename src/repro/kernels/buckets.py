@@ -32,6 +32,11 @@ __all__ = ["SlabBucket", "build_buckets", "corpus_buckets"]
 #: L2/L3 range instead of materialising corpus-sized temporaries.
 MAX_SLAB_CELLS = 1 << 18
 
+#: Floor on the width of WarpLDA's per-row slot tables
+#: (:func:`repro.kernels.warp.slot_table_width`): short rows still get 64
+#: slots, so ``K <= 64`` always takes the dense ``W == K`` layout.
+MIN_SLOT_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class SlabBucket:
@@ -71,8 +76,9 @@ class SlabBucket:
         """Yield row-range views whose ``R * L`` stays below ``max_cells``.
 
         ``max_rows`` additionally bounds ``R`` — the kernels use it to cap
-        the ``R x K`` per-row histograms, which ``max_cells`` (an ``R x L``
-        budget) cannot see.
+        their ``R x W`` per-row count tables (``W`` the slot-table width of
+        the WarpLDA chain, ``K`` for the dense samplers), which ``max_cells``
+        (an ``R x L`` budget) cannot see.
         """
         rows_per_chunk = max(1, max_cells // max(1, self.slab_len))
         if max_rows is not None:

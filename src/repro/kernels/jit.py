@@ -2,9 +2,10 @@
 
 The slab path already batches the Eq. (7) accept/reject chain into whole-bucket
 NumPy broadcasts, but each MH step still materialises several ``(R, L)``
-temporaries.  When ``numba`` is importable, this module compiles the chain to
-a single fused ``nogil`` loop — one pass over the chunk, zero temporaries —
-which the warp kernel swaps in per chunk.
+temporaries for the ratio, the accept mask and the selects.  When ``numba`` is
+importable, this module compiles the accept/reject steps to a single fused
+``nogil`` loop — one pass over the chunk, fed the count terms the caller
+gathers once — which the warp kernel swaps in per chunk.
 
 Bit-exactness contract
 ----------------------
@@ -13,8 +14,13 @@ chain (drawn before dispatch, from the same per-task generator) and performs
 the Eq. (7) ratio arithmetic with the same operand association, and the row
 counts are phase-frozen during the chain — so iterating steps-per-cell is
 exactly equivalent to the NumPy path's cells-per-step order and the results
-are bit-identical to ``kernel="slab"``.  The equivalence suite asserts this
-whenever numba is present.
+are bit-identical to ``kernel="slab"``.  Because the counts are frozen, the
+caller computes ``c[row, proposal] + prior`` for every step up front through
+the same count lookup the NumPy chain reads
+(:func:`repro.kernels.warp._slot_counts`), so the compiled loop has no
+``(R, K)`` input and runs on the one chunk decomposition both tiers share.  The threading suite asserts the identity
+with the loop interpreted (always) and compiled (whenever numba is present —
+the ``jit-identity`` CI job installs it).
 
 Everything degrades cleanly without numba: :func:`jit_available` returns
 ``False`` (also when ``REPRO_DISABLE_NUMBA`` is set — the CI fallback job),
@@ -34,6 +40,47 @@ __all__ = ["REPRO_DISABLE_NUMBA_ENV", "jit_available", "jit_mh_chain"]
 REPRO_DISABLE_NUMBA_ENV = "REPRO_DISABLE_NUMBA"
 
 
+def _mh_chain(
+    current, proposed, mask, term_current, term_proposed, stale, beta_sum, uniforms
+):
+    """Eq. (7) accept/reject over one chunk; ``current`` is modified in place.
+
+    ``proposed`` and ``term_proposed`` are ``(M, R, L)``: the step's proposal
+    of every cell and ``C_r + prior`` at it (the row's delayed count plus β
+    or ``α[topic]``), computed by the caller
+    (:func:`repro.kernels.warp._run_chain`); ``term_current`` is the same
+    term at the incoming assignment.  Counts are frozen for the chain, so the
+    term at the current topic is always the one that came with the proposal
+    last accepted — no count table is read here.  ``uniforms`` has shape
+    ``(M, R, L)`` and was drawn by the caller so the RNG stream matches the
+    NumPy chain exactly.
+
+    Plain Python on purpose: numba compiles this very function, and the
+    tests run it interpreted, so the loop is exercised with or without numba.
+    """
+    num_steps = uniforms.shape[0]
+    num_rows, slab_len = current.shape
+    accepted = 0
+    for row in range(num_rows):
+        for col in range(slab_len):
+            if not mask[row, col]:
+                continue
+            cur = current[row, col]
+            term_cur = term_current[row, col]
+            for step in range(num_steps):
+                prop = proposed[step, row, col]
+                term_prop = term_proposed[step, row, col]
+                ratio = (term_prop * (stale[cur] + beta_sum)) / (
+                    term_cur * (stale[prop] + beta_sum)
+                )
+                if uniforms[step, row, col] < ratio:
+                    cur = prop
+                    term_cur = term_prop
+                    accepted += 1
+            current[row, col] = cur
+    return accepted
+
+
 @lru_cache(maxsize=None)
 def _load_chain(disabled: bool) -> Optional[Any]:
     """Import numba and compile the chain once; ``None`` when unavailable."""
@@ -43,43 +90,7 @@ def _load_chain(disabled: bool) -> Optional[Any]:
         import numba
     except ImportError:
         return None
-
-    @numba.njit(nogil=True, cache=False)
-    def mh_chain(
-        current, proposals, tokens, mask, row_counts, prior, stale, beta_sum, uniforms
-    ):  # pragma: no cover - requires numba
-        """Eq. (7) accept/reject over one chunk; ``current`` is modified in place.
-
-        ``prior`` is the per-topic prior vector (a constant β per topic for
-        the word phase, α for the document phase); ``uniforms`` has shape
-        ``(M, R, L)`` and was drawn by the caller so the RNG stream matches
-        the NumPy chain exactly.
-        """
-        num_steps = uniforms.shape[0]
-        num_rows, slab_len = current.shape
-        accepted = 0
-        for row in range(num_rows):
-            for col in range(slab_len):
-                if not mask[row, col]:
-                    continue
-                cur = current[row, col]
-                token = tokens[row, col]
-                for step in range(num_steps):
-                    prop = proposals[step, token]
-                    ratio = (
-                        (row_counts[row, prop] + prior[prop])
-                        * (stale[cur] + beta_sum)
-                    ) / (
-                        (row_counts[row, cur] + prior[cur])
-                        * (stale[prop] + beta_sum)
-                    )
-                    if uniforms[step, row, col] < ratio:
-                        cur = prop
-                        accepted += 1
-                current[row, col] = cur
-        return accepted
-
-    return mh_chain
+    return numba.njit(nogil=True, cache=False)(_mh_chain)
 
 
 def _disabled() -> bool:

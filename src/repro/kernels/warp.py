@@ -6,19 +6,51 @@ O(V) + O(D) interpreter steps per iteration.  The kernels here run the same
 computation for an entire length bucket at once:
 
 * gather the bucket's current assignments into an ``(R, L)`` matrix,
-* rebuild every row's count vector ``c_w`` / ``c_d`` with one masked
-  ``bincount`` (the on-the-fly count computation of Sec. 4.2),
+* rebuild every row's delayed counts ``c_w`` / ``c_d`` on the fly (Sec. 4.2)
+  into a per-row **slot table** (below),
 * run the ``M``-step MH accept/reject chain of Eq. (7) as broadcast
   arithmetic over the whole matrix,
-* recompute the fresh counts and draw the next phase's ``M`` proposals
-  (Sec. 4.3: random positioning + prior mixture, or an exact draw from
-  ``C_rk + prior`` via a batched inverse-CDF pass).
+* draw the next phase's ``M`` proposals (Sec. 4.3: random positioning +
+  prior mixture, or an exact draw from ``C_rk + prior`` via a batched
+  inverse-CDF pass over freshly recomputed counts).
 
 Because WarpLDA's counts are **delayed** for the duration of a phase, no
 row's chain observes another row's in-phase updates — rows are independent
 given the frozen global ``c_k`` — so slab-parallel execution produces a chain
 with *identical* per-row transition kernels to the scalar path (only the
 order in which the RNG streams are consumed differs).
+
+What depends on K, and what does not
+------------------------------------
+The paper's claim is O(1) work per token whatever ``K`` is, with the random
+accesses of a row confined to a hash table of capacity ``min(K, 2 L_d)``.
+The chain only ever reads ``c[row, current]`` and ``c[row, proposed]``, so a
+dense ``(R, K)`` histogram is never needed for it:
+
+* **K-free** — the MH chain of both phases and the random-positioning
+  proposals.  Counts live in an ``(R, W)`` slot table with ``W =``
+  :func:`slot_table_width` ``= min(K, max(64, 2 L))``: topic ``t`` sits in
+  slot ``t & (W - 1)``, an owner array says which topic holds each slot, and
+  the few cells whose topic lost its slot go to a sorted overflow list that a
+  lookup consults only for slots flagged contested (:func:`_slot_counts`).
+  Counts are integers, so every Eq. (7) ratio is bit-equal to the dense
+  histogram's; chunks are cut so ``R * W <= max_cells``, which makes the
+  chunk list, the table sizes and the allocations the same at ``K = 2**14``
+  and ``K = 2**20``.  The only K-long arrays touched are the shared
+  ``stale_topic_counts`` and ``alpha``.  For ``K <= 64`` (and wherever
+  ``2 L >= K``) ``W == K``: the table *is* the dense histogram, with no
+  ownership check.
+* **Inherently O(K) per row** — the exact word proposal (``word_proposal=
+  "alias"``, and always when frozen ``external_word_topic`` counts are
+  installed, i.e. the data-parallel trainer): it draws from ``q_word(k) ∝
+  C_wk + β`` through a per-row CDF over all ``K`` topics, so it keeps the
+  dense ``(R, K)`` table and the ``R * K <= max_cells`` row cap.
+
+Elsewhere in the package ``repro.kernels.cgs`` (the blocked full conditional
+is a ``(T, K)`` matrix by construction), ``repro.kernels.light`` (a frozen
+``(V, K)`` word-proposal table) and the scalar oracle (a ``bincount`` of length ``K`` per
+row) are O(K) by design; :func:`repro.evaluation.likelihood
+.log_joint_likelihood_from_assignments` is K-free.
 
 Threaded execution
 ------------------
@@ -29,51 +61,80 @@ fixed for the phase.  The chunks are dispatched through
 :mod:`repro.kernels.pool`, each consuming its own generator spawned from the
 phase RNG (:func:`repro.kernels.pool.spawn_task_rngs`), so the result is
 bit-identical for every thread count — ``threads=1`` simply runs the same
-tasks inline.  The chunk list is a pure function of the corpus, ``K`` and
+tasks inline.  The chunk list is a pure function of the corpus, the table
+width (so of ``K`` only while ``K < max(64, 2 L)``), the proposal kind and
 ``max_cells``; it never depends on the thread count.
 
 When ``use_jit=True`` and numba is importable (:mod:`repro.kernels.jit`),
 the per-chunk MH chain runs as one compiled ``nogil`` loop consuming the
-same pre-drawn uniforms — bit-identical to the NumPy chain, silently falling
-back to it when numba is absent.
+same pre-drawn uniforms and the same pre-gathered count terms — it has no
+``(R, K)`` input and runs on the very same chunks — bit-identical to the
+NumPy chain, silently falling back to it when numba is absent.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels import pool
-from repro.kernels.buckets import MAX_SLAB_CELLS, SlabBucket
+from repro.kernels.buckets import MAX_SLAB_CELLS, MIN_SLOT_WIDTH, SlabBucket
 from repro.kernels.draws import row_categorical_matrix
 from repro.kernels.jit import jit_mh_chain
 from repro.sampling.alias import AliasTable
 
-__all__ = ["document_phase", "word_phase"]
+__all__ = ["document_phase", "slot_table_width", "word_phase"]
+
+#: One chunk's delayed per-row counts as the MH chain reads them: maps an
+#: ``(R, L)`` topic matrix to ``c[row, topic]`` (float64, same shape), exact
+#: for any topic, present in the row or not.
+CountLookup = Callable[[np.ndarray], np.ndarray]
+
+
+def slot_table_width(num_topics: int, slab_len: int) -> int:
+    """Width ``W`` of the per-row count table for rows padded to ``slab_len``.
+
+    A row of at most ``slab_len`` tokens holds at most ``slab_len`` distinct
+    topics, so ``2 * slab_len`` slots (never fewer than
+    :data:`~repro.kernels.buckets.MIN_SLOT_WIDTH`) keep collisions rare — the
+    paper's hash table of capacity ``min(K, 2 * L_d)``.  ``W == K`` means the
+    table is the dense histogram; otherwise ``W`` is a power of two (slab
+    lengths are), which is what lets a topic's slot be ``topic & (W - 1)``.
+    This is the one place the width is decided: the chunk cap, the table
+    builder and the working-set model of ``bench_thread_scaling`` all call it.
+    """
+    return min(num_topics, max(MIN_SLOT_WIDTH, 2 * slab_len))
 
 
 def _phase_chunks(
-    buckets: List[SlabBucket], num_topics: int, max_cells: Optional[int]
+    buckets: List[SlabBucket],
+    num_topics: int,
+    max_cells: Optional[int],
+    dense: bool = False,
 ) -> List[SlabBucket]:
     """The phase's task list: every bucket chunk, in bucket order.
 
     ``max_cells`` bounds both the ``R x L`` token matrix and (via the row
-    cap) the ``R x K`` per-row histograms — the slab working-set knob the
-    cache-analysis bench turns.  The decomposition depends only on the
-    buckets, ``K`` and ``max_cells``, never on the thread count: that is
-    what makes the per-task RNG streams (and so the whole trajectory)
+    cap) the ``R x W`` per-row count table — the slab working-set knob the
+    cache-analysis bench turns.  ``W`` is :func:`slot_table_width` of the
+    bucket, or ``K`` when ``dense`` (the exact word proposal needs the whole
+    histogram).  The decomposition depends only on the buckets, ``K``,
+    ``dense`` and ``max_cells``, never on the thread count: that is what
+    makes the per-task RNG streams (and so the whole trajectory)
     thread-count-invariant.
     """
     if max_cells is None:
         max_cells = MAX_SLAB_CELLS
-    max_rows = max(1, max_cells // max(1, num_topics))
-    return [
-        chunk
-        for bucket in buckets
-        for chunk in bucket.chunks(max_cells=max_cells, max_rows=max_rows)
-    ]
+    chunks: List[SlabBucket] = []
+    for bucket in buckets:
+        width = (
+            num_topics if dense else slot_table_width(num_topics, bucket.slab_len)
+        )
+        max_rows = max(1, max_cells // max(1, width))
+        chunks.extend(bucket.chunks(max_cells=max_cells, max_rows=max_rows))
+    return chunks
 
 
 def _merge_chain_stats(chain_stats: Optional[dict], per_task: List[dict]) -> None:
@@ -99,94 +160,147 @@ def _row_counts(
     return counts.reshape(num_rows, num_topics).astype(np.float64)
 
 
+def _dense_counts(
+    table: np.ndarray, current: np.ndarray
+) -> Tuple[CountLookup, np.ndarray]:
+    """Read counts straight out of a dense ``(R, K)`` histogram.
+
+    Returns the lookup and the counts at ``current``, like :func:`_slot_counts`.
+    """
+    rows = np.arange(table.shape[0])[:, None]
+    return (lambda topics: table[rows, topics]), table[rows, current]
+
+
+def _slot_counts(
+    current: np.ndarray, mask: np.ndarray, num_topics: int, width: int
+) -> Tuple[CountLookup, np.ndarray]:
+    """Exact per-row counts of an ``(R, L)`` chunk held in ``(R, width)`` cells.
+
+    Topic ``t`` of row ``r`` lives in slot ``t & (width - 1)``; ``owner[r,
+    slot]`` names the one topic of the row whose count the slot holds.  Cells
+    whose topic lost its slot to another are counted in a sorted ``(row * K +
+    topic)`` overflow list instead, and their slots are flagged contested, so
+    a lookup pays for a ``searchsorted`` only where it misses the owner of a
+    contested slot.  Every read is exact — the lookup equals
+    ``_row_counts(...)[rows, topics]`` for any topics, present in the row or
+    not — and nothing here has a ``K``-sized axis.  ``width == num_topics``
+    is the dense histogram, with no ownership check.
+
+    Returns the lookup and, since building the table has already found where
+    every cell's own count lives, the counts at ``current`` itself (exact at
+    the real cells, which is all the chain uses).
+    """
+    if width >= num_topics:
+        return _dense_counts(_row_counts(current, mask, num_topics), current)
+    num_rows = current.shape[0]
+    rows = np.arange(num_rows)[:, None]
+    slot = current & (width - 1)
+    # Padding repeats the row's last real token, so every cell may claim.
+    # Which of a slot's claimants wins is immaterial: the losers overflow.
+    owner = np.full((num_rows, width), -1, dtype=current.dtype)
+    owner[rows, slot] = current
+    owned = owner[rows, slot] == current
+    table = _row_counts(slot, mask & owned, width)
+    lost_rows, lost_cols = np.nonzero(mask & ~owned)
+    overflow_keys, lost_index, overflow_counts = np.unique(
+        lost_rows * num_topics + current[lost_rows, lost_cols],
+        return_inverse=True,
+        return_counts=True,
+    )
+    contested = np.zeros((num_rows, width), dtype=bool)
+    contested[lost_rows, slot[lost_rows, lost_cols]] = True
+    count_current = table[rows, slot]
+    count_current[lost_rows, lost_cols] = overflow_counts[lost_index]
+
+    def lookup(topics: np.ndarray) -> np.ndarray:
+        at = topics & (width - 1)
+        hit = owner[rows, at] == topics
+        counts = np.where(hit, table[rows, at], 0.0)
+        missed = np.flatnonzero(contested[rows, at] & ~hit)
+        if missed.size:
+            keys = (missed // topics.shape[1]) * num_topics + topics.ravel()[missed]
+            found = np.minimum(
+                np.searchsorted(overflow_keys, keys), overflow_keys.size - 1
+            )
+            counts.ravel()[missed] = np.where(
+                overflow_keys[found] == keys, overflow_counts[found], 0
+            )
+        return counts
+
+    return lookup, count_current
+
+
 def _run_chain(
     current: np.ndarray,
+    count_current: np.ndarray,
     proposals: np.ndarray,
     tokens: np.ndarray,
     mask: np.ndarray,
-    row_counts: np.ndarray,
-    row_prior_current: np.ndarray,
+    count_at: CountLookup,
+    prior_of: Callable[[np.ndarray], Any],
     stale_topic_counts: np.ndarray,
     beta_sum: float,
     num_mh_steps: int,
     rng: np.random.Generator,
-    prior_proposed_of=None,
     chain_stats: Optional[dict] = None,
+    compiled=None,
 ) -> np.ndarray:
     """Accept/reject the ``M`` stored proposals for one bucket chunk.
 
     Implements Eq. (7): ``π = min{1, (C_rt + prior_t)(C_s + β̄) /
-    ((C_rs + prior_s)(C_t + β̄))}`` with ``C_r`` the row's delayed counts and
-    ``C`` the phase-frozen global topic counts.  ``row_prior_current`` is the
-    prior term already gathered at the current assignments;
-    ``prior_proposed_of`` maps a proposed-topic matrix to its prior term (a
-    constant β for the word phase, ``α[topic]`` for the document phase).
+    ((C_rs + prior_s)(C_t + β̄))}`` with ``C_r`` the row's delayed counts
+    (``count_current`` at the incoming assignments, ``count_at`` for any
+    other topic) and ``C`` the phase-frozen global topic counts.
+    ``prior_of`` maps a topic matrix to its prior term (a constant β for the
+    word phase, ``α[topic]`` for the document phase).
+
+    The counts are delayed for the whole chain, so ``C_r + prior`` at the
+    current topic is, after an accept, the term just computed for the
+    proposal: it is carried forward with one select and the count table is
+    read once per step, at the proposal only.
+
+    With ``compiled`` (:func:`repro.kernels.jit.jit_mh_chain`) the same
+    uniforms and the same terms — every step's gathered up front, through the
+    same ``count_at`` — feed one fused loop, which therefore never sees a
+    count table and is bit-identical to the NumPy steps below.
 
     ``chain_stats`` (telemetry only, ``None`` by default) is a mutable
     ``{"proposed": int, "accepted": int}`` accumulator for MH acceptance
     counting; it never touches the RNG stream, so instrumented and plain
     runs stay bit-identical.
     """
-    rows = np.arange(current.shape[0])[:, None]
     uniforms = rng.random((num_mh_steps,) + current.shape)
     valid = int(np.count_nonzero(mask)) if chain_stats is not None else 0
+    term_current = count_current + prior_of(current)
+    if compiled is not None:
+        proposed = proposals[:, tokens]
+        accepted = compiled(
+            current,
+            proposed,
+            mask,
+            term_current,
+            np.stack([count_at(topics) + prior_of(topics) for topics in proposed]),
+            stale_topic_counts,
+            float(beta_sum),
+            uniforms,
+        )
+        if chain_stats is not None:
+            chain_stats["proposed"] += valid * num_mh_steps
+            chain_stats["accepted"] += int(accepted)
+        return current
     for step in range(num_mh_steps):
         proposed = proposals[step][tokens]
-        prior_proposed = prior_proposed_of(proposed)
-        ratio = (
-            (row_counts[rows, proposed] + prior_proposed)
-            * (stale_topic_counts[current] + beta_sum)
-        ) / (
-            (row_counts[rows, current] + row_prior_current)
-            * (stale_topic_counts[proposed] + beta_sum)
+        term_proposed = count_at(proposed) + prior_of(proposed)
+        ratio = (term_proposed * (stale_topic_counts[current] + beta_sum)) / (
+            term_current * (stale_topic_counts[proposed] + beta_sum)
         )
         accept = mask & (uniforms[step] < ratio)
         if chain_stats is not None:
             chain_stats["proposed"] += valid
             chain_stats["accepted"] += int(np.count_nonzero(accept))
         current = np.where(accept, proposed, current)
-        if not np.isscalar(row_prior_current):
-            row_prior_current = np.where(accept, prior_proposed, row_prior_current)
-    return current
-
-
-def _run_chain_jit(
-    compiled,
-    current: np.ndarray,
-    proposals: np.ndarray,
-    tokens: np.ndarray,
-    mask: np.ndarray,
-    row_counts: np.ndarray,
-    prior_per_topic: np.ndarray,
-    stale_topic_counts: np.ndarray,
-    beta_sum: float,
-    num_mh_steps: int,
-    rng: np.random.Generator,
-    chain_stats: Optional[dict] = None,
-) -> np.ndarray:
-    """Run the compiled chain on one chunk; ``current`` is modified in place.
-
-    Draws the uniforms exactly as :func:`_run_chain` does — before the chain,
-    with the same shape, from the same per-task generator — so the compiled
-    path is bit-identical to the NumPy path for the same decomposition.
-    When ``chain_stats`` is given its proposed/accepted tallies are
-    accumulated in place, like the NumPy path's.
-    """
-    uniforms = rng.random((num_mh_steps,) + current.shape)
-    accepted = compiled(
-        current,
-        proposals,
-        np.ascontiguousarray(tokens),
-        np.ascontiguousarray(mask),
-        row_counts,
-        prior_per_topic,
-        np.ascontiguousarray(stale_topic_counts),
-        float(beta_sum),
-        uniforms,
-    )
-    if chain_stats is not None:
-        chain_stats["proposed"] += int(np.count_nonzero(mask)) * num_mh_steps
-        chain_stats["accepted"] += int(accepted)
+        if step + 1 < num_mh_steps:
+            term_current = np.where(accept, term_proposed, term_current)
     return current
 
 
@@ -213,41 +327,32 @@ def _word_chunk(
     """
     tokens, mask, lengths = chunk.tokens, chunk.mask, chunk.lengths
     current = assignments[tokens]
-    word_counts = _row_counts(current, mask, num_topics)
-    if external_word_topic is not None:
-        word_counts += external_word_topic[chunk.rows]
-
-    if compiled is not None:
-        prior = np.full(num_topics, beta, dtype=np.float64)
-        current = _run_chain_jit(
-            compiled,
-            current,
-            proposals,
-            tokens,
-            mask,
-            word_counts,
-            prior,
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            chain_stats=chain_stats,
-        )
+    if exact:
+        # The exact proposal draws from the whole histogram, so build it.
+        word_counts = _row_counts(current, mask, num_topics)
+        if external_word_topic is not None:
+            word_counts += external_word_topic[chunk.rows]
+        count_at, count_current = _dense_counts(word_counts, current)
     else:
-        current = _run_chain(
-            current,
-            proposals,
-            tokens,
-            mask,
-            word_counts,
-            beta,
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            prior_proposed_of=lambda proposed: beta,
-            chain_stats=chain_stats,
+        count_at, count_current = _slot_counts(
+            current, mask, num_topics, slot_table_width(num_topics, chunk.slab_len)
         )
+
+    current = _run_chain(
+        current,
+        count_current,
+        proposals,
+        tokens,
+        mask,
+        count_at,
+        lambda topics: beta,
+        stale_topic_counts,
+        beta_sum,
+        num_mh_steps,
+        rng,
+        chain_stats=chain_stats,
+        compiled=compiled,
+    )
     assignments[tokens[mask]] = current[mask]
 
     # Fresh c_w for the proposal distribution (Alg. 2 recomputes it
@@ -310,7 +415,7 @@ def word_phase(
     (:data:`~repro.kernels.buckets.MAX_SLAB_CELLS`).
     """
     exact = exact_word_proposal or external_word_topic is not None
-    chunks = _phase_chunks(buckets, num_topics, max_cells)
+    chunks = _phase_chunks(buckets, num_topics, max_cells, dense=exact)
     if not chunks:
         return
     compiled = jit_mh_chain() if use_jit else None
@@ -362,38 +467,25 @@ def _document_chunk(
     """
     tokens, mask, lengths = chunk.tokens, chunk.mask, chunk.lengths
     current = assignments[tokens]
-    doc_counts = _row_counts(current, mask, num_topics)
+    count_at, count_current = _slot_counts(
+        current, mask, num_topics, slot_table_width(num_topics, chunk.slab_len)
+    )
 
-    if compiled is not None:
-        current = _run_chain_jit(
-            compiled,
-            current,
-            proposals,
-            tokens,
-            mask,
-            doc_counts,
-            alpha,
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            chain_stats=chain_stats,
-        )
-    else:
-        current = _run_chain(
-            current,
-            proposals,
-            tokens,
-            mask,
-            doc_counts,
-            alpha[current],
-            stale_topic_counts,
-            beta_sum,
-            num_mh_steps,
-            rng,
-            prior_proposed_of=lambda proposed: alpha[proposed],
-            chain_stats=chain_stats,
-        )
+    current = _run_chain(
+        current,
+        count_current,
+        proposals,
+        tokens,
+        mask,
+        count_at,
+        lambda topics: alpha[topics],
+        stale_topic_counts,
+        beta_sum,
+        num_mh_steps,
+        rng,
+        chain_stats=chain_stats,
+        compiled=compiled,
+    )
     assignments[tokens[mask]] = current[mask]
 
     flat_tokens = tokens[mask]

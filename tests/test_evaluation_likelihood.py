@@ -1,5 +1,7 @@
 """Tests for the log joint likelihood."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,7 +92,40 @@ class TestFromAssignments:
             0.5,
             0.01,
         )
-        assert from_assignments == pytest.approx(from_matrices, rel=1e-12)
+        # Same non-zero counts in the same row-major order: equal to the bit.
+        assert from_assignments == from_matrices
+
+    def test_memory_does_not_grow_with_the_number_of_topics(self, small_corpus, rng):
+        # Dense D x K and V x K int64 matrices would take ~700 MB at K = 2**20.
+        num_topics = 1 << 20
+        assignments = rng.integers(num_topics, size=small_corpus.num_tokens)
+        tracemalloc.start()
+        try:
+            value = log_joint_likelihood_from_assignments(
+                small_corpus.token_documents,
+                small_corpus.token_words,
+                assignments,
+                small_corpus.num_documents,
+                small_corpus.vocabulary_size,
+                num_topics,
+                np.full(num_topics, 50.0 / num_topics),
+                0.01,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        # A handful of K-vectors (alpha, topic counts, their gammaln terms).
+        assert peak < 8 * 8 * num_topics
+
+    def test_warplda_log_likelihood_at_large_k_equals_dense(self, small_corpus):
+        from repro.core.warplda import WarpLDA
+
+        model = WarpLDA(small_corpus, num_topics=16384, seed=1).fit(2)
+        dense = log_joint_likelihood(
+            model.doc_topic_counts(), model.word_topic_counts(), model.alpha, model.beta
+        )
+        assert model.log_likelihood() == dense
 
     def test_out_of_range_assignment_raises(self, tiny_corpus):
         assignments = np.zeros(tiny_corpus.num_tokens, dtype=np.int64)

@@ -1,0 +1,330 @@
+"""WarpLDA's K-free row counts: slot-table exactness and the K-scaling guard.
+
+``repro.kernels.warp`` reads a row's delayed counts ``c[row, topic]`` through
+a per-row slot table of width ``W = slot_table_width(K, slab_len)`` instead of
+a dense ``(R, K)`` histogram.  Two things are pinned here:
+
+* **exactness** — the table returns exactly the dense histogram's values for
+  any topics (property tests, adversarial collisions included), one chunk's
+  chain and a whole trajectory are byte-equal to a dense oracle (the width
+  helper patched to return ``K``);
+* **K-independence, by counting** — the chunk list and every allocated table
+  cell are the same at ``K = 2**14`` and ``K = 2**20``, nothing on the
+  random-positioning path allocates along a ``K`` axis, and the exact-alias
+  path, which must, still honours ``R * K <= max_cells``.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.core.warplda import WarpLDA
+from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
+from repro.kernels import warp
+from repro.kernels.buckets import MIN_SLOT_WIDTH, corpus_buckets
+from repro.kernels.warp import (
+    _phase_chunks,
+    _row_counts,
+    _slot_counts,
+    document_phase,
+    slot_table_width,
+    word_phase,
+)
+
+
+def dense_lookup(current, mask, num_topics, topics):
+    rows = np.arange(current.shape[0])[:, None]
+    return _row_counts(current, mask, num_topics)[rows, topics]
+
+
+def prefix_mask(lengths, slab_len):
+    return np.arange(slab_len)[None, :] < np.asarray(lengths)[:, None]
+
+
+@st.composite
+def chunks(draw):
+    """An ``(R, L)`` chunk, a width below or at ``K``, and topics to query."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_rows = draw(st.integers(1, 6))
+    slab_len = 1 << draw(st.integers(0, 5))
+    num_topics = draw(st.integers(1, 300))
+    # Any power of two is a legal width; small ones make every slot contested.
+    width = min(num_topics, 1 << draw(st.integers(0, 7)))
+    lengths = rng.integers(1, slab_len + 1, size=num_rows)
+    # Few distinct topics per row (a trained document) or many (a fresh one).
+    pool = rng.integers(num_topics, size=(num_rows, draw(st.integers(1, 8))))
+    current = np.take_along_axis(
+        pool, rng.integers(pool.shape[1], size=(num_rows, slab_len)), axis=1
+    )
+    # Half the queries hit the row's own topics, half are arbitrary.
+    queries = np.where(
+        rng.random((num_rows, slab_len)) < 0.5,
+        rng.permuted(current, axis=1),
+        rng.integers(num_topics, size=(num_rows, slab_len)),
+    )
+    return current, prefix_mask(lengths, slab_len), num_topics, width, queries
+
+
+class TestSlotTableExactness:
+    @seed(20260928)
+    @settings(max_examples=300, deadline=None)
+    @given(chunks())
+    def test_matches_dense_histogram(self, chunk):
+        current, mask, num_topics, width, queries = chunk
+        count_at, count_current = _slot_counts(current, mask, num_topics, width)
+        for topics in (queries, current):
+            np.testing.assert_array_equal(
+                count_at(topics), dense_lookup(current, mask, num_topics, topics)
+            )
+        # The counts at the chunk's own topics, as the builder hands them to
+        # the chain: exact wherever there is a real token.
+        np.testing.assert_array_equal(
+            count_current[mask], dense_lookup(current, mask, num_topics, current)[mask]
+        )
+
+    @pytest.mark.parametrize("width", [1, 2, 64])
+    def test_all_topics_congruent_mod_width(self, width):
+        # Every topic of every row lands in slot 0: one owner, the rest overflow.
+        num_topics = width * 9
+        current = (np.arange(24).reshape(3, 8) % 9) * width
+        mask = prefix_mask([8, 5, 1], 8)
+        queries = np.arange(24).reshape(3, 8) % num_topics
+        count_at, _ = _slot_counts(current, mask, num_topics, width)
+        for topics in (current, queries):
+            np.testing.assert_array_equal(
+                count_at(topics), dense_lookup(current, mask, num_topics, topics)
+            )
+
+    def test_one_topic_more_than_slots(self):
+        # K = W + 1: topics 0 and W share slot 0, every other slot is private.
+        width, num_topics = 64, 65
+        current = np.array([[0, 64, 64, 3], [64, 64, 64, 64], [0, 1, 2, 3]])
+        mask = prefix_mask([4, 4, 3], 4)
+        queries = np.array([[64, 0, 5, 3], [0, 64, 1, 2], [64, 3, 0, 2]])
+        count_at, _ = _slot_counts(current, mask, num_topics, width)
+        np.testing.assert_array_equal(
+            count_at(queries), dense_lookup(current, mask, num_topics, queries)
+        )
+
+    def test_single_cell_rows_and_padded_tails(self):
+        # L = 1 rows, and rows of one real token under a long padded tail whose
+        # cells hold topics the row does not contain (worse than real padding,
+        # which repeats the last real token): padding must never be counted.
+        ones = np.array([[7], [300], [7]])
+        count_at, _ = _slot_counts(ones, np.ones((3, 1), dtype=bool), 1000, 64)
+        np.testing.assert_array_equal(count_at(ones), [[1.0], [1.0], [1.0]])
+        np.testing.assert_array_equal(count_at(ones[::-1] + 64), [[0.0]] * 3)
+
+        current = np.array([[5, 69, 133, 5, 69, 133, 5, 69]] * 2)
+        mask = prefix_mask([1, 2], 8)
+        count_at, _ = _slot_counts(current, mask, 200, 64)
+        np.testing.assert_array_equal(
+            count_at(current), dense_lookup(current, mask, 200, current)
+        )
+        np.testing.assert_array_equal(count_at(current)[0], [1, 0, 0, 1, 0, 0, 1, 0])
+
+    def test_single_topic_model_is_dense(self):
+        current = np.zeros((2, 4), dtype=np.int64)
+        mask = prefix_mask([4, 2], 4)
+        count_at, _ = _slot_counts(current, mask, 1, slot_table_width(1, 4))
+        np.testing.assert_array_equal(count_at(current), [[4.0] * 4, [2.0] * 4])
+
+    def test_absent_topics_read_zero(self):
+        current = np.array([[3, 3, 67, 131]])
+        mask = np.ones((1, 4), dtype=bool)
+        count_at, _ = _slot_counts(current, mask, 512, 64)
+        # Same slot as an owner, same slot as an overflowed topic, empty slot.
+        np.testing.assert_array_equal(
+            count_at(np.array([[195, 259, 4, 3]])), [[0.0, 0.0, 0.0, 2.0]]
+        )
+
+
+class TestSlotTableWidth:
+    def test_dense_at_or_below_the_floor(self):
+        for num_topics in (1, 8, MIN_SLOT_WIDTH):
+            for slab_len in (1, 64, 4096):
+                assert slot_table_width(num_topics, slab_len) == num_topics
+
+    def test_twice_the_slab_above_the_floor(self):
+        assert slot_table_width(16384, 1) == MIN_SLOT_WIDTH
+        assert slot_table_width(16384, 32) == MIN_SLOT_WIDTH
+        assert slot_table_width(16384, 128) == 256
+        assert slot_table_width(16384, 16384) == 16384
+        assert slot_table_width(100, 64) == 100
+
+    def test_a_narrow_table_is_a_power_of_two(self):
+        for num_topics in (65, 100, 1000, 1 << 20):
+            for slab_len in (1, 2, 32, 64, 1024):
+                width = slot_table_width(num_topics, slab_len)
+                assert width == num_topics or width & (width - 1) == 0
+
+
+@pytest.fixture
+def dense_oracle(monkeypatch):
+    """Patch the width helper so every chunk builds the dense ``(R, K)`` table."""
+
+    def patch():
+        monkeypatch.setattr(warp, "slot_table_width", lambda num_topics, slab_len: num_topics)
+
+    return patch
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    spec = SyntheticCorpusSpec(
+        num_documents=60, vocabulary_size=150, mean_document_length=40, num_topics=6
+    )
+    return generate_lda_corpus(spec, seed=5)
+
+
+def run_phases(corpus, num_topics, rng_seed):
+    """One word phase and one document phase from a fixed random state."""
+    rng = np.random.default_rng(rng_seed)
+    assignments = rng.integers(num_topics, size=corpus.num_tokens)
+    proposals = rng.integers(num_topics, size=(2, corpus.num_tokens))
+    alpha = np.full(num_topics, 50.0 / num_topics)
+    beta, beta_sum = 0.01, 0.01 * corpus.vocabulary_size
+    stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
+    word_phase(
+        assignments, proposals, corpus_buckets(corpus, "word"), stale,
+        num_topics, 2, beta, beta_sum, rng,
+    )  # fmt: skip
+    stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
+    document_phase(
+        assignments, proposals, corpus_buckets(corpus, "doc"), stale,
+        alpha, float(alpha.sum()), num_topics, 2, beta_sum, rng,
+    )  # fmt: skip
+    return assignments, proposals
+
+
+class TestDenseOracle:
+    # K = 512 on this corpus: all but the longest rows get W < K (the slot
+    # tables really run) and every bucket is one chunk on both sides (the cap
+    # binds on neither, so both consume the same per-chunk RNG streams).
+    NUM_TOPICS = 512
+
+    def test_cap_is_not_binding(self, corpus):
+        for axis in ("word", "doc"):
+            buckets = corpus_buckets(corpus, axis)
+            assert len(_phase_chunks(buckets, self.NUM_TOPICS, None)) == len(buckets)
+            assert len(_phase_chunks(buckets, self.NUM_TOPICS, None, dense=True)) == len(buckets)
+            narrow = [
+                slot_table_width(self.NUM_TOPICS, b.slab_len) < self.NUM_TOPICS for b in buckets
+            ]
+            assert sum(narrow) >= len(buckets) - 1
+
+    def test_chain_output_is_bit_equal(self, corpus, dense_oracle):
+        slot = run_phases(corpus, self.NUM_TOPICS, rng_seed=11)
+        dense_oracle()
+        dense = run_phases(corpus, self.NUM_TOPICS, rng_seed=11)
+        np.testing.assert_array_equal(slot[0], dense[0])
+        np.testing.assert_array_equal(slot[1], dense[1])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_whole_trajectory_is_byte_equal(self, corpus, dense_oracle, threads):
+        def fit():
+            return WarpLDA(
+                corpus, num_topics=self.NUM_TOPICS, seed=3, threads=threads
+            ).fit(5)
+
+        slot = fit()
+        dense_oracle()
+        dense = fit()
+        assert slot.assignments.tobytes() == dense.assignments.tobytes()
+        assert slot.proposals.tobytes() == dense.proposals.tobytes()
+        assert slot.rng.bit_generator.state == dense.rng.bit_generator.state
+
+
+class TestKScalingGuard:
+    """Counts, not clocks: the work the kernel sets up must not depend on K."""
+
+    SMALL, LARGE = 1 << 14, 1 << 20
+    MAX_CELLS = 1 << 10  # small enough that this corpus really is chunked
+
+    def table_cells(self, corpus, num_topics):
+        return sum(
+            chunk.num_rows * slot_table_width(num_topics, chunk.slab_len)
+            for axis in ("word", "doc")
+            for chunk in _phase_chunks(corpus_buckets(corpus, axis), num_topics, self.MAX_CELLS)
+        )
+
+    def test_chunk_list_and_table_cells_do_not_depend_on_k(self, corpus):
+        for axis in ("word", "doc"):
+            buckets = corpus_buckets(corpus, axis)
+            small = _phase_chunks(buckets, self.SMALL, self.MAX_CELLS)
+            large = _phase_chunks(buckets, self.LARGE, self.MAX_CELLS)
+            assert len(small) == len(large) > len(buckets)
+            for a, b in zip(small, large):
+                np.testing.assert_array_equal(a.rows, b.rows)
+                assert a.num_rows * slot_table_width(self.SMALL, a.slab_len) <= self.MAX_CELLS
+        cells = self.table_cells(corpus, self.SMALL)
+        assert cells == self.table_cells(corpus, self.LARGE)
+        padded = sum(
+            bucket.mask.size
+            for axis in ("word", "doc")
+            for bucket in corpus_buckets(corpus, axis)
+        )
+        assert cells <= 4 * padded
+
+    def test_positioning_path_allocates_nothing_along_k(self, corpus):
+        # Same chunks, same shapes: the peak of everything the phases allocate
+        # may not grow with K.  The one K-vector they read, the shared
+        # ``stale_topic_counts``, is allocated before tracing starts; a single
+        # K-long array of even one byte per topic would add 1 MiB at LARGE.
+        def peak(num_topics):
+            rng = np.random.default_rng(0)
+            assignments = rng.integers(num_topics, size=corpus.num_tokens)
+            proposals = rng.integers(num_topics, size=(1, corpus.num_tokens))
+            stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
+            alpha = np.full(num_topics, 50.0 / num_topics)
+            word_buckets = corpus_buckets(corpus, "word")
+            doc_buckets = corpus_buckets(corpus, "doc")
+            tracemalloc.start()
+            try:
+                word_phase(
+                    assignments, proposals, word_buckets, stale, num_topics, 1,
+                    0.01, 1.5, rng, threads=1, max_cells=self.MAX_CELLS,
+                )  # fmt: skip
+                document_phase(
+                    assignments, proposals, doc_buckets, stale, alpha, 50.0,
+                    num_topics, 1, 1.5, rng, threads=1, max_cells=self.MAX_CELLS,
+                )  # fmt: skip
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(self.SMALL), peak(self.LARGE)
+        assert large < self.LARGE
+        assert abs(large - small) < 64 * 1024
+
+    def test_exact_alias_path_keeps_the_dense_cap(self, corpus, monkeypatch):
+        # q_word(k) ∝ C_wk + β is drawn from a per-row CDF over all K topics:
+        # inherently O(K) per row, so its chunks stay bounded by R * K.
+        num_topics, max_cells = 300, 1 << 12
+        buckets = corpus_buckets(corpus, "word")
+        exact = _phase_chunks(buckets, num_topics, max_cells, dense=True)
+        assert len(exact) > len(_phase_chunks(buckets, num_topics, max_cells))
+        assert all(c.num_rows * num_topics <= max(max_cells, num_topics) for c in exact)
+
+        rng = np.random.default_rng(2)
+        assignments = rng.integers(num_topics, size=corpus.num_tokens)
+        proposals = rng.integers(num_topics, size=(1, corpus.num_tokens))
+        stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
+        seen = []
+        original = warp._row_counts
+
+        def recording(current, mask, width):
+            seen.append((current.shape[0], width))
+            return original(current, mask, width)
+
+        monkeypatch.setattr(warp, "_row_counts", recording)
+        word_phase(
+            assignments, proposals, buckets, stale,
+            num_topics, 1, 0.01, 1.5, rng, exact_word_proposal=True,
+            threads=1, max_cells=max_cells,
+        )  # fmt: skip
+        assert seen and all(width == num_topics for _, width in seen)
+        assert all(rows * width <= max(max_cells, width) for rows, width in seen)

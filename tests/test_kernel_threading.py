@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.warplda import WarpLDA
-from repro.kernels import pool
+from repro.kernels import pool, warp
 from repro.kernels.cgs import blocked_gibbs_sweep
-from repro.kernels.jit import jit_available
+from repro.kernels.jit import _mh_chain, jit_available
 from repro.kernels.light import delayed_cycle_sweep
 from repro.samplers import (
     AliasLDASampler,
@@ -231,17 +231,49 @@ class TestJitTier:
         np.testing.assert_array_equal(jit.assignments, slab.assignments)
         np.testing.assert_array_equal(jit.proposals, slab.proposals)
 
+    # K above the 64-slot floor, so the chain reads the slot tables (narrower
+    # than K for every bucket but the longest rows') that both tiers share.
+    SLOT_TABLE_TOPICS = 100
+
+    def assert_jit_matches_slab(self, corpus, alpha=None):
+        runs = {
+            kernel: WarpLDA(
+                corpus,
+                num_topics=self.SLOT_TABLE_TOPICS,
+                alpha=alpha,
+                seed=3,
+                kernel=kernel,
+                threads=2,
+            ).fit(4)
+            for kernel in ("slab", "jit")
+        }
+        np.testing.assert_array_equal(
+            runs["jit"].assignments, runs["slab"].assignments
+        )
+        np.testing.assert_array_equal(runs["jit"].proposals, runs["slab"].proposals)
+        # The acceptance tallies come out of the loop itself on the jit tier.
+        tallies = {kernel: {"proposed": 0, "accepted": 0} for kernel in runs}
+        for kernel, model in runs.items():
+            model._word_phase_slab(chain_stats=tallies[kernel])
+            model._document_phase_slab(chain_stats=tallies[kernel])
+        assert tallies["jit"] == tallies["slab"]
+        assert 0 < tallies["jit"]["accepted"] < tallies["jit"]["proposed"]
+
+    @pytest.mark.parametrize("asymmetric_alpha", [False, True])
+    def test_interpreted_chain_matches_numpy_chain(
+        self, small_corpus, monkeypatch, asymmetric_alpha
+    ):
+        # numba compiles ``_mh_chain`` as written; run interpreted, the very
+        # same loop goes through the whole jit plumbing with no numba around.
+        monkeypatch.setattr(warp, "jit_mh_chain", lambda: _mh_chain)
+        alpha = (
+            np.linspace(0.05, 0.9, self.SLOT_TABLE_TOPICS) if asymmetric_alpha else None
+        )
+        self.assert_jit_matches_slab(small_corpus, alpha)
+
     @pytest.mark.skipif(not jit_available(), reason="numba not installed")
     def test_compiled_chain_matches_numpy_chain(self, small_corpus):
-        disabled = WarpLDA(
-            small_corpus, num_topics=5, seed=3, kernel="slab", threads=2
-        ).fit(4)
-        compiled = WarpLDA(
-            small_corpus, num_topics=5, seed=3, kernel="jit", threads=2
-        ).fit(4)
-        np.testing.assert_array_equal(
-            compiled.assignments, disabled.assignments
-        )
+        self.assert_jit_matches_slab(small_corpus)
 
 
 # --------------------------------------------------------------------- #
