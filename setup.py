@@ -1,10 +1,16 @@
-"""Setuptools shim.
+"""Package metadata: the one place it lives (there is no ``pyproject.toml``).
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works in offline environments where PEP 517 build
-isolation cannot download a build backend.
+A plain ``setup.py`` keeps ``pip install -e .`` working in offline
+environments where PEP 517 build isolation cannot download a build backend.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.1.0",  # keep in step with repro.__version__
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

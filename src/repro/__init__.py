@@ -30,7 +30,9 @@ Subpackages
     synthetic corpus generators and dataset presets.
 ``repro.samplers``
     Baseline LDA samplers: collapsed Gibbs, SparseLDA, AliasLDA, F+LDA and
-    LightLDA — plus the name registry the spec layer resolves against.
+    LightLDA — plus the one validator of a run's options
+    (``repro.samplers.base``) and the name registry / ``build_sampler``
+    factory every backend constructs through (``repro.samplers.registry``).
 ``repro.kernels``
     Vectorized sampling kernels: bucketed slab execution of the sampler hot
     paths plus the batched draw and proposal primitives they share.
@@ -81,7 +83,6 @@ _EXPORTS = {
     "LDA": "repro.api",
     "ModelSpec": "repro.api",
     "WarpLDA": "repro.core.warplda",
-    "WarpLDAConfig": "repro.core.warplda",
     "Corpus": "repro.corpus.corpus",
     "Document": "repro.corpus.corpus",
     "Vocabulary": "repro.corpus.vocabulary",

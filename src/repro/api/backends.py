@@ -2,19 +2,22 @@
 
 Each execution backend knows two things about a spec:
 
-* :meth:`Backend.lower` — translate it into the *existing* configuration
-  object of the layer it targets (:class:`~repro.core.warplda.WarpLDAConfig`
-  or baseline constructor kwargs for ``serial``,
-  :class:`~repro.training.parallel.TrainerConfig` for ``parallel``,
-  :class:`~repro.streaming.online.OnlineTrainerConfig` for ``online``), and
+* :meth:`Backend.lower` — translate it into what the targeted layer is
+  configured with: the keyword set of
+  :func:`repro.samplers.registry.build_sampler` for ``serial`` (a sampler
+  has no config object), :class:`~repro.training.parallel.TrainerConfig`
+  for ``parallel``, :class:`~repro.streaming.online.OnlineTrainerConfig`
+  for ``online`` — the two views of a spec that add scheduling fields and
+  validate through the same :mod:`repro.samplers.base` functions it does;
 * :meth:`Backend.build` — construct the engine the facade drives
   (a sampler, a :class:`~repro.training.parallel.ParallelTrainer`, an
   :class:`~repro.streaming.online.OnlineTrainer`).
 
-Lowering goes through the classes' ``from_config`` constructors with the
-spec's seed passed verbatim, so a facade-built engine is bit-identical to
-one constructed directly from the same config and seed — the equivalence
-the test suite checks seed-for-seed.
+Every sampler — the serial one here, each parallel shard's, each online
+window sweep's — comes out of ``build_sampler`` with the spec's seed passed
+verbatim, so a facade-built engine is bit-identical to one constructed
+directly from the same values and seed — the equivalence the test suite
+checks seed-for-seed.
 
 Heavy layers are imported inside the methods: ``parallel`` pulls in
 ``multiprocessing`` and ``online`` the streaming stack only when a spec
@@ -92,49 +95,25 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def lower(self, spec: "ModelSpec") -> Any:
-        if spec.algorithm == "warplda":
-            from repro.core.warplda import WarpLDAConfig
-
-            return WarpLDAConfig(
-                num_topics=spec.num_topics,
-                num_mh_steps=spec.num_mh_steps,
-                alpha=spec.alpha,
-                beta=spec.beta,
-                word_proposal=spec.word_proposal,
-                kernel=spec.kernel,
-                threads=spec.threads,
-            )
-        # The baselines have no config dataclass; their lowering target is
-        # the constructor keyword set.
-        from repro.samplers.base import resolve_kernel
-        from repro.samplers.registry import SAMPLER_REGISTRY
-
-        sampler_cls = SAMPLER_REGISTRY[spec.algorithm]
-        kernel = resolve_kernel(sampler_cls, spec.kernel)
-        kwargs: Dict[str, Any] = {
+    def lower(self, spec: "ModelSpec") -> Dict[str, Any]:
+        return {
+            "algorithm": spec.algorithm,
             "num_topics": spec.num_topics,
             "alpha": spec.alpha,
             "beta": spec.beta,
-            "kernel": kernel,
+            "num_mh_steps": spec.num_mh_steps,
+            "kernel": spec.kernel,
             "threads": spec.threads,
+            "word_proposal": spec.word_proposal,
+            "seed": spec.seed,
         }
-        if spec.algorithm == "lightlda":
-            kwargs["num_mh_steps"] = spec.num_mh_steps
-        return kwargs
 
     def build(self, spec: "ModelSpec", corpus: Optional[Any] = None) -> Any:
         if corpus is None:
             raise ValueError("the serial backend needs a corpus to build on")
-        lowered = self.lower(spec)
-        if spec.algorithm == "warplda":
-            from repro.core.warplda import WarpLDA
+        from repro.samplers.registry import build_sampler
 
-            return WarpLDA.from_config(corpus, lowered, seed=spec.seed)
-        from repro.samplers.registry import SAMPLER_REGISTRY
-
-        sampler_cls = SAMPLER_REGISTRY[spec.algorithm]
-        return sampler_cls(corpus, seed=spec.seed, **lowered)
+        return build_sampler(corpus=corpus, **self.lower(spec))
 
 
 class ParallelBackend(Backend):

@@ -10,7 +10,13 @@ Four subcommands ride the :class:`~repro.api.estimator.LDA` facade:
             --topics 20 --iterations 30 --seed 0 --snapshot-out model.npz
 
         python -m repro train --preset nytimes_like --scale 0.1 \\
-            --backend parallel --workers 4 --iterations 50 --seed 0
+            --backend parallel --workers 4 --iterations 50 --seed 0 \\
+            --checkpoint-dir ckpt --checkpoint-every 10
+
+    and, to continue that run bit-exactly from its last checkpoint::
+
+        python -m repro train --preset nytimes_like --scale 0.1 \\
+            --backend parallel --iterations 50 --checkpoint-dir ckpt --resume
 
 ``stream``
     Replay any corpus source as a document stream through the online
@@ -55,6 +61,7 @@ if TYPE_CHECKING:  # heavy imports stay inside the subcommands at runtime
 
 from repro.api.estimator import LDA, iter_token_batches
 from repro.api.spec import ALGORITHMS, BACKEND_NAMES, ModelSpec
+from repro.samplers.base import KERNELS
 
 __all__ = ["build_parser", "build_spec", "corpus_from_args", "main"]
 
@@ -173,7 +180,7 @@ def _add_spec_arguments(
     model.add_argument("--alpha", type=float, help="doc Dirichlet (default 50/K)")
     model.add_argument("--beta", type=float, help="word Dirichlet (default 0.01)")
     model.add_argument("--mh-steps", type=int, help="MH proposals per token")
-    model.add_argument("--kernel", choices=("slab", "scalar", "jit"))
+    model.add_argument("--kernel", choices=KERNELS)
     model.add_argument(
         "--threads",
         type=int,
@@ -302,25 +309,74 @@ def _read_documents(path: Path) -> List[List[str]]:
 # --------------------------------------------------------------------- #
 # Subcommands
 # --------------------------------------------------------------------- #
+def _warn_ignored_resume_flags(args: argparse.Namespace, effective: ModelSpec) -> None:
+    """Warn about explicit flags the resumed checkpoint's configuration overrides."""
+    requested = [
+        (dest, getattr(effective, field))
+        for dest, field in _SPEC_FIELD_FLAGS
+        if dest != "seed"
+    ] + [
+        (dest, effective.backend_options.get(key))
+        for dest, backend, key in _SPEC_OPTION_FLAGS
+        if backend == "parallel"
+    ]
+    for dest, trained_with in requested:
+        value = getattr(args, dest)
+        if value is not None and value != trained_with:
+            print(
+                f"warning: --{dest.replace('_', '-')} {value} ignored on "
+                f"resume; the checkpoint was trained with {trained_with}"
+            )
+    if args.seed is not None:
+        print(
+            "warning: --seed ignored on resume; the checkpoint continues its "
+            "saved RNG streams"
+        )
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     if spec.backend == "online":
         raise SystemExit(
             "backend='online' trains through `python -m repro stream`"
         )
+    if args.resume and args.checkpoint_dir is None:
+        raise SystemExit("--resume requires --checkpoint-dir")
+    if args.checkpoint_dir is not None and spec.backend != "parallel":
+        raise SystemExit(
+            f"--checkpoint-dir applies to the 'parallel' backend, but this "
+            f"run uses {spec.backend!r}"
+        )
     corpus = corpus_from_args(args)
     print(
         f"corpus: {corpus.num_documents} documents, {corpus.num_tokens} tokens, "
         f"vocabulary {corpus.vocabulary_size}"
     )
-    unit = "epochs" if spec.backend == "parallel" else "iterations"
-    print(
-        f"training {spec.algorithm} (K={spec.num_topics}, backend={spec.backend}) "
-        f"for {args.iterations} {unit}"
-    )
     started = time.perf_counter()
     with LDA(spec) as model:
-        model.fit(corpus, num_iterations=args.iterations)
+        if args.resume:
+            model.fit(
+                corpus, num_iterations=0, checkpoint_dir=args.checkpoint_dir, resume=True
+            )
+            spec = model.spec  # the checkpoint's configuration won
+            print(
+                f"resumed {spec.algorithm} from {args.checkpoint_dir} at "
+                f"epoch {model.model.epochs_completed}"
+            )
+            _warn_ignored_resume_flags(args, spec)
+        unit = "epochs" if spec.backend == "parallel" else "iterations"
+        print(
+            f"training {spec.algorithm} (K={spec.num_topics}, backend={spec.backend}) "
+            f"for {args.iterations} {unit}"
+        )
+        model.fit(
+            corpus,
+            num_iterations=args.iterations,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+        )
+        if args.checkpoint_dir is not None and args.iterations > 0:
+            print(f"checkpoint written to {args.checkpoint_dir}")
         elapsed = time.perf_counter() - started
         engine = model.model
         print(
@@ -538,6 +594,20 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--top-words", type=int, default=8, help="words shown per topic")
     train.add_argument(
         "--snapshot-out", type=Path, help="write the serving snapshot here"
+    )
+    train.add_argument(
+        "--checkpoint-dir", type=Path, help="[parallel] checkpoint directory"
+    )
+    train.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        help="[parallel] epochs between checkpoints (0 = final only)",
+    )
+    train.add_argument(
+        "--resume",
+        action="store_true",
+        help="[parallel] resume from --checkpoint-dir instead of starting fresh",
     )
     train.set_defaults(func=_cmd_train)
 

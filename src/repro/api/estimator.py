@@ -7,9 +7,11 @@ existing layers:
 call               dispatches to
 =================  ====================================================
 ``fit``            a serial sampler (``WarpLDA`` / the baselines) or a
-                   :class:`~repro.training.parallel.ParallelTrainer`;
-                   on the online backend, replays the corpus through
-                   ``partial_fit``
+                   :class:`~repro.training.parallel.ParallelTrainer`
+                   (optionally checkpointing to / resuming from a
+                   :class:`~repro.training.checkpoint.Checkpoint`
+                   directory); on the online backend, replays the corpus
+                   through ``partial_fit``
 ``partial_fit``    :class:`~repro.streaming.online.OnlineTrainer` behind
                    a :class:`~repro.streaming.pipeline.StreamingPipeline`
                    publishing into a :class:`~repro.streaming.registry
@@ -22,9 +24,10 @@ call               dispatches to
                    model reloads as a ready ``LDA``
 =================  ====================================================
 
-Construction is lazy and lowering goes through ``from_config`` with the
-spec's seed, so a facade run is bit-identical to direct construction from
-the same config and seed (the equivalence the test suite checks).  Heavy
+Construction is lazy and every sampler comes out of
+:func:`repro.samplers.registry.build_sampler` with the spec's seed, so a
+facade run is bit-identical to direct construction from the same values and
+seed (the equivalence the test suite checks).  Heavy
 layers (``multiprocessing``, serving, streaming) are imported only when the
 spec actually reaches them.
 """
@@ -50,6 +53,8 @@ from typing import (
 
 from repro.api.backends import get_backend
 from repro.api.spec import SPEC_METADATA_KEY, ModelSpec
+from repro.samplers.base import resolve_kernel
+from repro.samplers.registry import SAMPLER_REGISTRY
 
 if TYPE_CHECKING:  # heavy layers stay lazy at runtime (PR 5 guarantee)
     from repro.corpus.corpus import Corpus
@@ -232,6 +237,10 @@ class LDA:
         corpus: Union["Corpus", str, Path],
         num_iterations: int = 50,
         tracker: Optional[Any] = None,
+        *,
+        checkpoint_dir: Optional[Union[str, Path]] = None,
+        checkpoint_every: int = 0,
+        resume: bool = False,
     ) -> "LDA":
         """Train on a frozen corpus.
 
@@ -250,8 +259,25 @@ class LDA:
         fully materialising.  A path is reopened on every call, so repeated
         ``fit`` calls that should continue one chain should open the store
         once and pass the :class:`~repro.corpus.store.MappedCorpus`.
+
+        ``checkpoint_dir`` (``parallel`` backend only) writes a resumable
+        :class:`~repro.training.checkpoint.Checkpoint` there every
+        ``checkpoint_every`` epochs and after the last one (``0``: only
+        after the last).  With ``resume=True`` the engine is rebuilt from
+        that checkpoint instead of from the spec and continues bit-exactly
+        — same RNG streams, same shards; the checkpoint's configuration
+        wins, and :attr:`spec` is updated to describe the model that is
+        actually running (``spec.seed`` no longer applies).
         """
         self._check_open()
+        if checkpoint_dir is None:
+            if resume:
+                raise ValueError("resume=True needs a checkpoint_dir to resume from")
+        elif self.spec.backend != "parallel":
+            raise ValueError(
+                f"checkpointing requires backend='parallel', this spec uses "
+                f"{self.spec.backend!r}"
+            )
         if isinstance(corpus, (str, Path)):
             from repro.corpus.store import open_store
 
@@ -260,18 +286,51 @@ class LDA:
             for batch in iter_token_batches(corpus, self.batch_docs):
                 self.partial_fit(batch)
             return self
-        if self._model is None or self._fit_corpus is not corpus:
+        if resume or self._model is None or self._fit_corpus is not corpus:
             if self._model is not None:
                 self.close_model()
-            self._model = self._backend.build(self.spec, corpus)
+            if resume:
+                self._model = self._resume(checkpoint_dir, corpus)
+            else:
+                self._model = self._backend.build(self.spec, corpus)
             self._fit_corpus = corpus
         with self._activate():
             if self.spec.backend == "parallel":
-                self._model.train(num_iterations, tracker=tracker)
+                self._model.train(
+                    num_iterations,
+                    tracker=tracker,
+                    checkpoint_dir=checkpoint_dir,
+                    checkpoint_every=checkpoint_every,
+                )
             else:
                 self._model.fit(num_iterations, tracker=tracker)
         self._mark_trained()
         return self
+
+    def _resume(self, checkpoint_dir: Union[str, Path], corpus: "Corpus") -> Any:
+        """Restore the parallel trainer from a checkpoint and adopt its config."""
+        from repro.training.checkpoint import Checkpoint
+
+        checkpoint = Checkpoint.load(checkpoint_dir)
+        config = checkpoint.config
+        options = self.spec.backend_options
+        spec = self.spec.with_options(
+            algorithm=config.sampler,
+            num_topics=config.num_topics,
+            alpha=config.alpha,
+            beta=config.beta,
+            num_mh_steps=config.num_mh_steps,
+            kernel=config.kernel,
+            threads=config.threads,
+            backend_options={
+                **options,
+                "num_workers": checkpoint.num_workers,
+                "iterations_per_epoch": config.iterations_per_epoch,
+            },
+        )
+        trainer = checkpoint.restore(corpus, backend=options.get("backend", "process"))
+        self.spec = spec
+        return trainer
 
     def partial_fit(self, batch: Union["MiniBatch", Sequence[Any]]) -> Any:
         """Fold one mini-batch into the (online) model; returns the report.
@@ -329,11 +388,13 @@ class LDA:
         self._require_fitted("exporting a snapshot")
         if self._snapshot is None or self._snapshot_stale:
             snapshot = self._model.export_snapshot()
-            # Record the spec as *executed*: samplers without a slab path
-            # fall back to the scalar kernel, and the provenance must say
-            # so rather than echo the requested default.
+            # Record the spec as *executed*: a sampler without the requested
+            # path degraded (jit -> slab -> scalar) when it was built, and
+            # the provenance must say so rather than echo the request.
             spec_dict = self.spec.to_dict()
-            spec_dict["kernel"] = self._effective_kernel()
+            spec_dict["kernel"] = resolve_kernel(
+                SAMPLER_REGISTRY[self.spec.algorithm], self.spec.kernel
+            )
             # Telemetry is a property of the *run*, not the model: a loaded
             # model must not silently reopen (and truncate) the training
             # run's trace file.
@@ -343,16 +404,6 @@ class LDA:
             self._snapshot = snapshot
             self._snapshot_stale = False
         return self._snapshot
-
-    def _effective_kernel(self) -> str:
-        """The kernel actually executed (scalar fallback for samplers
-        without a slab path — the rule every backend's builder applies)."""
-        if self.spec.algorithm == "warplda":
-            return self.spec.kernel
-        from repro.samplers.registry import SAMPLER_REGISTRY
-
-        sampler_cls = SAMPLER_REGISTRY[self.spec.algorithm]
-        return self.spec.kernel if self.spec.kernel in sampler_cls.KERNELS else "scalar"
 
     def _get_engine(
         self,

@@ -6,12 +6,13 @@ and *how* to execute it: the algorithm (any key of
 Dirichlet hyper-parameters, the execution backend (``serial``, ``parallel``
 or ``online``) with its backend-specific options, and the seed.  It validates
 once, at construction — through the same
-:func:`repro.samplers.base.validate_hyperparameters` path every sampler
-constructor uses — and then *lowers* into the existing configuration objects
-(:class:`~repro.core.warplda.WarpLDAConfig`,
-:class:`~repro.training.parallel.TrainerConfig`,
-:class:`~repro.streaming.online.OnlineTrainerConfig`) via the backend
-registry in :mod:`repro.api.backends`.
+:func:`repro.samplers.base.validate_hyperparameters` /
+:func:`~repro.samplers.base.validate_sampler_options` pair every sampler
+constructor and trainer config uses — and then *lowers* via the backend
+registry in :mod:`repro.api.backends`: to the keywords of
+:func:`repro.samplers.registry.build_sampler` (serial), a
+:class:`~repro.training.parallel.TrainerConfig` (parallel) or an
+:class:`~repro.streaming.online.OnlineTrainerConfig` (online).
 
 Specs are JSON-stable: ``to_dict``/``from_dict`` round-trip exactly,
 ``from_dict`` rejects unknown keys, and ``save``/``load`` move them through
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.api.backends import BACKEND_REGISTRY, get_backend
-from repro.samplers.base import validate_hyperparameters
+from repro.samplers.base import validate_hyperparameters, validate_sampler_options
 from repro.samplers.registry import SAMPLER_REGISTRY
 
 __all__ = ["ModelSpec", "ALGORITHMS", "BACKEND_NAMES", "SPEC_METADATA_KEY"]
@@ -131,29 +132,15 @@ class ModelSpec:
                 alpha = float(alpha)
             object.__setattr__(self, "alpha", alpha)
         validate_hyperparameters(self.num_topics, alpha, self.beta)
-        if self.num_mh_steps <= 0:
-            raise ValueError(
-                f"num_mh_steps must be positive, got {self.num_mh_steps}"
-            )
-        if self.kernel not in ("slab", "scalar", "jit"):
-            raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
-            )
+        validate_sampler_options(
+            num_mh_steps=self.num_mh_steps,
+            kernel=self.kernel,
+            threads=self.threads,
+            word_proposal=self.word_proposal,
+        )
         if self.threads is not None:
-            if isinstance(self.threads, bool) or not isinstance(
-                self.threads, numbers.Integral
-            ):
-                raise ValueError(
-                    f"threads must be an int or None, got {self.threads!r}"
-                )
-            if self.threads <= 0:
-                raise ValueError(f"threads must be positive, got {self.threads}")
+            # numpy integers become plain ints so the spec stays JSON-stable.
             object.__setattr__(self, "threads", int(self.threads))
-        if self.word_proposal not in ("mixture", "alias"):
-            raise ValueError(
-                f"word_proposal must be 'mixture' or 'alias', got "
-                f"{self.word_proposal!r}"
-            )
         backend_impl = get_backend(self.backend)
         options = dict(self.backend_options or {})
         unknown = set(options) - backend_impl.option_keys

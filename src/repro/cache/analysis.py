@@ -15,7 +15,7 @@ Two complementary views are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.cache.hierarchy import IVY_BRIDGE_HIERARCHY, MemoryHierarchyConfig
 from repro.cache.simulator import HierarchySimulator
 from repro.cache.tracing import ALGORITHM_TRACERS, AccessTraceGenerator
 from repro.corpus.corpus import Corpus
-from repro.sampling.rng import RngLike, ensure_rng, seed_from_deprecated_rng
+from repro.sampling.rng import RngLike, ensure_rng
 
 __all__ = [
     "AccessPatternSummary",
@@ -35,23 +35,16 @@ __all__ = [
 
 _ENTRY_BYTES = 8
 
-#: Sentinel default for ``l3_miss_rate_experiment``'s ``seed`` so the
-#: deprecated ``rng=`` alias can still be detected (the effective default
-#: seed is 0).
-_DEFAULT_SEED: Any = object()
-
 
 def estimate_topic_sparsity(
     corpus: Corpus, num_topics: int, assignments: Optional[np.ndarray] = None,
-    seed: RngLike = None, rng: RngLike = None,
+    seed: RngLike = None,
 ) -> Tuple[float, float]:
     """Return ``(mean K_d, mean K_w)`` — distinct topics per document / word.
 
     If no assignments are supplied, random assignments drawn from ``seed``
-    are used, which gives the early-iteration (densest) regime.  ``rng=`` is
-    a deprecated alias for ``seed=``.
+    are used, which gives the early-iteration (densest) regime.
     """
-    seed = seed_from_deprecated_rng(seed, rng, "estimate_topic_sparsity")
     if assignments is None:
         assignments = ensure_rng(seed).integers(
             num_topics, size=corpus.num_tokens
@@ -106,15 +99,13 @@ def access_pattern_table(
     assignments: Optional[np.ndarray] = None,
     num_mh_steps: int = 1,
     seed: RngLike = None,
-    rng: RngLike = None,
 ) -> List[AccessPatternSummary]:
     """Reproduce Table 2 with concrete numbers for ``corpus`` and ``num_topics``.
 
     The symbolic columns are the paper's; the numeric columns instantiate them
     with the measured mean ``K_d`` / ``K_w`` and the matrix sizes of the given
-    problem.  ``rng=`` is a deprecated alias for ``seed=``.
+    problem.
     """
-    seed = seed_from_deprecated_rng(seed, rng, "access_pattern_table")
     mean_kd, mean_kw = estimate_topic_sparsity(corpus, num_topics, assignments, seed)
     sizes = working_set_bytes(corpus, num_topics)
     kv_bytes = sizes["word_topic_matrix"]
@@ -200,8 +191,7 @@ def l3_miss_rate_experiment(
     num_mh_steps: int = 1,
     assignments: Optional[np.ndarray] = None,
     max_tokens: Optional[int] = 20_000,
-    seed: RngLike = _DEFAULT_SEED,
-    rng: RngLike = None,
+    seed: RngLike = 0,
 ) -> Dict[str, Dict[str, float]]:
     """Reproduce the Table 4 comparison on ``corpus``.
 
@@ -226,7 +216,6 @@ def l3_miss_rate_experiment(
     seed:
         Seed controlling the synthetic topic assignments and probe draws
         (default 0, so the experiment is repeatable out of the box).
-        ``rng=`` is a deprecated alias.
 
     Returns
     -------
@@ -234,11 +223,6 @@ def l3_miss_rate_experiment(
         ``{algorithm: {"l3_miss_rate", "memory_accesses", "avg_latency_cycles",
         "trace_length"}}``.
     """
-    # The sentinel keeps "defaulted" distinguishable from an explicit
-    # seed while the deprecated rng= alias is folded in.
-    if seed is _DEFAULT_SEED:
-        seed = None if rng is not None else 0
-    seed = seed_from_deprecated_rng(seed, rng, "l3_miss_rate_experiment")
     draw_rng = ensure_rng(seed)
     if hierarchy is None:
         hierarchy = IVY_BRIDGE_HIERARCHY

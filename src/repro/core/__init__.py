@@ -12,7 +12,6 @@ document counts, the simplified word proposal).
 
 from repro.core.warplda import (
     WarpLDA,
-    WarpLDAConfig,
     doc_proposal_acceptance,
     word_proposal_acceptance,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "AblationVariant",
     "DelayedUpdateLightLDA",
     "WarpLDA",
-    "WarpLDAConfig",
     "doc_proposal_acceptance",
     "make_ablation_suite",
     "word_proposal_acceptance",

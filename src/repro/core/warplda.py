@@ -45,8 +45,6 @@ Implementation notes
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
 import numpy as np
@@ -58,13 +56,16 @@ from repro.kernels.buckets import corpus_buckets
 from repro.kernels.warp import document_phase as slab_document_phase
 from repro.kernels.warp import word_phase as slab_word_phase
 from repro.obs import get_telemetry
-from repro.samplers.base import resolve_hyperparameters, validate_hyperparameters
+from repro.samplers.base import (
+    KERNELS,
+    resolve_hyperparameters,
+    validate_sampler_options,
+)
 from repro.sampling.alias import AliasTable
 from repro.sampling.rng import RngLike, ensure_rng, export_rng_state, restore_rng_state
 
 __all__ = [
     "WarpLDA",
-    "WarpLDAConfig",
     "doc_proposal_acceptance",
     "word_proposal_acceptance",
 ]
@@ -109,12 +110,13 @@ def word_proposal_acceptance(
     return np.minimum(1.0, ratio)
 
 
-@dataclass(frozen=True)
-class WarpLDAConfig:
-    """Configuration of a WarpLDA run.
+class WarpLDA:
+    """The WarpLDA sampler.
 
-    Attributes
+    Parameters
     ----------
+    corpus:
+        Corpus to train on.
     num_topics:
         Number of topics ``K``.
     num_mh_steps:
@@ -129,9 +131,6 @@ class WarpLDAConfig:
     word_proposal:
         ``"mixture"`` (random positioning + uniform, the default) or
         ``"alias"`` (dense alias table per word).
-    doc_proposal:
-        ``"mixture"`` (random positioning + prior draw).  Kept as an explicit
-        knob for the ablation benches.
     kernel:
         ``"slab"`` (the default: bucketed whole-bucket NumPy execution, see
         :mod:`repro.kernels.warp`), ``"jit"`` (the slab path with the MH
@@ -144,63 +143,8 @@ class WarpLDAConfig:
         concurrently on :mod:`repro.kernels.pool`).  ``None`` defers to the
         ``REPRO_THREADS`` environment variable (default 1).  The trajectory
         is bit-identical for every thread count.
-    """
-
-    num_topics: int
-    num_mh_steps: int = 2
-    alpha: Optional[Union[float, np.ndarray]] = None
-    beta: float = 0.01
-    word_proposal: str = "mixture"
-    doc_proposal: str = "mixture"
-    kernel: str = "slab"
-    threads: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        validate_hyperparameters(self.num_topics, self.alpha, self.beta)
-        if self.num_mh_steps <= 0:
-            raise ValueError(f"num_mh_steps must be positive, got {self.num_mh_steps}")
-        if self.word_proposal not in ("mixture", "alias"):
-            raise ValueError(
-                f"word_proposal must be 'mixture' or 'alias', got {self.word_proposal!r}"
-            )
-        if self.doc_proposal not in ("mixture",):
-            raise ValueError(
-                f"doc_proposal must be 'mixture', got {self.doc_proposal!r}"
-            )
-        if self.kernel not in ("slab", "scalar", "jit"):
-            raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
-            )
-        if self.threads is not None and self.threads <= 0:
-            raise ValueError(f"threads must be positive, got {self.threads}")
-
-
-class WarpLDA:
-    """The WarpLDA sampler.
-
-    Parameters
-    ----------
-    corpus:
-        Corpus to train on.
-    num_topics:
-        Number of topics ``K`` (ignored if ``config`` is given).
-    num_mh_steps:
-        The paper's ``M`` (ignored if ``config`` is given).
-    alpha, beta:
-        Dirichlet hyper-parameters (see :class:`WarpLDAConfig`).
-    word_proposal:
-        Word-proposal strategy, ``"mixture"`` or ``"alias"``.
-    kernel:
-        Execution path: ``"slab"`` (default), ``"jit"`` or ``"scalar"``
-        (see :class:`WarpLDAConfig`).
-    threads:
-        Worker threads for the slab/jit phases; ``None`` defers to
-        ``REPRO_THREADS``.  Bit-identical results for every thread count.
     seed:
         Seed or generator controlling the full trajectory.
-    config:
-        A pre-built :class:`WarpLDAConfig`; overrides the individual keyword
-        arguments.
 
     Examples
     --------
@@ -212,6 +156,8 @@ class WarpLDA:
     """
 
     name = "WarpLDA"
+    #: Execution paths this sampler implements (all of them).
+    KERNELS = KERNELS
 
     def __init__(
         self,
@@ -224,34 +170,22 @@ class WarpLDA:
         kernel: str = "slab",
         threads: Optional[int] = None,
         seed: RngLike = None,
-        config: Optional[WarpLDAConfig] = None,
     ):
-        if config is None:
-            config = WarpLDAConfig(
-                num_topics=num_topics,
-                num_mh_steps=num_mh_steps,
-                alpha=alpha,
-                beta=beta,
-                word_proposal=word_proposal,
-                kernel=kernel,
-                threads=threads,
-            )
-        else:
-            warnings.warn(
-                "WarpLDA(config=...) is deprecated; declare the model with "
-                "repro.api.ModelSpec / repro.api.LDA, or use "
-                "WarpLDA.from_config(corpus, config, seed=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.config = config
         self.corpus = corpus
-        self.num_topics = config.num_topics
-        self.num_mh_steps = config.num_mh_steps
-        self.threads = config.threads
         self.alpha, self.alpha_sum, self.beta, self.beta_sum = resolve_hyperparameters(
-            config.num_topics, config.alpha, config.beta, corpus.vocabulary_size
+            num_topics, alpha, beta, corpus.vocabulary_size
         )
+        validate_sampler_options(
+            num_mh_steps=num_mh_steps,
+            kernel=kernel,
+            threads=threads,
+            word_proposal=word_proposal,
+        )
+        self.num_topics = num_topics
+        self.num_mh_steps = num_mh_steps
+        self.word_proposal = word_proposal
+        self.kernel = kernel
+        self.threads = threads
         self.rng = ensure_rng(seed)
 
         num_tokens = corpus.num_tokens
@@ -284,20 +218,6 @@ class WarpLDA:
         # of silently corrupting a sibling task's reads.
         self._stale_topic_buffer = np.empty(self.num_topics, dtype=np.float64)
         self._external_topic_f64: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_config(
-        cls, corpus: Corpus, config: WarpLDAConfig, seed: RngLike = None
-    ) -> "WarpLDA":
-        """Build a sampler from a pre-validated :class:`WarpLDAConfig`.
-
-        This is the lowering target of :class:`repro.api.ModelSpec` (and the
-        replacement for the deprecated ``WarpLDA(config=...)`` spelling); the
-        two produce bit-identical samplers for the same config and seed.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(corpus, seed=seed, config=config)
 
     # ------------------------------------------------------------------ #
     # Training loop
@@ -343,7 +263,7 @@ class WarpLDA:
         obs = get_telemetry()
         if obs.enabled:
             self._run_iteration_instrumented(obs)
-        elif self.config.kernel == "scalar":
+        elif self.kernel == "scalar":
             self._word_phase()
             self._document_phase()
         else:
@@ -360,15 +280,15 @@ class WarpLDA:
         rates of Fig. 8.  The accumulators never touch the RNG stream, so an
         instrumented run stays bit-identical to an un-instrumented one.
         """
-        slab = self.config.kernel != "scalar"
+        slab = self.kernel != "scalar"
         doc_proposal_stats = {"proposed": 0, "accepted": 0}
         word_proposal_stats = {"proposed": 0, "accepted": 0}
-        with obs.span("word_phase", kernel=self.config.kernel):
+        with obs.span("word_phase", kernel=self.kernel):
             if slab:
                 self._word_phase_slab(chain_stats=doc_proposal_stats)
             else:
                 self._word_phase(chain_stats=doc_proposal_stats)
-        with obs.span("doc_phase", kernel=self.config.kernel):
+        with obs.span("doc_phase", kernel=self.kernel):
             if slab:
                 self._document_phase_slab(chain_stats=word_proposal_stats)
             else:
@@ -607,11 +527,11 @@ class WarpLDA:
             self.beta,
             self.beta_sum,
             self.rng,
-            exact_word_proposal=self.config.word_proposal == "alias",
+            exact_word_proposal=self.word_proposal == "alias",
             external_word_topic=self._external_word_topic,
             chain_stats=chain_stats,
             threads=self.threads,
-            use_jit=self.config.kernel == "jit",
+            use_jit=self.kernel == "jit",
         )
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 
@@ -631,7 +551,7 @@ class WarpLDA:
             alpha_alias=self._alpha_alias,
             chain_stats=chain_stats,
             threads=self.threads,
-            use_jit=self.config.kernel == "jit",
+            use_jit=self.kernel == "jit",
         )
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 
@@ -649,7 +569,7 @@ class WarpLDA:
         """Draw M samples per token from ``q_word(k) ∝ C_wk + β``."""
         if length == 0:
             return
-        if self.config.word_proposal == "alias" or self._external_word_topic is not None:
+        if self.word_proposal == "alias" or self._external_word_topic is not None:
             word_counts = np.bincount(current, minlength=self.num_topics).astype(
                 np.float64
             )

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.corpus.vocabulary import Vocabulary
-from repro.sampling.rng import RngLike, ensure_rng, seed_from_deprecated_rng
+from repro.sampling.rng import RngLike, ensure_rng
 
 __all__ = ["Document", "Corpus"]
 
@@ -254,21 +254,13 @@ class Corpus:
         return view
 
     def split(
-        self,
-        train_fraction: float = 0.8,
-        seed: RngLike = None,
-        rng: RngLike = None,
+        self, train_fraction: float = 0.8, seed: RngLike = None
     ) -> Tuple["Corpus", "Corpus"]:
-        """Randomly split documents into a train and a held-out corpus.
-
-        ``seed`` is the canonical parameter; ``rng=`` is a deprecated alias
-        kept for pre-1.1 callers.
-        """
+        """Randomly split documents into a train and a held-out corpus."""
         if not 0.0 < train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {train_fraction}"
             )
-        seed = seed_from_deprecated_rng(seed, rng, "Corpus.split")
         order = ensure_rng(seed).permutation(self.num_documents)
         cut = int(round(train_fraction * self.num_documents))
         cut = min(max(cut, 1), self.num_documents - 1)

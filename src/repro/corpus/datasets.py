@@ -34,7 +34,7 @@ from repro.corpus.synthetic import (
     generate_lda_corpus,
     generate_zipf_corpus,
 )
-from repro.sampling.rng import RngLike, seed_from_deprecated_rng
+from repro.sampling.rng import RngLike
 
 __all__ = [
     "DATASET_PRESETS",
@@ -91,14 +91,8 @@ class DatasetPreset:
             zipf_exponent=self.zipf_exponent,
         )
 
-    def generate(
-        self, scale: float = 1.0, seed: RngLike = None, *, rng: RngLike = None
-    ) -> Corpus:
-        """Generate the corpus for this preset at the given scale.
-
-        ``rng`` is the deprecated alias for ``seed``.
-        """
-        seed = seed_from_deprecated_rng(seed, rng, "DatasetPreset.generate")
+    def generate(self, scale: float = 1.0, seed: RngLike = None) -> Corpus:
+        """Generate the corpus for this preset at the given scale."""
         spec = self.spec(scale)
         if self.generator == "lda":
             return generate_lda_corpus(spec, seed=seed)
@@ -145,19 +139,14 @@ DATASET_PRESETS: Dict[str, DatasetPreset] = {
 }
 
 
-def load_preset(
-    name: str, scale: float = 1.0, seed: RngLike = None, *, rng: RngLike = None
-) -> Corpus:
+def load_preset(name: str, scale: float = 1.0, seed: RngLike = None) -> Corpus:
     """Generate the corpus for preset ``name`` at ``scale``.
-
-    ``rng`` is the deprecated alias for ``seed``.
 
     Raises
     ------
     KeyError
         If ``name`` is not a known preset.
     """
-    seed = seed_from_deprecated_rng(seed, rng, "load_preset")
     try:
         preset = DATASET_PRESETS[name]
     except KeyError:

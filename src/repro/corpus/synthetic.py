@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
-from repro.sampling.rng import RngLike, ensure_rng, seed_from_deprecated_rng
+from repro.sampling.rng import RngLike, ensure_rng
 
 __all__ = [
     "SyntheticCorpusSpec",
@@ -94,8 +94,6 @@ def generate_lda_corpus(
     spec: SyntheticCorpusSpec,
     seed: RngLike = None,
     return_truth: bool = False,
-    *,
-    rng: RngLike = None,
 ) -> Corpus | Tuple[Corpus, np.ndarray, np.ndarray]:
     """Draw a corpus from the LDA generative process of Sec. 2.1.
 
@@ -108,10 +106,7 @@ def generate_lda_corpus(
     return_truth:
         If true, also return the planted ``Theta`` (D x K) and ``Phi`` (K x V)
         matrices, useful for model-recovery tests.
-    rng:
-        Deprecated alias for ``seed``.
     """
-    seed = seed_from_deprecated_rng(seed, rng, "generate_lda_corpus")
     rng = ensure_rng(seed)
     topics = rng.dirichlet(
         np.full(spec.vocabulary_size, spec.topic_word_concentration),
@@ -143,21 +138,14 @@ def generate_lda_corpus(
     return corpus
 
 
-def generate_zipf_corpus(
-    spec: SyntheticCorpusSpec,
-    seed: RngLike = None,
-    *,
-    rng: RngLike = None,
-) -> Corpus:
+def generate_zipf_corpus(spec: SyntheticCorpusSpec, seed: RngLike = None) -> Corpus:
     """Draw a corpus whose word frequencies follow a Zipf power law.
 
     Word ``w`` (0-based rank) has probability ``∝ (w + 1)^(-s)`` with
     ``s = spec.zipf_exponent``; documents are filled independently.  There is
     no topical structure — this workload exists to stress partitioning and
-    cache behaviour with realistic frequency skew.  ``rng`` is the deprecated
-    alias for ``seed``.
+    cache behaviour with realistic frequency skew.
     """
-    seed = seed_from_deprecated_rng(seed, rng, "generate_zipf_corpus")
     rng = ensure_rng(seed)
     ranks = np.arange(1, spec.vocabulary_size + 1, dtype=np.float64)
     word_probabilities = ranks ** (-spec.zipf_exponent)

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.warplda import WarpLDA, WarpLDAConfig
+from repro.core.warplda import WarpLDA
 from repro.corpus.corpus import Corpus
 from repro.distributed.partition import (
     imbalance_index,

@@ -11,11 +11,21 @@ WarpLDA does **not** derive from this class — by design it stores no count
 matrices (see :mod:`repro.core.warplda`) — but exposes the same ``fit`` /
 ``log_likelihood`` / ``phi`` interface so the benchmark harness can treat all
 samplers uniformly.
+
+This module is also the one home of *what a sampler run is made of*: the
+kernel names (:data:`KERNELS`), the ``(K, α, β)`` check
+(:func:`validate_hyperparameters`), the ``(M, kernel, threads,
+word_proposal)`` check (:func:`validate_sampler_options`) and the kernel
+degradation rule (:func:`resolve_kernel`).  Every description of a run —
+``ModelSpec``, ``TrainerConfig``, ``OnlineTrainerConfig`` and the sampler
+constructors themselves — validates through these and nothing else;
+:func:`repro.samplers.registry.build_sampler` turns one into a sampler.
 """
 
 from __future__ import annotations
 
 import abc
+import numbers
 import time
 from typing import Any, Dict, Optional, Union
 
@@ -28,12 +38,60 @@ from repro.obs import get_telemetry
 from repro.sampling.rng import RngLike, ensure_rng, export_rng_state, restore_rng_state
 
 __all__ = [
+    "KERNELS",
     "TopicState",
     "LDASampler",
     "resolve_hyperparameters",
     "resolve_kernel",
     "validate_hyperparameters",
+    "validate_sampler_options",
 ]
+
+#: Every execution path a run may request.  ``"slab"``: the vectorised
+#: bucket kernels of :mod:`repro.kernels`; ``"scalar"``: the legacy
+#: per-row/per-token loops, kept as the correctness oracle; ``"jit"``:
+#: WarpLDA's slab path with numba-compiled MH chains (bit-identical to
+#: ``"slab"``, and silently *is* ``"slab"`` without numba).
+KERNELS = ("slab", "scalar", "jit")
+
+_WORD_PROPOSALS = ("mixture", "alias")
+
+
+def _one_of(names: tuple) -> str:
+    """``('a', 'b', 'c')`` → ``"'a', 'b' or 'c'"`` for error messages."""
+    return ", ".join(repr(name) for name in names[:-1]) + f" or {names[-1]!r}"
+
+
+def validate_sampler_options(
+    *,
+    num_mh_steps: int = 2,
+    kernel: str = "slab",
+    threads: Optional[int] = None,
+    word_proposal: str = "mixture",
+) -> None:
+    """Raise the shared ``ValueError`` family for invalid run options.
+
+    The companion of :func:`validate_hyperparameters` for the knobs that are
+    not Dirichlet parameters: the paper's ``M`` (``num_mh_steps``), the
+    execution path, the kernel thread count and WarpLDA's word-proposal
+    kind.  Every entry point checks the options it carries here (the rest
+    keep their valid defaults), so ``kernel="fast"`` or ``threads=True``
+    raises the same text from a spec, a trainer config or a sampler.
+    """
+    if num_mh_steps <= 0:
+        raise ValueError(f"num_mh_steps must be positive, got {num_mh_steps}")
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be {_one_of(KERNELS)}, got {kernel!r}")
+    if threads is not None:
+        if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+            raise ValueError(f"threads must be an int or None, got {threads!r}")
+        if threads <= 0:
+            raise ValueError(f"threads must be positive, got {threads}")
+    if word_proposal not in _WORD_PROPOSALS:
+        raise ValueError(
+            f"word_proposal must be {_one_of(_WORD_PROPOSALS)}, got "
+            f"{word_proposal!r}"
+        )
 
 
 def resolve_kernel(sampler_cls: type, kernel: str) -> str:
@@ -45,9 +103,11 @@ def resolve_kernel(sampler_cls: type, kernel: str) -> str:
     anything else degrades to ``"scalar"``, which every sampler implements.
     This keeps one config (``TrainerConfig``/``ModelSpec``) valid across
     samplers with different kernel support instead of erroring midway
-    through construction.
+    through construction.  Called by
+    :func:`repro.samplers.registry.build_sampler` (what runs) and by
+    :meth:`repro.api.LDA.export_snapshot` (what the provenance records).
     """
-    kernels = getattr(sampler_cls, "KERNELS", ("scalar",))
+    kernels = sampler_cls.KERNELS
     if kernel in kernels:
         return kernel
     if "slab" in kernels:
@@ -91,11 +151,11 @@ def validate_hyperparameters(
 ) -> None:
     """Raise the shared ``ValueError`` family for an invalid ``(K, α, β)``.
 
-    Every entry point — the sampler constructors, ``WarpLDAConfig``,
-    ``TrainerConfig``, ``OnlineTrainerConfig`` and ``repro.api.ModelSpec`` —
-    funnels through this one check, so ``num_topics=0`` or a negative ``beta``
-    raises the same error everywhere instead of only where a particular
-    config dataclass happened to validate it.
+    Every entry point — the sampler constructors, ``TrainerConfig``,
+    ``OnlineTrainerConfig`` and ``repro.api.ModelSpec`` — funnels through
+    this one check, so ``num_topics=0`` or a negative ``beta`` raises the
+    same error everywhere instead of only where a particular config
+    dataclass happened to validate it.
     """
     resolve_hyperparameters(num_topics, alpha, beta, vocabulary_size=1)
 
@@ -298,13 +358,12 @@ class LDASampler(abc.ABC):
         )
         if kernel is None:
             kernel = type(self).DEFAULT_KERNEL
+        validate_sampler_options(kernel=kernel, threads=threads)
         if kernel not in type(self).KERNELS:
             raise ValueError(
                 f"{type(self).__name__} kernel must be one of "
                 f"{type(self).KERNELS}, got {kernel!r}"
             )
-        if threads is not None and threads <= 0:
-            raise ValueError(f"threads must be positive, got {threads}")
         self.kernel = kernel
         self.threads = threads
         self.rng = ensure_rng(seed)

@@ -1,7 +1,13 @@
-"""The canonical algorithm registry: CLI/spec names → sampler classes.
+"""The canonical algorithm registry: CLI/spec names → sampler objects.
 
 This is the single place a spelling like ``"warplda"`` is resolved to a
-class.  It lives in :mod:`repro.samplers` (not :mod:`repro.training`, its
+class, and — through :func:`build_sampler` — the single place a run
+description (``ModelSpec``, ``TrainerConfig``, ``OnlineTrainerConfig``) is
+turned into a sampler: the serial backend, every data-parallel shard and
+every online window sweep construct through it, so the kernel degradation
+rule and the "which algorithm takes which knob" rule exist once.
+
+It lives in :mod:`repro.samplers` (not :mod:`repro.training`, its
 historical home) so that the declarative API layer (:mod:`repro.api`) can
 enumerate and validate algorithm names without importing the training
 stack — and, through it, :mod:`multiprocessing` — at import time.
@@ -11,14 +17,21 @@ unchanged for existing callers.
 
 from __future__ import annotations
 
+from typing import Any, Dict, Optional, Union
+
+import numpy as np
+
 from repro.core.warplda import WarpLDA
+from repro.corpus.corpus import Corpus
 from repro.samplers.aliaslda import AliasLDASampler
+from repro.samplers.base import resolve_kernel
 from repro.samplers.cgs import CollapsedGibbsSampler
 from repro.samplers.fpluslda import FPlusLDASampler
 from repro.samplers.lightlda import LightLDASampler
 from repro.samplers.sparselda import SparseLDASampler
+from repro.sampling.rng import RngLike
 
-__all__ = ["SAMPLER_REGISTRY"]
+__all__ = ["SAMPLER_REGISTRY", "build_sampler"]
 
 #: Samplers addressable by name.  Keys are the CLI / ``ModelSpec`` spellings.
 SAMPLER_REGISTRY = {
@@ -29,3 +42,47 @@ SAMPLER_REGISTRY = {
     "fpluslda": FPlusLDASampler,
     "lightlda": LightLDASampler,
 }
+
+
+def build_sampler(
+    algorithm: str,
+    corpus: Corpus,
+    *,
+    num_topics: int,
+    alpha: Optional[Union[float, np.ndarray]] = None,
+    beta: float = 0.01,
+    num_mh_steps: int = 2,
+    kernel: str = "slab",
+    threads: Optional[int] = None,
+    word_proposal: str = "mixture",
+    seed: RngLike = None,
+) -> Any:
+    """Construct the sampler ``algorithm`` names over ``corpus``.
+
+    ``kernel`` is the *requested* path: a sampler that lacks it runs the
+    best one it has (:func:`~repro.samplers.base.resolve_kernel`).
+    ``num_mh_steps`` is the paper's ``M`` and reaches the two samplers it
+    is defined for (WarpLDA, LightLDA); ``word_proposal`` reaches WarpLDA
+    only.  The other samplers ignore both — AliasLDA's own inner MH count
+    keeps its default under every backend, as it always has.  Validation is
+    the constructors' own.
+    """
+    try:
+        sampler_cls = SAMPLER_REGISTRY[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown sampler {algorithm!r}; choose from {sorted(SAMPLER_REGISTRY)}"
+        ) from None
+    kwargs: Dict[str, Any] = {
+        "num_topics": num_topics,
+        "alpha": alpha,
+        "beta": beta,
+        "kernel": resolve_kernel(sampler_cls, kernel),
+        "threads": threads,
+        "seed": seed,
+    }
+    if sampler_cls in (WarpLDA, LightLDASampler):
+        kwargs["num_mh_steps"] = num_mh_steps
+    if sampler_cls is WarpLDA:
+        kwargs["word_proposal"] = word_proposal
+    return sampler_cls(corpus, **kwargs)

@@ -8,35 +8,11 @@ integer seed passed to a sampler fully determines its trajectory.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
 
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
-
-
-def seed_from_deprecated_rng(seed: RngLike, rng: RngLike, where: str) -> RngLike:
-    """Fold the deprecated ``rng=`` keyword into the canonical ``seed=``.
-
-    The corpus helpers historically called their seed parameter ``rng=``
-    while the samplers called it ``seed=``; every entry point now accepts
-    ``seed=`` and routes ``rng=`` through here: passing ``rng=`` still works
-    but emits a :class:`DeprecationWarning`, and passing both is an error.
-
-    ``stacklevel=3`` points the warning at the caller of the public helper
-    (caller → helper → this function).
-    """
-    if rng is None:
-        return seed
-    if seed is not None:
-        raise ValueError(f"{where}: pass seed= or the deprecated rng=, not both")
-    warnings.warn(
-        f"{where}(rng=...) is deprecated; pass seed= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return rng
 
 
 def ensure_rng(seed: RngLike = None) -> np.random.Generator:

@@ -7,7 +7,7 @@ socket-reachable service:
   ``multiprocessing.shared_memory`` segments (invariant SVC001): one phi
   copy per snapshot generation, zero-copy attached by every worker;
 * :mod:`repro.service.worker` — the worker-process loop (attach → serve →
-  drain-then-swap);
+  swap);
 * :mod:`repro.service.pool` — :class:`WorkerPool`, the N-process pool with
   broadcast hot swap, ack-gated segment reaping and dead-worker recycling;
 * :mod:`repro.service.http` — :class:`TopicService`, the stdlib-asyncio

@@ -27,9 +27,9 @@ The loop body:
   :class:`~repro.serving.server.TopicServer` over a zero-copy
   :class:`~repro.serving.infer.InferenceEngine` — micro-batching and the LRU
   result cache therefore work per worker exactly as in-process serving does;
-* **swap** — close the current server (draining anything queued — the
-  :meth:`TopicServer.close` promise), release the old attachment, re-attach
-  to the new segment and ack.
+* **swap** — close the current server (the parent dispatches one request per
+  worker at a time, so nothing is in flight), release the old attachment,
+  re-attach to the new segment and ack.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _encode_documents(
     vocab_size = server.engine.snapshot.vocabulary_size
     encoded: List[np.ndarray] = []
     for document in documents:
-        ids = server._encode_one(document)
+        ids = server.encode(document)
         if ids.size:
             ids = ids[(ids >= 0) & (ids < vocab_size)]
         encoded.append(ids)
@@ -160,9 +160,7 @@ def _worker_main(
                             ("swapped", _worker_info(worker_index, attached, server))
                         )
                         continue
-                    # Drain-then-swap: whatever the old server still owes is
-                    # answered on the outgoing snapshot before its buffer is
-                    # released.
+                    # Retire the old server before its buffer is released.
                     server.close()
                     del server
                     retiring = attached

@@ -5,11 +5,12 @@ token documents or pre-encoded id arrays) are answered with folded-in θ rows.
 Three production mechanisms sit between a request and the
 :class:`~repro.serving.infer.InferenceEngine`:
 
-* **Micro-batching** — requests are collected and dispatched to the engine in
-  batches of at most ``max_batch_size``, amortising the vectorised kernels
-  across concurrent requests instead of paying per-document overheads.  Use
-  :meth:`TopicServer.submit` + :meth:`TopicServer.flush` for the queueing
-  flow, or :meth:`TopicServer.infer_batch` to serve a ready batch in one call.
+* **Micro-batching** — :meth:`TopicServer.infer_batch` dispatches a request
+  batch to the engine in chunks of at most ``max_batch_size``, amortising
+  the vectorised kernels across the documents of a call instead of paying
+  per-document overheads.  The server holds no request queue: whoever owns
+  the concurrency (the :mod:`repro.service` pool, a caller's loop) collects
+  the batch and hands it over whole.
 * **Result caching** — an LRU cache keyed on the document's bag of words.
   Fold-in is exchangeable (token order never enters the math), so two
   permutations of the same document share one cache entry; repeated requests
@@ -275,7 +276,6 @@ class TopicServer:
         self.max_batch_size = int(max_batch_size)
         self.cache = LRUCache(cache_capacity)
         self.stats_ = ServerStats()
-        self._queue: List[np.ndarray] = []
         self._closed = False
         self._registry: Optional[ModelRegistry] = None
         #: Registry version currently served (``None`` = the engine the
@@ -369,7 +369,7 @@ class TopicServer:
     # ------------------------------------------------------------------ #
     # Request intake
     # ------------------------------------------------------------------ #
-    def _encode_one(self, document: DocumentLike) -> np.ndarray:
+    def encode(self, document: DocumentLike) -> np.ndarray:
         """Normalise one request to a word-id array (OOV tokens dropped)."""
         if isinstance(document, np.ndarray):
             return np.asarray(document, dtype=np.int64)
@@ -378,31 +378,10 @@ class TopicServer:
             return self.engine.snapshot.vocabulary.encode(items, on_oov="drop")
         return np.asarray(items, dtype=np.int64)
 
-    def submit(self, document: DocumentLike) -> int:
-        """Enqueue one request; returns its index into the next :meth:`flush`."""
-        self._ensure_open()
-        self._queue.append(self._encode_one(document))
-        return len(self._queue) - 1
-
-    @property
-    def pending(self) -> int:
-        """Number of queued, not yet flushed, requests."""
-        return len(self._queue)
-
-    def flush(self) -> np.ndarray:
-        """Serve every queued request and clear the queue.
-
-        Returns the ``pending x K`` θ matrix, rows aligned with the indices
-        returned by :meth:`submit`.
-        """
-        self._ensure_open()
-        queue, self._queue = self._queue, []
-        return self._serve(queue)
-
     def infer_batch(self, documents: Sequence[DocumentLike]) -> np.ndarray:
-        """Serve a ready batch of requests in one call (queue bypassed)."""
+        """Serve a batch of requests; returns the ``len(documents) x K`` θ."""
         self._ensure_open()
-        return self._serve([self._encode_one(doc) for doc in documents])
+        return self._serve([self.encode(doc) for doc in documents])
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -416,27 +395,13 @@ class TopicServer:
         if self._closed:
             raise RuntimeError("TopicServer is closed")
 
-    def close(self) -> Optional[np.ndarray]:
-        """Shut the server down, **draining** queued requests first.
+    def close(self) -> None:
+        """Shut the server down: detach any registry and reject new requests.
 
-        Requests accepted by :meth:`submit` are promises: a shutdown must
-        answer them, not drop them (the `repro.service` worker pool relies on
-        this when recycling a worker mid-swap — whatever the worker queued is
-        served on the outgoing snapshot before the process moves on).  The
-        drained ``pending x K`` θ matrix is returned, rows aligned with the
-        indices :meth:`submit` handed out; ``None`` when nothing was queued.
-        Closing detaches any registry and is idempotent; subsequent
-        :meth:`submit` / :meth:`flush` / :meth:`infer_batch` calls raise
-        :class:`RuntimeError`.
+        Idempotent; a later :meth:`infer_batch` raises :class:`RuntimeError`.
         """
-        if self._closed:
-            return None
-        drained: Optional[np.ndarray] = None
-        if self._queue:
-            drained = self.flush()
         self._registry = None
         self._closed = True
-        return drained
 
     def __enter__(self) -> "TopicServer":
         return self

@@ -32,7 +32,6 @@ unchanged.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
@@ -46,10 +45,10 @@ from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
 from repro.samplers.base import (
     resolve_hyperparameters,
-    resolve_kernel,
     validate_hyperparameters,
+    validate_sampler_options,
 )
-from repro.samplers.registry import SAMPLER_REGISTRY
+from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 from repro.sampling.rng import RngLike, ensure_rng
 from repro.streaming.corpus import StreamingCorpus
 from repro.streaming.stream import MiniBatch
@@ -115,6 +114,9 @@ class OnlineTrainerConfig:
                 f"alpha must be a scalar or None, got {type(self.alpha).__name__}"
             )
         validate_hyperparameters(self.num_topics, self.alpha, self.beta)
+        validate_sampler_options(
+            num_mh_steps=self.num_mh_steps, kernel=self.kernel, threads=self.threads
+        )
         if self.window_docs <= 0:
             raise ValueError(f"window_docs must be positive, got {self.window_docs}")
         if self.sweeps_per_batch <= 0:
@@ -123,14 +125,6 @@ class OnlineTrainerConfig:
             )
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.num_mh_steps <= 0:
-            raise ValueError(f"num_mh_steps must be positive, got {self.num_mh_steps}")
-        if self.kernel not in ("slab", "scalar", "jit"):
-            raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
-            )
-        if self.threads is not None and self.threads <= 0:
-            raise ValueError(f"threads must be positive, got {self.threads}")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible form (snapshot metadata, bench records)."""
@@ -162,8 +156,6 @@ class OnlineTrainer:
 
     Parameters
     ----------
-    config:
-        An :class:`OnlineTrainerConfig`; overridden by keyword arguments.
     vocabulary:
         The (growing) vocabulary the stream encodes against; a fresh one is
         created when omitted.  Ignored when ``corpus`` is given.
@@ -172,6 +164,9 @@ class OnlineTrainer:
     seed:
         Seed or generator driving assignment initialisation and every
         window sweep; one seed makes the whole stream reproducible.
+    num_topics, alpha, beta, sampler, kernel, threads, window_docs, ...:
+        The fields of :class:`OnlineTrainerConfig`, which validates them
+        (:meth:`from_config` takes a ready config object instead).
 
     Examples
     --------
@@ -187,24 +182,13 @@ class OnlineTrainer:
 
     def __init__(
         self,
-        config: Optional[OnlineTrainerConfig] = None,
+        *,
         vocabulary: Optional[Vocabulary] = None,
         corpus: Optional[StreamingCorpus] = None,
         seed: RngLike = None,
         **config_kwargs: Any,
     ) -> None:
-        if config is None:
-            config = OnlineTrainerConfig(**config_kwargs)
-        else:
-            if config_kwargs:
-                raise ValueError("pass either config or keyword arguments, not both")
-            warnings.warn(
-                "OnlineTrainer(config=...) is deprecated; declare the model "
-                "with repro.api.ModelSpec / repro.api.LDA, or use "
-                "OnlineTrainer.from_config(config, ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        config = OnlineTrainerConfig(**config_kwargs)
         if corpus is None:
             corpus = StreamingCorpus(vocabulary)
         elif corpus.num_documents:
@@ -239,16 +223,14 @@ class OnlineTrainer:
         corpus: Optional[StreamingCorpus] = None,
         seed: RngLike = None,
     ) -> "OnlineTrainer":
-        """Build a trainer from a pre-validated :class:`OnlineTrainerConfig`.
+        """Build a trainer from an :class:`OnlineTrainerConfig` object.
 
-        This is the lowering target of :class:`repro.api.ModelSpec` (and the
-        replacement for the deprecated ``OnlineTrainer(config=...)``
-        spelling); the two produce bit-identical trainers for the same
-        config and seed.
+        The lowering target of :class:`repro.api.ModelSpec`; identical to
+        passing the config's fields as keywords.
         """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(config=config, vocabulary=vocabulary, corpus=corpus, seed=seed)
+        return cls(
+            vocabulary=vocabulary, corpus=corpus, seed=seed, **config.to_dict()
+        )
 
     # ------------------------------------------------------------------ #
     # Internal state helpers
@@ -370,38 +352,27 @@ class OnlineTrainer:
         """
         config = self.config
         external = np.rint(self._retired).astype(np.int64)
-        sampler_cls = SAMPLER_REGISTRY[config.sampler]
-        if sampler_cls is WarpLDA:
-            model = WarpLDA(
-                window,
-                num_topics=config.num_topics,
-                num_mh_steps=config.num_mh_steps,
-                alpha=config.alpha,
-                beta=config.beta,
-                kernel=config.kernel,
-                threads=config.threads,
-                seed=self.rng,
-            )
-            model.assignments[:] = warm
-            model.topic_counts = np.bincount(
-                model.assignments, minlength=config.num_topics
+        sampler = build_sampler(
+            config.sampler,
+            window,
+            num_topics=config.num_topics,
+            alpha=config.alpha,
+            beta=config.beta,
+            num_mh_steps=config.num_mh_steps,
+            kernel=config.kernel,
+            threads=config.threads,
+            seed=self.rng,
+        )
+        if isinstance(sampler, WarpLDA):
+            sampler.assignments[:] = warm
+            sampler.topic_counts = np.bincount(
+                sampler.assignments, minlength=config.num_topics
             )
             if external.any():
-                model.set_external_counts(external)
-            model.fit(config.sweeps_per_batch)
-            warm[:] = model.assignments
+                sampler.set_external_counts(external)
+            sampler.fit(config.sweeps_per_batch)
+            warm[:] = sampler.assignments
             return
-        kernel = resolve_kernel(sampler_cls, config.kernel)
-        kwargs: Dict[str, Any] = {
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "seed": self.rng,
-            "kernel": kernel,
-            "threads": config.threads,
-        }
-        if config.sampler == "lightlda":
-            kwargs["num_mh_steps"] = config.num_mh_steps
-        sampler = sampler_cls(window, config.num_topics, **kwargs)
         sampler.state.assignments[:] = warm
         sampler.state.recompute_counts()
         if external.any():

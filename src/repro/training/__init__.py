@@ -11,8 +11,8 @@ simulation (:mod:`repro.distributed.cluster`).  This package runs it:
   count updates make principled;
 * :class:`~repro.training.checkpoint.Checkpoint` persists a mid-training
   state (serving snapshot + per-worker sampler state + RNG streams) so a run
-  can be resumed bit-exactly;
-* :mod:`repro.training.cli` backs the ``python -m repro.train`` command line.
+  can be resumed bit-exactly (``python -m repro train --backend parallel
+  --checkpoint-dir DIR [--resume]`` is the command-line door).
 """
 
 from repro.training.checkpoint import Checkpoint

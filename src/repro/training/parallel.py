@@ -31,11 +31,10 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,13 +45,11 @@ from repro.evaluation.convergence import ConvergenceTracker
 from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.obs import Telemetry, get_telemetry, use_telemetry
 from repro.samplers.base import (
-    LDASampler,
     resolve_hyperparameters,
-    resolve_kernel,
     validate_hyperparameters,
+    validate_sampler_options,
 )
-from repro.samplers.lightlda import LightLDASampler
-from repro.samplers.registry import SAMPLER_REGISTRY
+from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 from repro.sampling.rng import RngLike, spawn_rngs
 
 if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
@@ -119,18 +116,13 @@ class TrainerConfig:
                 f"alpha must be a scalar or None, got {type(self.alpha).__name__}"
             )
         validate_hyperparameters(self.num_topics, self.alpha, self.beta)
-        if self.num_mh_steps <= 0:
-            raise ValueError(f"num_mh_steps must be positive, got {self.num_mh_steps}")
+        validate_sampler_options(
+            num_mh_steps=self.num_mh_steps, kernel=self.kernel, threads=self.threads
+        )
         if self.iterations_per_epoch <= 0:
             raise ValueError(
                 f"iterations_per_epoch must be positive, got {self.iterations_per_epoch}"
             )
-        if self.kernel not in ("slab", "scalar", "jit"):
-            raise ValueError(
-                f"kernel must be 'slab', 'scalar' or 'jit', got {self.kernel!r}"
-            )
-        if self.threads is not None and self.threads <= 0:
-            raise ValueError(f"threads must be positive, got {self.threads}")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible form (checkpoint sidecars)."""
@@ -167,31 +159,17 @@ class ShardRunner:
     ) -> None:
         self.config = config
         self.index = int(index)
-        sampler_cls = SAMPLER_REGISTRY[config.sampler]
-        if sampler_cls is WarpLDA:
-            self.sampler: Any = WarpLDA(
-                shard,
-                num_topics=config.num_topics,
-                num_mh_steps=config.num_mh_steps,
-                alpha=config.alpha,
-                beta=config.beta,
-                kernel=config.kernel,
-                threads=config.threads,
-                seed=rng,
-            )
-        else:
-            # Samplers without the requested path degrade jit -> slab -> scalar.
-            kernel = resolve_kernel(sampler_cls, config.kernel)
-            kwargs: Dict[str, Any] = {
-                "alpha": config.alpha,
-                "beta": config.beta,
-                "seed": rng,
-                "kernel": kernel,
-                "threads": config.threads,
-            }
-            if sampler_cls is LightLDASampler:
-                kwargs["num_mh_steps"] = config.num_mh_steps
-            self.sampler = sampler_cls(shard, config.num_topics, **kwargs)
+        self.sampler: Any = build_sampler(
+            config.sampler,
+            shard,
+            num_topics=config.num_topics,
+            alpha=config.alpha,
+            beta=config.beta,
+            num_mh_steps=config.num_mh_steps,
+            kernel=config.kernel,
+            threads=config.threads,
+            seed=rng,
+        )
         self._is_warp = isinstance(self.sampler, WarpLDA)
         # The shard's contribution only changes while sampling, so it is
         # computed once per barrier and reused for the next epoch's external
@@ -410,8 +388,6 @@ class ParallelTrainer:
         views of it.
     num_workers:
         Number of shards / worker processes.
-    config:
-        A :class:`TrainerConfig`; overrides the keyword arguments below.
     seed:
         Master seed; per-worker streams are derived with
         :func:`~repro.sampling.rng.spawn_rngs`, so a single seed makes the
@@ -420,8 +396,9 @@ class ParallelTrainer:
         ``"process"`` (real ``multiprocessing`` workers, the default) or
         ``"inline"`` (same protocol, master process only — for tests,
         debugging and single-core machines).
-    sampler, num_topics, alpha, beta, num_mh_steps, iterations_per_epoch:
-        Forwarded to :class:`TrainerConfig` when ``config`` is omitted.
+    sampler, num_topics, alpha, beta, num_mh_steps, iterations_per_epoch, kernel, threads:
+        The fields of :class:`TrainerConfig`, which validates them
+        (:meth:`from_config` takes a ready config object instead).
 
     Examples
     --------
@@ -439,23 +416,12 @@ class ParallelTrainer:
         self,
         corpus: Corpus,
         num_workers: int = 2,
-        config: Optional[TrainerConfig] = None,
+        *,
         seed: RngLike = None,
         backend: str = "process",
         **config_kwargs: Any,
     ) -> None:
-        if config is None:
-            config = TrainerConfig(**config_kwargs)
-        else:
-            if config_kwargs:
-                raise ValueError("pass either config or keyword arguments, not both")
-            warnings.warn(
-                "ParallelTrainer(config=...) is deprecated; declare the model "
-                "with repro.api.ModelSpec / repro.api.LDA, or use "
-                "ParallelTrainer.from_config(corpus, config, ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        config = TrainerConfig(**config_kwargs)
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         if backend not in BACKENDS:
@@ -518,22 +484,14 @@ class ParallelTrainer:
         seed: RngLike = None,
         backend: str = "process",
     ) -> "ParallelTrainer":
-        """Build a trainer from a pre-validated :class:`TrainerConfig`.
+        """Build a trainer from a :class:`TrainerConfig` object.
 
-        This is the lowering target of :class:`repro.api.ModelSpec` (and the
-        replacement for the deprecated ``ParallelTrainer(config=...)``
-        spelling); the two produce bit-identical trainers for the same
-        config and seed.
+        The lowering target of :class:`repro.api.ModelSpec` and of checkpoint
+        restore; identical to passing the config's fields as keywords.
         """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(
-                corpus,
-                num_workers=num_workers,
-                config=config,
-                seed=seed,
-                backend=backend,
-            )
+        return cls(
+            corpus, num_workers, seed=seed, backend=backend, **config.to_dict()
+        )
 
     # ------------------------------------------------------------------ #
     # Training
@@ -598,7 +556,6 @@ class ParallelTrainer:
         evaluate_every: int = 1,
         checkpoint_dir: Optional[Any] = None,
         checkpoint_every: int = 0,
-        on_epoch: Optional[Callable[["ParallelTrainer"], None]] = None,
     ) -> "ParallelTrainer":
         """Run ``num_epochs`` epochs, optionally tracking and checkpointing.
 
@@ -616,10 +573,6 @@ class ParallelTrainer:
             ``checkpoint_every`` epochs and after the final epoch.
         checkpoint_every:
             Checkpoint stride; ``0`` means only after the final epoch.
-        on_epoch:
-            Optional callback invoked with the trainer after every merged
-            epoch (before any checkpoint write) — progress printing for the
-            CLI, metric export, early-stopping hooks.
         """
         if num_epochs < 0:
             raise ValueError(f"num_epochs must be non-negative, got {num_epochs}")
@@ -640,8 +593,6 @@ class ParallelTrainer:
                     log_likelihood=self.log_likelihood(),
                     tokens_processed=iterations * self.corpus.num_tokens,
                 )
-            if on_epoch is not None:
-                on_epoch(self)
             due = checkpoint_every and (epoch + 1) % checkpoint_every == 0
             if checkpoint_dir is not None and (due or epoch == num_epochs - 1):
                 self.save_checkpoint(checkpoint_dir)

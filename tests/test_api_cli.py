@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import LDA, ModelSpec
@@ -145,23 +144,99 @@ class TestStreamServeEval:
             )
 
 
-class TestEquivalenceWithLegacyCLI:
-    def test_new_and_legacy_cli_train_identical_models(self, tmp_path, capsys):
-        """`python -m repro train` == `python -m repro.train` seed-for-seed."""
-        from repro.train import main as legacy_main
+PARALLEL = [
+    "train", "--synthetic", "--docs", "24", "--vocab-size", "50",
+    "--doc-length", "15", "--topics", "4", "--seed", "0",
+    "--backend", "parallel", "--workers", "2", "--parallel-backend", "inline",
+]
 
-        new_path = tmp_path / "new.npz"
-        legacy_path = tmp_path / "legacy.npz"
-        main(
-            ["train", *SYNTH, "--topics", "4", "--seed", "0",
-             "--backend", "parallel", "--workers", "2",
-             "--parallel-backend", "inline", "--iterations", "2",
-             "--snapshot-out", str(new_path)]
+
+class TestCheckpointResume:
+    """The checkpoint/resume door of ``python -m repro train --backend parallel``."""
+
+    def test_resume_requires_checkpoint_dir(self):
+        with pytest.raises(SystemExit, match="--checkpoint-dir"):
+            main([*PARALLEL, "--resume"])
+
+    def test_checkpoint_dir_requires_parallel_backend(self, tmp_path):
+        with pytest.raises(SystemExit, match="'parallel' backend"):
+            main(["train", *SYNTH, "--checkpoint-dir", str(tmp_path / "ckpt")])
+
+    def test_train_writes_checkpoint_and_snapshot(self, tmp_path, capsys):
+        code, out = _run(
+            capsys,
+            *PARALLEL, "--iterations", "2",
+            "--checkpoint-dir", str(tmp_path / "ckpt"), "--checkpoint-every", "1",
+            "--snapshot-out", str(tmp_path / "model.npz"),
         )
-        legacy_main(
-            [*SYNTH, "--topics", "4", "--seed", "0", "--workers", "2",
-             "--backend", "inline", "--epochs", "2",
-             "--snapshot-out", str(legacy_path)]
+        assert code == 0
+        assert (tmp_path / "ckpt" / "checkpoint.json").exists()
+        assert LDA.load(tmp_path / "model.npz").spec.num_topics == 4
+        assert "checkpoint written" in out
+
+    def test_resume_continues_from_checkpoint(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        main([*PARALLEL, "--iterations", "2", "--checkpoint-dir", ckpt])
+        code, out = _run(
+            capsys, *PARALLEL, "--iterations", "1", "--checkpoint-dir", ckpt, "--resume"
+        )
+        assert code == 0
+        assert "resumed warplda" in out
+        assert "at epoch 2" in out
+        from repro.training.checkpoint import Checkpoint
+
+        assert Checkpoint.load(ckpt).epochs_completed == 3
+
+    def test_resume_warns_about_ignored_model_flags(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        main([*PARALLEL, "--iterations", "1", "--checkpoint-dir", ckpt])
+        code, out = _run(
+            capsys,
+            *PARALLEL, "--iterations", "1", "--checkpoint-dir", ckpt, "--resume",
+            "--topics", "9", "--algorithm", "cgs",
+        )
+        assert code == 0
+        assert "warning: --topics 9 ignored on resume" in out
+        assert "warning: --algorithm cgs ignored on resume" in out
+        assert "warning: --seed ignored on resume" in out
+        assert "--workers" not in out  # same value as the checkpoint's: no warning
+
+    def test_resumed_run_matches_straight_run(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "ckpt")
+        main([*PARALLEL, "--iterations", "4", "--snapshot-out", str(tmp_path / "straight.npz")])
+        main([*PARALLEL, "--iterations", "2", "--checkpoint-dir", ckpt])
+        main(
+            [*PARALLEL, "--iterations", "2", "--checkpoint-dir", ckpt, "--resume",
+             "--snapshot-out", str(tmp_path / "resumed.npz")]
         )
         capsys.readouterr()
-        assert new_path.read_bytes() == legacy_path.read_bytes()
+        assert (tmp_path / "straight.npz").read_bytes() == (
+            tmp_path / "resumed.npz"
+        ).read_bytes()
+
+
+class TestCorpusSources:
+    def test_corpus_source_is_exclusive(self):
+        with pytest.raises(SystemExit, match="exactly one corpus source"):
+            main(["train", "--synthetic", "--preset", "nytimes_like"])
+        with pytest.raises(SystemExit, match="exactly one corpus source"):
+            main(["train"])
+
+    def test_uci_corpus_source(self, tmp_path, capsys):
+        from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus, write_uci_bow
+
+        corpus = generate_lda_corpus(
+            SyntheticCorpusSpec(
+                num_documents=15, vocabulary_size=30, mean_document_length=10
+            ),
+            seed=0,
+        )
+        write_uci_bow(corpus, tmp_path / "docword.txt")
+        code, out = _run(
+            capsys,
+            "train", "--corpus", str(tmp_path / "docword.txt"), "--topics", "3",
+            "--backend", "parallel", "--workers", "2", "--parallel-backend", "inline",
+            "--iterations", "1", "--seed", "0",
+        )
+        assert code == 0
+        assert "corpus: 15 documents" in out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import LDA, ModelSpec
-from repro.core.warplda import WarpLDA, WarpLDAConfig
+from repro.core.warplda import WarpLDA
 from repro.samplers.registry import SAMPLER_REGISTRY
 from repro.serving.infer import InferenceEngine
 from repro.streaming.online import OnlineTrainer
@@ -39,10 +39,9 @@ class TestSerialEquivalence:
     def test_warplda_config_spelling_matches(self, small_corpus):
         spec = ModelSpec(num_topics=6, kernel="scalar", word_proposal="alias", seed=9)
         facade = LDA(spec).fit(small_corpus, num_iterations=3)
-        config = WarpLDAConfig(
-            num_topics=6, kernel="scalar", word_proposal="alias"
-        )
-        direct = WarpLDA.from_config(small_corpus, config, seed=9).fit(3)
+        direct = WarpLDA(
+            small_corpus, num_topics=6, kernel="scalar", word_proposal="alias", seed=9
+        ).fit(3)
         np.testing.assert_array_equal(facade.model.assignments, direct.assignments)
 
     @pytest.mark.parametrize(

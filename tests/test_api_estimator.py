@@ -80,6 +80,34 @@ class TestDispatch:
         with pytest.raises(RuntimeError, match="closed"):
             model.fit(small_corpus, num_iterations=1)
 
+    def test_resume_adopts_the_checkpoint_and_continues_bit_exactly(
+        self, small_corpus, tmp_path
+    ):
+        options = {"num_workers": 2, "backend": "inline"}
+        trained = ModelSpec(
+            num_topics=5, algorithm="cgs", seed=3, backend="parallel", backend_options=options
+        )
+        with LDA(trained) as straight:
+            straight.fit(small_corpus, num_iterations=3)
+            expected = straight.model.assignments()
+        with LDA(trained) as first:
+            first.fit(small_corpus, num_iterations=2, checkpoint_dir=tmp_path / "ckpt")
+        # The resuming spec asks for another model; the checkpoint's wins.
+        other = ModelSpec(num_topics=9, backend="parallel", backend_options=options)
+        with LDA(other) as resumed:
+            resumed.fit(
+                small_corpus, num_iterations=1, checkpoint_dir=tmp_path / "ckpt", resume=True
+            )
+            assert resumed.spec.algorithm == "cgs" and resumed.spec.num_topics == 5
+            assert resumed.model.epochs_completed == 3
+            np.testing.assert_array_equal(resumed.model.assignments(), expected)
+
+    def test_checkpointing_is_parallel_only(self, small_corpus, tmp_path):
+        with pytest.raises(ValueError, match="backend='parallel'"):
+            LDA(num_topics=5).fit(small_corpus, 1, checkpoint_dir=tmp_path)
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            LDA(num_topics=5).fit(small_corpus, 1, resume=True)
+
 
 class TestModelAccess:
     def test_transform_tokens_and_ids(self, fitted, small_corpus):
@@ -129,6 +157,27 @@ class TestModelAccess:
         model.fit(small_corpus, num_iterations=1)
         embedded = model.export_snapshot().metadata[SPEC_METADATA_KEY]
         assert embedded["kernel"] == "scalar"
+
+    @pytest.mark.parametrize(
+        "algorithm, ran",
+        [
+            ("cgs", "slab"),
+            ("aliaslda", "slab"),
+            ("lightlda", "slab"),
+            ("sparselda", "scalar"),
+            ("fpluslda", "scalar"),
+        ],
+    )
+    def test_snapshot_records_the_kernel_a_jit_request_ran(
+        self, small_corpus, algorithm, ran
+    ):
+        # Only WarpLDA has a jit path; a baseline degrades jit -> slab ->
+        # scalar when it is built, and the provenance names what ran.
+        model = LDA(num_topics=4, algorithm=algorithm, kernel="jit", seed=0)
+        model.fit(small_corpus, num_iterations=1)
+        assert model.model.kernel == ran
+        embedded = model.export_snapshot().metadata[SPEC_METADATA_KEY]
+        assert embedded["kernel"] == ran
 
 
 class TestPersistence:

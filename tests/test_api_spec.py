@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.api import ALGORITHMS, BACKEND_NAMES, ModelSpec, get_backend
-from repro.core.warplda import WarpLDAConfig
 from repro.streaming.online import OnlineTrainerConfig
 from repro.training.parallel import TrainerConfig
 
@@ -166,20 +165,32 @@ class TestLowering:
     def test_backend_names_cover_registry(self):
         assert set(BACKEND_NAMES) == {"serial", "parallel", "online"}
 
-    def test_serial_warplda_lowers_to_warplda_config(self):
-        spec = ModelSpec(num_topics=7, num_mh_steps=3, beta=0.02, kernel="scalar")
-        lowered = get_backend("serial").lower(spec)
-        assert lowered == WarpLDAConfig(
-            num_topics=7, num_mh_steps=3, beta=0.02, kernel="scalar"
-        )
+    def test_serial_lowers_to_build_sampler_keywords(self, tiny_corpus):
+        spec = ModelSpec(num_topics=7, num_mh_steps=3, beta=0.02, kernel="scalar", seed=4)
+        backend = get_backend("serial")
+        lowered = backend.lower(spec)
+        assert lowered == {
+            "algorithm": "warplda",
+            "num_topics": 7,
+            "alpha": None,
+            "beta": 0.02,
+            "num_mh_steps": 3,
+            "kernel": "scalar",
+            "threads": None,
+            "word_proposal": "mixture",
+            "seed": 4,
+        }
+        assert backend.build(spec, tiny_corpus).num_mh_steps == 3
 
-    def test_serial_baseline_lowers_to_kwargs(self):
+    def test_serial_baseline_lowers_to_kwargs(self, tiny_corpus):
         spec = ModelSpec(num_topics=7, algorithm="sparselda")
-        lowered = get_backend("serial").lower(spec)
-        assert lowered["num_topics"] == 7
-        # SparseLDA has no slab path: the kernel falls back to scalar,
-        # exactly like direct construction.
-        assert lowered["kernel"] == "scalar"
+        backend = get_backend("serial")
+        assert backend.lower(spec)["num_topics"] == 7
+        # The lowered kernel is the *requested* one; SparseLDA has no slab
+        # path, so the factory builds it on scalar, exactly like direct
+        # construction through ``build_sampler``.
+        assert backend.lower(spec)["kernel"] == "slab"
+        assert backend.build(spec, tiny_corpus).kernel == "scalar"
 
     def test_parallel_lowers_to_trainer_config(self):
         spec = ModelSpec(

@@ -81,31 +81,9 @@ class TestTable4:
 
 
 class TestSeedMigration:
-    """The seed= migration keeps the deprecated rng= alias equivalent."""
-
-    def test_sparsity_rng_alias_warns_and_matches(self, small_corpus):
-        direct = estimate_topic_sparsity(small_corpus, num_topics=6, seed=3)
-        with pytest.warns(DeprecationWarning):
-            aliased = estimate_topic_sparsity(small_corpus, num_topics=6, rng=3)
-        assert aliased == direct
-
-    def test_l3_rng_alias_warns_and_matches(self, small_corpus):
-        direct = l3_miss_rate_experiment(
-            small_corpus, num_topics=8, max_tokens=300, seed=4
-        )
-        with pytest.warns(DeprecationWarning):
-            aliased = l3_miss_rate_experiment(
-                small_corpus, num_topics=8, max_tokens=300, rng=4
-            )
-        assert aliased == direct
-
     def test_l3_default_seed_is_still_zero(self, small_corpus):
         explicit = l3_miss_rate_experiment(
             small_corpus, num_topics=8, max_tokens=300, seed=0
         )
         default = l3_miss_rate_experiment(small_corpus, num_topics=8, max_tokens=300)
         assert default == explicit
-
-    def test_both_seed_and_rng_rejected(self, small_corpus):
-        with pytest.raises(ValueError, match="not both"):
-            estimate_topic_sparsity(small_corpus, num_topics=6, seed=1, rng=1)

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import WarpLDA, WarpLDAConfig, doc_proposal_acceptance, word_proposal_acceptance
+from repro.core import WarpLDA, doc_proposal_acceptance, word_proposal_acceptance
 from repro.evaluation import ConvergenceTracker
 from repro.samplers import CollapsedGibbsSampler
 
 
 class TestConfig:
-    def test_defaults(self):
-        config = WarpLDAConfig(num_topics=10)
-        assert config.num_mh_steps == 2
-        assert config.beta == pytest.approx(0.01)
+    def test_defaults(self, tiny_corpus):
+        model = WarpLDA(tiny_corpus, num_topics=10)
+        assert model.num_mh_steps == 2
+        assert model.beta == pytest.approx(0.01)
+        assert model.kernel == "slab"
+        assert model.word_proposal == "mixture"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -20,21 +22,12 @@ class TestConfig:
             {"num_topics": 0},
             {"num_topics": 5, "num_mh_steps": 0},
             {"num_topics": 5, "word_proposal": "bogus"},
-            {"num_topics": 5, "doc_proposal": "alias"},
+            {"num_topics": 5, "kernel": "fast"},
         ],
     )
-    def test_invalid_config_raises(self, kwargs):
+    def test_invalid_config_raises(self, tiny_corpus, kwargs):
         with pytest.raises(ValueError):
-            WarpLDAConfig(**kwargs)
-
-    def test_config_object_overrides_kwargs(self, tiny_corpus):
-        config = WarpLDAConfig(num_topics=7, num_mh_steps=3)
-        # Passing config= directly is deprecated in favour of from_config /
-        # repro.api, but must keep working (and still win over the kwargs).
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            model = WarpLDA(tiny_corpus, num_topics=2, config=config)
-        assert model.num_topics == 7
-        assert model.num_mh_steps == 3
+            WarpLDA(tiny_corpus, **kwargs)
 
 
 class TestAcceptanceRates:

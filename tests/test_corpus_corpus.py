@@ -129,19 +129,3 @@ class TestSubsetAndSplit:
     def test_split_invalid_fraction(self, small_corpus):
         with pytest.raises(ValueError):
             small_corpus.split(1.5)
-
-    def test_split_deprecated_rng_alias_matches_seed(self, small_corpus):
-        # Regression for the seed= migration: the old rng= spelling still
-        # works, warns, and partitions identically to seed=.
-        train, held_out = small_corpus.split(0.8, seed=7)
-        with pytest.warns(DeprecationWarning):
-            train_alias, held_alias = small_corpus.split(0.8, rng=7)
-        assert train_alias.num_documents == train.num_documents
-        assert held_alias.num_documents == held_out.num_documents
-        np.testing.assert_array_equal(
-            train_alias.document_lengths(), train.document_lengths()
-        )
-
-    def test_split_rejects_seed_and_rng_together(self, small_corpus):
-        with pytest.raises(ValueError, match="not both"):
-            small_corpus.split(0.8, seed=0, rng=0)

@@ -217,7 +217,7 @@ class TestThreadCountDeterminism:
 class TestJitTier:
     def test_jit_kernel_validates(self, small_corpus):
         model = WarpLDA(small_corpus, num_topics=5, seed=3, kernel="jit")
-        assert model.config.kernel == "jit"
+        assert model.kernel == "jit"
 
     def test_jit_falls_back_bit_identically_without_numba(self, small_corpus):
         # Without numba the "jit" kernel silently runs the slab path —

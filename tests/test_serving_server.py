@@ -108,20 +108,15 @@ class TestInferBatch:
         np.testing.assert_allclose(theta[1], prior_mean)
 
 
-class TestQueue:
-    def test_submit_flush_alignment(self, engine, small_corpus):
-        server = TopicServer(engine, max_batch_size=2)
-        documents = [small_corpus.document_words(i) for i in range(5)]
-        indices = [server.submit(doc) for doc in documents]
-        assert indices == [0, 1, 2, 3, 4]
-        assert server.pending == 5
-        theta = server.flush()
-        assert server.pending == 0
-        np.testing.assert_allclose(theta, engine.infer_ids(documents))
-
-    def test_flush_empty_queue(self, engine):
+class TestEncode:
+    def test_tokens_ids_and_arrays_normalise_to_id_arrays(self, engine, small_corpus):
         server = TopicServer(engine)
-        assert server.flush().shape == (0, engine.num_topics)
+        ids = small_corpus.document_words(0)
+        tokens = [small_corpus.vocabulary.word(int(w)) for w in ids]
+        np.testing.assert_array_equal(server.encode(tokens + ["<never-seen>"]), ids)
+        np.testing.assert_array_equal(server.encode(ids.tolist()), ids)
+        np.testing.assert_array_equal(server.encode(ids), ids)
+        assert server.encode([]).size == 0
 
 
 class TestStats:
@@ -191,44 +186,20 @@ class TestStats:
 
 
 class TestClose:
-    def test_close_drains_pending_submissions(self, engine, small_corpus):
-        server = TopicServer(engine, max_batch_size=4)
-        documents = [small_corpus.document_words(i) for i in range(3)]
-        expected = engine.infer_ids(documents)
-        for document in documents:
-            server.submit(document)
-        drained = server.close()
-        # The shutdown promise: everything submitted is answered, not dropped.
-        np.testing.assert_allclose(drained, expected)
-        assert server.pending == 0
-        assert server.closed
-        assert server.stats().requests == len(documents)
-
-    def test_close_with_empty_queue_returns_none(self, engine):
+    def test_close_is_idempotent(self, engine):
         server = TopicServer(engine)
-        assert server.close() is None
+        assert not server.closed
+        server.close()
+        server.close()
         assert server.closed
-
-    def test_close_is_idempotent(self, engine, small_corpus):
-        server = TopicServer(engine)
-        server.submit(small_corpus.document_words(0))
-        assert server.close() is not None
-        assert server.close() is None
 
     def test_closed_server_rejects_requests(self, engine, small_corpus):
         server = TopicServer(engine)
         server.close()
-        document = small_corpus.document_words(0)
         with pytest.raises(RuntimeError, match="closed"):
-            server.submit(document)
-        with pytest.raises(RuntimeError, match="closed"):
-            server.flush()
-        with pytest.raises(RuntimeError, match="closed"):
-            server.infer_batch([document])
+            server.infer_batch([small_corpus.document_words(0)])
 
-    def test_context_manager_closes_and_drains(self, engine, small_corpus):
+    def test_context_manager_closes(self, engine, small_corpus):
         with TopicServer(engine) as server:
-            server.submit(small_corpus.document_words(0))
+            server.infer_batch([small_corpus.document_words(0)])
         assert server.closed
-        # The queued request was served (drained), not dropped.
-        assert server.stats().requests == 1

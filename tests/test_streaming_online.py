@@ -54,10 +54,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown sampler"):
             OnlineTrainerConfig(sampler="nope")
 
-    def test_config_and_kwargs_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            OnlineTrainer(config=OnlineTrainerConfig(), num_topics=3)
-
     def test_requires_empty_streaming_corpus(self):
         corpus = StreamingCorpus()
         corpus.vocabulary.add("a")

@@ -57,14 +57,6 @@ class TestParallelTrainerInline:
             ParallelTrainer(corpus, num_workers=0, backend="inline")
         with pytest.raises(ValueError, match="backend"):
             ParallelTrainer(corpus, num_workers=2, backend="threads")
-        with pytest.raises(ValueError, match="config or keyword"):
-            ParallelTrainer(
-                corpus,
-                num_workers=2,
-                config=TrainerConfig(),
-                num_topics=5,
-                backend="inline",
-            )
 
     def test_merged_counts_match_gathered_assignments(self, corpus):
         with ParallelTrainer(
