@@ -38,7 +38,7 @@ import _harness
 from repro.core.warplda import WarpLDA
 from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.distributed.scaling import THREAD_SCALING_MODEL
-from repro.kernels import corpus_buckets
+from repro.kernels import SlabBucket, corpus_buckets
 from repro.kernels.jit import jit_available
 from repro.kernels.warp import document_phase, slot_table_width, word_phase
 
@@ -133,32 +133,35 @@ def timed_fit(
 
 
 def working_set_bytes(
-    slab_lens: List[int], max_cells: int, num_topics: int, num_mh_steps: int
+    buckets: List[SlabBucket], max_cells: int, num_topics: int, num_mh_steps: int
 ) -> int:
     """Estimated live bytes of the largest chunk task under a ``max_cells`` budget.
 
-    Counts the chain state one task touches for a bucket of each padded row
-    length in ``slab_lens``: current + proposal topics (int64 each), the
-    pre-drawn uniforms (float64 per MH step) and the per-row count table —
+    Counts the chain state one task touches per **real token** of a chunk —
+    the kernel never gathers a padded cell: current topics, their target
+    term and row id (8 bytes each), and per MH step the stored proposal, its
+    target term and the pre-drawn uniform — plus the per-row count table,
     ``rows × W`` cells with ``W`` from
     :func:`repro.kernels.warp.slot_table_width`, the very helper the kernel
     sizes its chunks and tables with, so ``rows`` is capped at ``max_cells //
     W`` here as it is there.  A dense table (``W == K``) is one float64 per
     cell; a slot table adds the int64 owner and the contested flag.  The
-    shared stale ``c_k`` vector is counted once.
+    shared stale ``c_k`` vector and its reciprocal are counted once.
     """
 
-    def chunk_bytes(slab_len: int) -> int:
-        width = slot_table_width(num_topics, slab_len)
-        rows = max(1, min(max_cells // slab_len, max_cells // max(1, width)))
+    def chunk_bytes(chunk: SlabBucket, width: int) -> int:
         table_cell_bytes = 8 if width == num_topics else 8 + 8 + 1
         return (
-            rows * slab_len * 8 * 2  # current + proposals
-            + rows * slab_len * 8 * num_mh_steps  # pre-drawn uniforms
-            + rows * width * table_cell_bytes  # per-row count table
+            int(chunk.lengths.sum()) * 8 * 3 * (1 + num_mh_steps)
+            + chunk.num_rows * width * table_cell_bytes
         )
 
-    return max(map(chunk_bytes, slab_lens)) + num_topics * 8  # + stale topic counts
+    largest = 0
+    for bucket in buckets:
+        width = slot_table_width(num_topics, bucket.slab_len)
+        for chunk in bucket.chunks(max_cells, max_rows=max(1, max_cells // max(1, width))):
+            largest = max(largest, chunk_bytes(chunk, width))
+    return largest + num_topics * 8 * 2  # + stale topic counts and 1 / (c_k + β̄)
 
 
 def timed_cache_point(
@@ -283,19 +286,13 @@ def main(argv=None) -> int:
     # Table 4-style: per-task working set vs threaded throughput.
     # ---------------------------------------------------------------- #
     cache_analysis: Dict[str, Dict[str, object]] = {}
-    slab_lens = sorted(
-        {
-            bucket.slab_len
-            for axis in ("word", "doc")
-            for bucket in corpus_buckets(corpus, axis)
-        }
-    )
+    buckets = corpus_buckets(corpus, "word") + corpus_buckets(corpus, "doc")
     for max_cells in CACHE_SWEEP_CELLS:
         rate = timed_cache_point(corpus, args, recorded_threads, max_cells)
         cache_analysis[f"cells_{max_cells}"] = {
             "max_cells": max_cells,
             "working_set_bytes": working_set_bytes(
-                slab_lens, max_cells, args.topics, 2
+                buckets, max_cells, args.topics, 2
             ),
             "tokens_per_sec": round(rate, 1),
         }

@@ -45,7 +45,7 @@ Implementation notes
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.evaluation.convergence import ConvergenceTracker
 from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.kernels.buckets import corpus_buckets
 from repro.kernels.warp import document_phase as slab_document_phase
+from repro.kernels.warp import external_proposal_table
 from repro.kernels.warp import word_phase as slab_word_phase
 from repro.obs import get_telemetry
 from repro.samplers.base import (
@@ -209,6 +210,7 @@ class WarpLDA:
         # Frozen counts contributed by *other* shards during a data-parallel
         # epoch (see repro.training); None when training single-process.
         self._external_word_topic: Optional[np.ndarray] = None
+        self._external_proposal: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._external_topic_counts: Optional[np.ndarray] = None
         # Reused per-phase scratch: the delayed global counts as float64 (and
         # the cached float64 view of the external sums), so neither phase
@@ -333,7 +335,9 @@ class WarpLDA:
         the cluster-wide counts frozen at the epoch barrier: the acceptance
         rates read ``c_w^local + c_w^external`` and ``c_k^local +
         c_k^external``, and the word proposal becomes an exact draw from
-        ``q_word(k) ∝ C_wk^global + β`` via a per-word alias table.  Freezing
+        ``q_word(k) ∝ C_wk^global + β`` (scalar kernel: a per-word alias
+        table; slab kernel: random positioning, a draw from this table's CDF,
+        or uniform, mixed by their masses).  Freezing
         the external contribution for a whole epoch is precisely the delayed
         count update that makes WarpLDA's MCEM reordering legal (Sec. 4.2) —
         only the delay grows from one phase to one epoch.
@@ -360,6 +364,7 @@ class WarpLDA:
         # alias an array the caller could keep mutating).
         self._external_word_topic = np.array(word_topic, dtype=np.int64)
         self._external_word_topic.flags.writeable = False
+        self._external_proposal = None
         self._external_topic_counts = topic_counts
         self._external_topic_f64 = topic_counts.astype(np.float64)
         self._external_topic_f64.flags.writeable = False
@@ -367,6 +372,7 @@ class WarpLDA:
     def clear_external_counts(self) -> None:
         """Return to single-process semantics (no external shard counts)."""
         self._external_word_topic = None
+        self._external_proposal = None
         self._external_topic_counts = None
         self._external_topic_f64 = None
 
@@ -517,6 +523,12 @@ class WarpLDA:
     # ------------------------------------------------------------------ #
     def _word_phase_slab(self, chain_stats: Optional[dict] = None) -> None:
         """Word phase over bucketed word slabs (kernel path)."""
+        if self._external_word_topic is not None and self._external_proposal is None:
+            # The proposal's third component draws from the installed table's
+            # CDF: one O(VK) pass per installed table, not per phase.
+            self._external_proposal = external_proposal_table(
+                self._external_word_topic
+            )
         slab_word_phase(
             self.assignments,
             self.proposals,
@@ -529,6 +541,7 @@ class WarpLDA:
             self.rng,
             exact_word_proposal=self.word_proposal == "alias",
             external_word_topic=self._external_word_topic,
+            external_proposal=self._external_proposal,
             chain_stats=chain_stats,
             threads=self.threads,
             use_jit=self.kernel == "jit",

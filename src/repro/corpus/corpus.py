@@ -113,8 +113,14 @@ class Corpus:
         )
         # Word-major (CSC) view: a permutation of token indices sorted by word
         # id, stable so that within a word the tokens stay in document order —
-        # exactly the "entries sorted by row id" layout of Sec. 5.2.
-        self._word_order = np.argsort(self._token_words, kind="stable")
+        # exactly the "entries sorted by row id" layout of Sec. 5.2.  Sorted
+        # through the narrowest unsigned type that holds V: the permutation is
+        # the same and 16-bit keys take NumPy's radix sort (several times
+        # faster), which every ``slice`` — every streaming batch — pays.
+        narrow = np.min_scalar_type(self._vocabulary.size)
+        self._word_order = np.argsort(
+            self._token_words.astype(narrow, copy=False), kind="stable"
+        )
         word_frequencies = np.bincount(
             self._token_words, minlength=self._vocabulary.size
         )

@@ -16,16 +16,16 @@ Layout
     index matrix, built once per corpus and cached on it.
 :mod:`~repro.kernels.draws`
     Batched inverse-CDF categorical draws: one draw per row of a weight
-    matrix, many draws per row, and per-token draws from a shared ``V x K``
-    weight table (one ``cumsum``/``searchsorted`` pass each).
+    matrix, and per-token draws from a shared ``V x K`` weight table (one
+    ``cumsum``/``searchsorted`` pass each).
 :mod:`~repro.kernels.proposals`
-    Token-level proposal helpers shared by training and serving: the CSR
-    layout of a flat token batch and the random-positioning mixture proposal
-    of the paper's Sec. 4.3.
+    The one Sec. 4.3 proposal draw of the package, shared by WarpLDA's two
+    phases, the delayed LightLDA sweep and the serving MH fold-in: the CSR
+    layout of a flat token batch and the positioning-mixture draw over it.
 :mod:`~repro.kernels.warp`
-    WarpLDA's word and document phases (Alg. 2) over slab buckets: the MH
-    accept/reject chains of Eq. (7) and the proposal draws run as single
-    NumPy expressions per bucket.
+    WarpLDA's word and document phases (Alg. 2), token-major over bucket
+    chunks: the MH accept/reject chains of Eq. (7) and the proposal draws
+    run as flat NumPy expressions over a chunk's real tokens only.
 :mod:`~repro.kernels.cgs`
     The blocked dense collapsed-Gibbs kernel: the full conditional of Eq. (1)
     enumerated for a whole document block, sampled with one cumulative-sum
@@ -60,7 +60,6 @@ from repro.kernels.buckets import SlabBucket, build_buckets, corpus_buckets
 from repro.kernels.cgs import block_conditionals, blocked_gibbs_sweep
 from repro.kernels.draws import (
     row_categorical_draw,
-    row_categorical_matrix,
     table_categorical_draws,
 )
 from repro.kernels.light import delayed_cycle_sweep
@@ -77,7 +76,6 @@ __all__ = [
     "document_phase",
     "positioning_mixture_proposal",
     "row_categorical_draw",
-    "row_categorical_matrix",
     "table_categorical_draws",
     "token_layout",
     "word_phase",

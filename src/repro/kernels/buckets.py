@@ -3,13 +3,14 @@
 The samplers visit tokens either word-by-word or document-by-document (the two
 orders of the paper's Sec. 5.2 layout).  A :class:`SlabBucket` packs all rows
 (words or documents) whose length falls in the same power-of-two band into one
-rectangular ``(n_slabs, slab_len)`` matrix of *flat token indices*, so a whole
-bucket can be gathered, updated and scattered with single NumPy operations —
+rectangular ``(n_slabs, slab_len)`` matrix of *flat token indices*, so the
+rows of a whole bucket are processed together with single NumPy operations —
 the per-row Python loop disappears from the hot path.
 
-Padding positions point at the row's **last** token, which keeps every gather
-in bounds; a boolean mask marks the real cells, and all counting/scatter
-operations go through the mask so padding never contaminates counts.
+A boolean mask marks the real cells (padding positions repeat the row's
+**last** token, so they are valid indices), and the one consumer,
+:mod:`repro.kernels.warp`, reads a chunk only as ``tokens[mask]``: no padded
+cell is ever gathered, drawn for or scattered.
 
 Buckets depend only on the corpus structure (offsets and visiting order), so
 they are built once and cached on the corpus instance via

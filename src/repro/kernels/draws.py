@@ -1,6 +1,6 @@
 """Batched inverse-CDF categorical draws.
 
-All three helpers implement the same draw — index ``i`` is chosen when the
+Both helpers implement the same draw — index ``i`` is chosen when the
 uniform target falls in ``[cdf[i-1], cdf[i])`` — with the boundary convention
 of ``np.searchsorted(..., side="left")``, which is exactly what the scalar
 samplers use (:mod:`repro.sampling.discrete`).  They differ only in batching
@@ -8,13 +8,11 @@ shape:
 
 * :func:`row_categorical_draw` — one draw per row of an ``(R, K)`` matrix
   (the blocked CGS kernel's "one token, one conditional" case);
-* :func:`row_categorical_matrix` — ``n`` draws per row (WarpLDA's ``M``
-  proposals for every token of a word slab);
 * :func:`table_categorical_draws` — one draw per token from a shared
   ``(V, K)`` weight table indexed by a per-token row id (LightLDA's stale
-  word proposal).
+  word proposal, WarpLDA's external-count and exact word proposals).
 
-The multi-draw variants use the offset-flattening trick: each row's CDF is
+The per-token variant uses the offset-flattening trick: each row's CDF is
 normalised into ``(0, 1]`` and shifted by its row index, giving one globally
 non-decreasing array that a single ``searchsorted`` can answer every row's
 queries against.
@@ -27,7 +25,6 @@ import numpy as np
 __all__ = [
     "prepare_table",
     "row_categorical_draw",
-    "row_categorical_matrix",
     "table_categorical_draws",
 ]
 
@@ -48,28 +45,16 @@ def row_categorical_draw(
 
 
 def _flat_offset_cdf(weights: np.ndarray) -> np.ndarray:
-    """Normalised per-row CDF shifted by the row index, flattened."""
+    """Normalised per-row CDF shifted by the row index, flattened.
+
+    A row of zero mass (legal only if the caller never queries it) stays
+    flat at its row index, so the array is still non-decreasing.
+    """
     cdf = np.cumsum(weights, axis=1)
     totals = cdf[:, -1:]
-    norm = cdf / totals
+    norm = cdf / np.where(totals > 0, totals, 1)
     norm[:, -1] = 1.0  # guard rounding so every query u < 1 lands in-row
     return (norm + np.arange(weights.shape[0])[:, None]).ravel()
-
-
-def row_categorical_matrix(
-    weights: np.ndarray, num_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``num_draws`` indices from every row of ``weights``.
-
-    Returns an ``(R, num_draws)`` int64 array; one ``searchsorted`` over the
-    offset-flattened CDF answers all ``R * num_draws`` queries.
-    """
-    num_rows, num_cols = weights.shape
-    flat = _flat_offset_cdf(weights)
-    queries = np.arange(num_rows)[:, None] + rng.random((num_rows, num_draws))
-    drawn = np.searchsorted(flat, queries.ravel()).reshape(num_rows, num_draws)
-    drawn -= np.arange(num_rows)[:, None] * num_cols
-    return np.minimum(drawn, num_cols - 1).astype(np.int64)
 
 
 def table_categorical_draws(

@@ -1,24 +1,25 @@
 """Optional Numba backend for the WarpLDA MH inner chains (``kernel="jit"``).
 
-The slab path already batches the Eq. (7) accept/reject chain into whole-bucket
-NumPy broadcasts, but each MH step still materialises several ``(R, L)``
-temporaries for the ratio, the accept mask and the selects.  When ``numba`` is
-importable, this module compiles the accept/reject steps to a single fused
-``nogil`` loop — one pass over the chunk, fed the count terms the caller
-gathers once — which the warp kernel swaps in per chunk.
+The slab path already batches the Eq. (7) accept/reject chain into flat
+whole-chunk NumPy operations, but each MH step still materialises several
+per-token temporaries for the product, the accept flags and the selects.
+When ``numba`` is importable, this module compiles the accept/reject steps to
+a single fused ``nogil`` loop — one pass over the chunk's real tokens, fed the
+target terms the caller gathers once — which the warp kernel swaps in per
+chunk.
 
 Bit-exactness contract
 ----------------------
 The compiled chain consumes the **same pre-drawn uniforms** as the NumPy
-chain (drawn before dispatch, from the same per-task generator) and performs
-the Eq. (7) ratio arithmetic with the same operand association, and the row
-counts are phase-frozen during the chain — so iterating steps-per-cell is
-exactly equivalent to the NumPy path's cells-per-step order and the results
+chain (drawn before dispatch, from the same per-task generator) and evaluates
+the same test ``u · f(cur) < f(prop)`` on the same operands, and the row
+counts are phase-frozen during the chain — so iterating steps-per-token is
+exactly equivalent to the NumPy path's tokens-per-step order and the results
 are bit-identical to ``kernel="slab"``.  Because the counts are frozen, the
-caller computes ``c[row, proposal] + prior`` for every step up front through
-the same count lookup the NumPy chain reads
-(:func:`repro.kernels.warp._slot_counts`), so the compiled loop has no
-``(R, K)`` input and runs on the one chunk decomposition both tiers share.  The threading suite asserts the identity
+caller computes ``f`` at every step's proposal up front through the same
+lookup the NumPy chain reads (:func:`repro.kernels.warp._slot_counts`), so
+the compiled loop has no ``(R, K)`` input and runs on the one chunk
+decomposition both tiers share.  The threading suite asserts the identity
 with the loop interpreted (always) and compiled (whenever numba is present —
 the ``jit-identity`` CI job installs it).
 
@@ -40,44 +41,32 @@ __all__ = ["REPRO_DISABLE_NUMBA_ENV", "jit_available", "jit_mh_chain"]
 REPRO_DISABLE_NUMBA_ENV = "REPRO_DISABLE_NUMBA"
 
 
-def _mh_chain(
-    current, proposed, mask, term_current, term_proposed, stale, beta_sum, uniforms
-):
+def _mh_chain(current, proposed, f_current, f_proposed, uniforms):
     """Eq. (7) accept/reject over one chunk; ``current`` is modified in place.
 
-    ``proposed`` and ``term_proposed`` are ``(M, R, L)``: the step's proposal
-    of every cell and ``C_r + prior`` at it (the row's delayed count plus β
-    or ``α[topic]``), computed by the caller
-    (:func:`repro.kernels.warp._run_chain`); ``term_current`` is the same
-    term at the incoming assignment.  Counts are frozen for the chain, so the
-    term at the current topic is always the one that came with the proposal
-    last accepted — no count table is read here.  ``uniforms`` has shape
-    ``(M, R, L)`` and was drawn by the caller so the RNG stream matches the
-    NumPy chain exactly.
+    Everything is per real token of the chunk: ``current`` and ``f_current``
+    are ``(n,)``, ``proposed``, ``f_proposed`` and ``uniforms`` are ``(M, n)``.
+    ``f`` is the target term ``(C_r + prior) / (C + β̄)`` of a topic, computed
+    by the caller (:func:`repro.kernels.warp._run_chain`).  Counts are frozen
+    for the chain, so ``f`` at the current topic is always the one that came
+    with the proposal last accepted — no count table is read here.  The
+    uniforms were drawn by the caller so the RNG stream matches the NumPy
+    chain exactly.
 
     Plain Python on purpose: numba compiles this very function, and the
     tests run it interpreted, so the loop is exercised with or without numba.
     """
     num_steps = uniforms.shape[0]
-    num_rows, slab_len = current.shape
     accepted = 0
-    for row in range(num_rows):
-        for col in range(slab_len):
-            if not mask[row, col]:
-                continue
-            cur = current[row, col]
-            term_cur = term_current[row, col]
-            for step in range(num_steps):
-                prop = proposed[step, row, col]
-                term_prop = term_proposed[step, row, col]
-                ratio = (term_prop * (stale[cur] + beta_sum)) / (
-                    term_cur * (stale[prop] + beta_sum)
-                )
-                if uniforms[step, row, col] < ratio:
-                    cur = prop
-                    term_cur = term_prop
-                    accepted += 1
-            current[row, col] = cur
+    for token in range(current.shape[0]):
+        cur = current[token]
+        f_cur = f_current[token]
+        for step in range(num_steps):
+            if uniforms[step, token] * f_cur < f_proposed[step, token]:
+                cur = proposed[step, token]
+                f_cur = f_proposed[step, token]
+                accepted += 1
+        current[token] = cur
     return accepted
 
 

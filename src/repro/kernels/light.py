@@ -67,7 +67,7 @@ def _sweep_chunk(
     docs: np.ndarray,
     token_offset: np.ndarray,
     token_length: np.ndarray,
-    mixture_weight: np.ndarray,
+    alpha_sum: float,
     alpha: np.ndarray,
     beta: float,
     beta_sum: float,
@@ -94,7 +94,7 @@ def _sweep_chunk(
             frozen_assignments,
             token_offset[start:stop],
             token_length[start:stop],
-            mixture_weight[start:stop],
+            alpha_sum,
             num_topics,
             rng,
             alpha_alias=alpha_alias,
@@ -169,7 +169,6 @@ def delayed_cycle_sweep(
     # The frozen word-proposal table, shared by every token of a word.
     word_table = (frozen_word + beta) / (frozen_topic + beta_sum)
     word_cdf = prepare_table(word_table)
-    mixture_weight = token_length / (token_length + alpha_sum)
 
     current = frozen_assignments.copy()
     starts = list(range(0, num_tokens, chunk_tokens))
@@ -189,7 +188,7 @@ def delayed_cycle_sweep(
             docs,
             token_offset,
             token_length,
-            mixture_weight,
+            alpha_sum,
             alpha,
             beta,
             beta_sum,

@@ -1,15 +1,15 @@
-"""Token-level proposal helpers shared by training and serving.
+"""The paper's Sec. 4.3 proposal draw, shared by training and serving.
 
-Both the delayed LightLDA kernel and the serving layer's MH fold-in
-(:func:`repro.serving.infer.mh_fold_in`) run the paper's Sec. 4.3
-**random-positioning mixture** doc proposal over a flat token batch:
+WarpLDA's two phases, the delayed LightLDA kernel and the serving layer's MH
+fold-in (:func:`repro.serving.infer.mh_fold_in`) all draw from ``q(k) ∝
+C_rk + prior_k`` over a flat token batch without ever forming ``C_r``:
 
-    with probability ``L_d / (L_d + ᾱ)`` pick the assignment of a uniformly
-    random token of the same document, otherwise draw from the prior α.
+    with probability ``L_r / (L_r + prior mass)`` pick the assignment of a
+    uniformly random token of the same row (random positioning), otherwise
+    draw from the prior.
 
 :func:`token_layout` computes the CSR-style per-token arrays the draw needs,
-and :func:`positioning_mixture_proposal` performs the draw for a whole batch
-with three vectorised RNG calls.
+and :func:`positioning_mixture_proposal` performs the draw for a whole batch.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.draws import table_categorical_draws
 from repro.sampling.alias import AliasTable
 
 __all__ = ["positioning_mixture_proposal", "token_layout"]
@@ -38,8 +39,8 @@ def token_layout(
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     token_row = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    token_offset = offsets[token_row]
-    token_length = lengths[token_row]
+    token_offset = np.repeat(offsets[:-1], lengths)
+    token_length = np.repeat(lengths, lengths)
     return offsets, token_row, token_offset, token_length
 
 
@@ -47,12 +48,18 @@ def positioning_mixture_proposal(
     source_assignments: np.ndarray,
     token_offset: np.ndarray,
     token_length: np.ndarray,
-    mixture_weight: np.ndarray,
+    prior_mass: float,
     num_topics: int,
     rng: np.random.Generator,
     alpha_alias: Optional[AliasTable] = None,
+    table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Draw one mixture proposal per token: ``q(k) ∝ C_rk + α_k``.
+    """Draw one mixture proposal per token: ``q(k) ∝ C_rk + E_rk + prior_k``.
+
+    One uniform ``x = u · (L + E + prior mass)`` per token picks the
+    component, and where ``x < L`` its integer part *is* the random position
+    (uniform on ``0 .. L - 1`` up to a bias below ``L · 2**-53``).  Only the
+    tokens that chose the table or the prior consume a second draw.
 
     Parameters
     ----------
@@ -60,23 +67,39 @@ def positioning_mixture_proposal(
         Flat assignment array the random-positioning component reads.  For
         WarpLDA-style delayed semantics pass the assignments *frozen at the
         start of the sweep*, so the proposal density is exactly the delayed
-        ``C_rk + α_k``; passing the live chain state gives LightLDA-style
+        ``C_rk + prior_k``; passing the live chain state gives LightLDA-style
         instant semantics instead.
     token_offset, token_length:
         Per-token row start and row length (see :func:`token_layout`);
         every ``token_length`` must be ``>= 1``.
-    mixture_weight:
-        Per-token probability of the counts component, normally
-        ``L / (L + ᾱ)``.
+    prior_mass:
+        Total mass of the prior component: ``ᾱ`` for a document row,
+        ``K · β`` for a word row.
     num_topics:
         ``K``; the prior component draws uniformly when ``alpha_alias`` is
-        ``None`` (symmetric α), from the alias table otherwise.
+        ``None`` (symmetric prior), from the alias table otherwise.
+    table:
+        Optional frozen third component ``(cdf, token_rows, token_mass)``:
+        a :func:`repro.kernels.draws.prepare_table` CDF of a ``(V, K)``
+        count table, each token's row in it and that row's total mass
+        ``E_r`` (a row of zero mass is never selected).
     """
-    count = token_offset.size
-    use_counts = rng.random(count) < mixture_weight
-    positions = token_offset + rng.integers(0, token_length)
+    reach = token_length
+    if table is not None:
+        cdf, token_rows, token_mass = table
+        reach = token_length + token_mass
+    target = rng.random(token_offset.size) * (reach + prior_mass)
+    rest = np.flatnonzero(target >= token_length)
+    positions = target.astype(np.int64)
+    positions[rest] = 0  # not a position there; any in-row token will do
+    drawn = source_assignments.take(token_offset + positions)
+    if table is not None:
+        from_table = target[rest] < reach[rest]
+        tabled = rest[from_table]
+        drawn[tabled] = table_categorical_draws(cdf, num_topics, token_rows[tabled], rng)
+        rest = rest[~from_table]
     if alpha_alias is None:
-        prior_topics = rng.integers(num_topics, size=count)
+        drawn[rest] = rng.integers(num_topics, size=rest.size)
     else:
-        prior_topics = alpha_alias.draw_many(count, rng)
-    return np.where(use_counts, source_assignments[positions], prior_topics)
+        drawn[rest] = alpha_alias.draw_many(rest.size, rng)
+    return drawn

@@ -1,22 +1,27 @@
-"""WarpLDA's two phases (Alg. 2) executed over slab buckets.
+"""WarpLDA's two phases (Alg. 2) executed token-major over bucket chunks.
 
 The scalar implementation in :mod:`repro.core.warplda` vectorises the tokens
 *of one word* (or document) but still pays a Python-loop iteration per row —
-O(V) + O(D) interpreter steps per iteration.  The kernels here run the same
-computation for an entire length bucket at once:
+O(V) + O(D) interpreter steps per iteration.  The kernel here runs the same
+computation for a whole chunk of rows at once, over **the chunk's real tokens
+only**: a chunk is flattened to ``tokens[mask]`` plus a per-token local row id
+(:func:`repro.kernels.proposals.token_layout`), and every array below
+:func:`word_phase` / :func:`document_phase` is one-dimensional over those
+tokens.  No padded cell is ever gathered, drawn for or scattered.  Per chunk:
 
-* gather the bucket's current assignments into an ``(R, L)`` matrix,
+* gather the current assignments of the real tokens,
 * rebuild every row's delayed counts ``c_w`` / ``c_d`` on the fly (Sec. 4.2)
-  into a per-row **slot table** (below),
-* run the ``M``-step MH accept/reject chain of Eq. (7) as broadcast
-  arithmetic over the whole matrix,
-* draw the next phase's ``M`` proposals (Sec. 4.3: random positioning +
-  prior mixture, or an exact draw from ``C_rk + prior`` via a batched
-  inverse-CDF pass over freshly recomputed counts).
+  into a per-row **slot table** (below), keyed ``row * W + slot``,
+* run the ``M``-step MH chain of Eq. (7) as ``accept ⇔ u · f(cur) < f(prop)``
+  with ``f(t) = (C_rt + prior_t) · inv[t]`` and ``inv = 1 / (C_t + β̄)``
+  computed once per phase — one table gather and one ``inv`` gather per step,
+  ``f`` carried forward on accept,
+* draw the next phase's ``M`` proposals with the one Sec. 4.3 draw the whole
+  package shares (:func:`repro.kernels.proposals.positioning_mixture_proposal`).
 
 Because WarpLDA's counts are **delayed** for the duration of a phase, no
 row's chain observes another row's in-phase updates — rows are independent
-given the frozen global ``c_k`` — so slab-parallel execution produces a chain
+given the frozen global ``c_k`` — so chunk-parallel execution produces a chain
 with *identical* per-row transition kernels to the scalar path (only the
 order in which the RNG streams are consumed differs).
 
@@ -27,24 +32,30 @@ accesses of a row confined to a hash table of capacity ``min(K, 2 L_d)``.
 The chain only ever reads ``c[row, current]`` and ``c[row, proposed]``, so a
 dense ``(R, K)`` histogram is never needed for it:
 
-* **K-free** — the MH chain of both phases and the random-positioning
-  proposals.  Counts live in an ``(R, W)`` slot table with ``W =``
-  :func:`slot_table_width` ``= min(K, max(64, 2 L))``: topic ``t`` sits in
-  slot ``t & (W - 1)``, an owner array says which topic holds each slot, and
-  the few cells whose topic lost its slot go to a sorted overflow list that a
-  lookup consults only for slots flagged contested (:func:`_slot_counts`).
-  Counts are integers, so every Eq. (7) ratio is bit-equal to the dense
-  histogram's; chunks are cut so ``R * W <= max_cells``, which makes the
-  chunk list, the table sizes and the allocations the same at ``K = 2**14``
-  and ``K = 2**20``.  The only K-long arrays touched are the shared
-  ``stale_topic_counts`` and ``alpha``.  For ``K <= 64`` (and wherever
-  ``2 L >= K``) ``W == K``: the table *is* the dense histogram, with no
-  ownership check.
-* **Inherently O(K) per row** — the exact word proposal (``word_proposal=
-  "alias"``, and always when frozen ``external_word_topic`` counts are
-  installed, i.e. the data-parallel trainer): it draws from ``q_word(k) ∝
-  C_wk + β`` through a per-row CDF over all ``K`` topics, so it keeps the
-  dense ``(R, K)`` table and the ``R * K <= max_cells`` row cap.
+* **K-free per token** — the MH chain of both phases and the positioning
+  mixture proposals.  Counts live in ``R * W`` slots with ``W =``
+  :func:`slot_table_width` ``= min(K, max(64, 2 L))``: topic ``t`` of row
+  ``r`` sits in slot ``r * W + (t & (W - 1))``, an owner array says which
+  topic holds each slot, and the few tokens whose topic lost its slot go to a
+  sorted overflow list that a lookup consults only for slots flagged
+  contested (:func:`_slot_counts`).  Counts are integers, so every read is
+  exactly the dense histogram's; chunks are cut so ``R * W <= max_cells``,
+  which makes the chunk list, the table sizes and the allocations the same at
+  ``K = 2**14`` and ``K = 2**20``.  The only K-long arrays touched are the
+  shared ``stale_topic_counts`` (and its reciprocal) and ``alpha``.  For
+  ``K <= 64`` (and wherever ``2 L >= K``) ``W == K``: the table *is* the
+  dense histogram, with no ownership check.
+* **Frozen external counts** (``external_word_topic``: every shard of the
+  data-parallel trainer, every streaming batch once documents have retired)
+  stay K-free per token: the chain reads ``slot lookup + E[word, topic]`` and
+  the word proposal is the exact three-component mixture ``q(k) ∝ C_wk^local
+  + E_wk + β`` — random positioning, a draw from the installed table's CDF,
+  or uniform.  The CDF is one O(VK) pass per installed table
+  (:func:`external_proposal_table`), not per row or per phase.
+* **Inherently O(K) per row** — only the explicit exact word proposal
+  (``word_proposal="alias"``): it draws from ``q_word(k) ∝ C_wk + β`` through
+  a per-row CDF over all ``K`` topics, so it keeps a dense ``R * K`` table
+  and the ``R * K <= max_cells`` row cap.
 
 Elsewhere in the package ``repro.kernels.cgs`` (the blocked full conditional
 is a ``(T, K)`` matrix by construction), ``repro.kernels.light`` (a frozen
@@ -67,7 +78,7 @@ width (so of ``K`` only while ``K < max(64, 2 L)``), the proposal kind and
 
 When ``use_jit=True`` and numba is importable (:mod:`repro.kernels.jit`),
 the per-chunk MH chain runs as one compiled ``nogil`` loop consuming the
-same pre-drawn uniforms and the same pre-gathered count terms — it has no
+same pre-drawn uniforms and the same pre-gathered ``f`` terms — it has no
 ``(R, K)`` input and runs on the very same chunks — bit-identical to the
 NumPy chain, silently falling back to it when numba is absent.
 """
@@ -75,21 +86,27 @@ NumPy chain, silently falling back to it when numba is absent.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.kernels import pool
 from repro.kernels.buckets import MAX_SLAB_CELLS, MIN_SLOT_WIDTH, SlabBucket
-from repro.kernels.draws import row_categorical_matrix
+from repro.kernels.draws import prepare_table, table_categorical_draws
 from repro.kernels.jit import jit_mh_chain
+from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.sampling.alias import AliasTable
 
-__all__ = ["document_phase", "slot_table_width", "word_phase"]
+__all__ = [
+    "document_phase",
+    "external_proposal_table",
+    "slot_table_width",
+    "word_phase",
+]
 
-#: One chunk's delayed per-row counts as the MH chain reads them: maps an
-#: ``(R, L)`` topic matrix to ``c[row, topic]`` (float64, same shape), exact
-#: for any topic, present in the row or not.
+#: One chunk's delayed per-row counts as the MH chain reads them: maps one
+#: topic per real token of the chunk to ``c[row of the token, topic]``
+#: (float64), exact for any topic, present in the row or not.
 CountLookup = Callable[[np.ndarray], np.ndarray]
 
 
@@ -137,92 +154,73 @@ def _phase_chunks(
     return chunks
 
 
-def _merge_chain_stats(chain_stats: Optional[dict], per_task: List[dict]) -> None:
-    """Reduce per-task acceptance counters into the caller's accumulator.
+def external_proposal_table(
+    external_word_topic: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The proposal side of a frozen ``(V, K)`` external count table.
 
-    ``chain_stats`` is modified in place (its ``proposed``/``accepted``
-    entries accumulate the per-task totals, in task order).
+    Returns its :func:`~repro.kernels.draws.prepare_table` CDF and the
+    per-word mass ``E_w``: what the three-component word proposal draws from
+    and weighs.  One O(VK) pass, so callers that keep a table installed for
+    several phases (``WarpLDA.set_external_counts``) build it once and hand
+    it to :func:`word_phase`.
     """
-    if chain_stats is None:
-        return
-    for stats in per_task:
-        chain_stats["proposed"] += stats["proposed"]
-        chain_stats["accepted"] += stats["accepted"]
-
-
-def _row_counts(
-    current: np.ndarray, mask: np.ndarray, num_topics: int
-) -> np.ndarray:
-    """Per-row topic histograms of an ``(R, L)`` assignment matrix."""
-    num_rows = current.shape[0]
-    keyed = current + np.arange(num_rows)[:, None] * num_topics
-    counts = np.bincount(keyed[mask], minlength=num_rows * num_topics)
-    return counts.reshape(num_rows, num_topics).astype(np.float64)
-
-
-def _dense_counts(
-    table: np.ndarray, current: np.ndarray
-) -> Tuple[CountLookup, np.ndarray]:
-    """Read counts straight out of a dense ``(R, K)`` histogram.
-
-    Returns the lookup and the counts at ``current``, like :func:`_slot_counts`.
-    """
-    rows = np.arange(table.shape[0])[:, None]
-    return (lambda topics: table[rows, topics]), table[rows, current]
+    mass = external_word_topic.sum(axis=1).astype(np.float64)
+    return prepare_table(external_word_topic), mass
 
 
 def _slot_counts(
-    current: np.ndarray, mask: np.ndarray, num_topics: int, width: int
+    current: np.ndarray, row: np.ndarray, num_rows: int, num_topics: int, width: int
 ) -> Tuple[CountLookup, np.ndarray]:
-    """Exact per-row counts of an ``(R, L)`` chunk held in ``(R, width)`` cells.
+    """Exact per-row counts of a chunk's real tokens in ``num_rows * width`` cells.
 
-    Topic ``t`` of row ``r`` lives in slot ``t & (width - 1)``; ``owner[r,
-    slot]`` names the one topic of the row whose count the slot holds.  Cells
-    whose topic lost its slot to another are counted in a sorted ``(row * K +
-    topic)`` overflow list instead, and their slots are flagged contested, so
-    a lookup pays for a ``searchsorted`` only where it misses the owner of a
-    contested slot.  Every read is exact — the lookup equals
-    ``_row_counts(...)[rows, topics]`` for any topics, present in the row or
-    not — and nothing here has a ``K``-sized axis.  ``width == num_topics``
-    is the dense histogram, with no ownership check.
+    ``current`` and ``row`` hold one topic and one local row id per token.
+    Topic ``t`` of row ``r`` lives in slot ``r * width + (t & (width - 1))``;
+    ``owner[slot]`` names the one topic of the row whose count the slot holds.
+    Tokens whose topic lost its slot to another are counted in a sorted
+    ``(row * K + topic)`` overflow list instead, and their slots are flagged
+    contested, so a lookup pays for a ``searchsorted`` only where it misses
+    the owner of a contested slot.  Every read is exact — the lookup equals
+    the dense histogram at ``(row, topic)`` for any topics, present in the
+    row or not — and nothing here has a ``K``-sized axis.  ``width ==
+    num_topics`` is the dense histogram, with no ownership check.
 
     Returns the lookup and, since building the table has already found where
-    every cell's own count lives, the counts at ``current`` itself (exact at
-    the real cells, which is all the chain uses).
+    every token's own count lives, the counts at ``current`` itself.
     """
     if width >= num_topics:
-        return _dense_counts(_row_counts(current, mask, num_topics), current)
-    num_rows = current.shape[0]
-    rows = np.arange(num_rows)[:, None]
-    slot = current & (width - 1)
-    # Padding repeats the row's last real token, so every cell may claim.
+        base = row * num_topics
+        dense = np.bincount(base + current, minlength=num_rows * num_topics).astype(
+            np.float64
+        )
+        return (lambda topics: dense.take(base + topics)), dense.take(base + current)
+    base = row * width
+    slot = base + (current & (width - 1))
     # Which of a slot's claimants wins is immaterial: the losers overflow.
-    owner = np.full((num_rows, width), -1, dtype=current.dtype)
-    owner[rows, slot] = current
-    owned = owner[rows, slot] == current
-    table = _row_counts(slot, mask & owned, width)
-    lost_rows, lost_cols = np.nonzero(mask & ~owned)
+    owner = np.full(num_rows * width, -1, dtype=current.dtype)
+    owner[slot] = current
+    owned = owner[slot] == current
+    lost = np.flatnonzero(~owned)
+    table = np.bincount(slot[owned], minlength=owner.size).astype(np.float64)
     overflow_keys, lost_index, overflow_counts = np.unique(
-        lost_rows * num_topics + current[lost_rows, lost_cols],
-        return_inverse=True,
-        return_counts=True,
+        row[lost] * num_topics + current[lost], return_inverse=True, return_counts=True
     )
-    contested = np.zeros((num_rows, width), dtype=bool)
-    contested[lost_rows, slot[lost_rows, lost_cols]] = True
-    count_current = table[rows, slot]
-    count_current[lost_rows, lost_cols] = overflow_counts[lost_index]
+    contested = np.zeros(owner.size, dtype=bool)
+    contested[slot[lost]] = True
+    count_current = table[slot]
+    count_current[lost] = overflow_counts[lost_index]
 
     def lookup(topics: np.ndarray) -> np.ndarray:
-        at = topics & (width - 1)
-        hit = owner[rows, at] == topics
-        counts = np.where(hit, table[rows, at], 0.0)
-        missed = np.flatnonzero(contested[rows, at] & ~hit)
+        at = base + (topics & (width - 1))
+        hit = owner[at] == topics
+        counts = np.where(hit, table[at], 0.0)
+        missed = np.flatnonzero(contested[at] & ~hit)
         if missed.size:
-            keys = (missed // topics.shape[1]) * num_topics + topics.ravel()[missed]
+            keys = row[missed] * num_topics + topics[missed]
             found = np.minimum(
                 np.searchsorted(overflow_keys, keys), overflow_keys.size - 1
             )
-            counts.ravel()[missed] = np.where(
+            counts[missed] = np.where(
                 overflow_keys[found] == keys, overflow_counts[found], 0
             )
         return counts
@@ -230,154 +228,174 @@ def _slot_counts(
     return lookup, count_current
 
 
+def _topic_inv(stale_topic_counts: np.ndarray, beta_sum: float) -> np.ndarray:
+    """``1 / (C_k + β̄)``, the phase's one K-long allocation."""
+    inv = stale_topic_counts + beta_sum
+    return np.reciprocal(inv, out=inv)
+
+
+def _external_counts(
+    external_word_topic: np.ndarray, token_words: np.ndarray
+) -> CountLookup:
+    """Frozen external counts ``E[word of the token, topic]``, one gather per read."""
+    flat = external_word_topic.reshape(-1)
+    base = token_words * external_word_topic.shape[1]
+    return lambda topics: flat.take(base + topics)
+
+
 def _run_chain(
     current: np.ndarray,
-    count_current: np.ndarray,
-    proposals: np.ndarray,
-    tokens: np.ndarray,
-    mask: np.ndarray,
-    count_at: CountLookup,
-    prior_of: Callable[[np.ndarray], Any],
-    stale_topic_counts: np.ndarray,
-    beta_sum: float,
-    num_mh_steps: int,
+    f_current: np.ndarray,
+    proposed: np.ndarray,
+    f_at: CountLookup,
     rng: np.random.Generator,
     chain_stats: Optional[dict] = None,
     compiled=None,
-) -> np.ndarray:
-    """Accept/reject the ``M`` stored proposals for one bucket chunk.
+) -> None:
+    """Accept/reject the ``M`` stored proposals of one chunk, in place.
 
     Implements Eq. (7): ``π = min{1, (C_rt + prior_t)(C_s + β̄) /
-    ((C_rs + prior_s)(C_t + β̄))}`` with ``C_r`` the row's delayed counts
-    (``count_current`` at the incoming assignments, ``count_at`` for any
-    other topic) and ``C`` the phase-frozen global topic counts.
-    ``prior_of`` maps a topic matrix to its prior term (a constant β for the
-    word phase, ``α[topic]`` for the document phase).
+    ((C_rs + prior_s)(C_t + β̄))}`` as ``u · f(s) < f(t)`` with ``f(k) =
+    (C_rk + prior_k) / (C_k + β̄)``: ``f_current`` is ``f`` at the incoming
+    assignments ``current`` (both ``(n,)``, both updated in place), ``f_at``
+    evaluates it at any other topic per token, ``proposed`` is ``(M, n)``.
 
-    The counts are delayed for the whole chain, so ``C_r + prior`` at the
-    current topic is, after an accept, the term just computed for the
-    proposal: it is carried forward with one select and the count table is
-    read once per step, at the proposal only.
+    The counts are delayed for the whole chain, so ``f`` at the current topic
+    is, after an accept, the value just computed for the proposal: it is
+    carried forward and the count table is read once per step, at the
+    proposal only.
 
     With ``compiled`` (:func:`repro.kernels.jit.jit_mh_chain`) the same
-    uniforms and the same terms — every step's gathered up front, through the
-    same ``count_at`` — feed one fused loop, which therefore never sees a
-    count table and is bit-identical to the NumPy steps below.
+    uniforms and the same ``f`` values — every step's gathered up front,
+    through the same ``f_at`` — feed one fused loop, which therefore never
+    sees a count table and is bit-identical to the NumPy steps below.
 
     ``chain_stats`` (telemetry only, ``None`` by default) is a mutable
     ``{"proposed": int, "accepted": int}`` accumulator for MH acceptance
     counting; it never touches the RNG stream, so instrumented and plain
     runs stay bit-identical.
     """
-    uniforms = rng.random((num_mh_steps,) + current.shape)
-    valid = int(np.count_nonzero(mask)) if chain_stats is not None else 0
-    term_current = count_current + prior_of(current)
+    uniforms = rng.random(proposed.shape)
     if compiled is not None:
-        proposed = proposals[:, tokens]
-        accepted = compiled(
-            current,
-            proposed,
-            mask,
-            term_current,
-            np.stack([count_at(topics) + prior_of(topics) for topics in proposed]),
-            stale_topic_counts,
-            float(beta_sum),
-            uniforms,
-        )
-        if chain_stats is not None:
-            chain_stats["proposed"] += valid * num_mh_steps
-            chain_stats["accepted"] += int(accepted)
-        return current
-    for step in range(num_mh_steps):
-        proposed = proposals[step][tokens]
-        term_proposed = count_at(proposed) + prior_of(proposed)
-        ratio = (term_proposed * (stale_topic_counts[current] + beta_sum)) / (
-            term_current * (stale_topic_counts[proposed] + beta_sum)
-        )
-        accept = mask & (uniforms[step] < ratio)
-        if chain_stats is not None:
-            chain_stats["proposed"] += valid
-            chain_stats["accepted"] += int(np.count_nonzero(accept))
-        current = np.where(accept, proposed, current)
-        if step + 1 < num_mh_steps:
-            term_current = np.where(accept, term_proposed, term_current)
-    return current
+        f_proposed = np.stack([f_at(topics) for topics in proposed])
+        accepted = int(compiled(current, proposed, f_current, f_proposed, uniforms))
+    else:
+        accepted = 0
+        for step_uniforms, topics in zip(uniforms, proposed):
+            f_proposed = f_at(topics)
+            moved = np.flatnonzero(step_uniforms * f_current < f_proposed)
+            current[moved] = topics.take(moved)
+            f_current[moved] = f_proposed.take(moved)
+            accepted += moved.size
+    if chain_stats is not None:
+        chain_stats["proposed"] += proposed.size
+        chain_stats["accepted"] += accepted
 
 
-def _word_chunk(
+def _chunk_body(
     assignments: np.ndarray,
     proposals: np.ndarray,
-    chunk: SlabBucket,
-    stale_topic_counts: np.ndarray,
+    topic_inv: np.ndarray,
+    prior: Union[float, np.ndarray],
+    prior_mass: float,
     num_topics: int,
-    num_mh_steps: int,
-    beta: float,
-    beta_sum: float,
-    rng: np.random.Generator,
+    alpha_alias: Optional[AliasTable],
     exact: bool,
-    external_word_topic: Optional[np.ndarray],
-    chain_stats: Optional[dict],
+    external: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     compiled,
+    chunk: SlabBucket,
+    rng: np.random.Generator,
+    chain_stats: Optional[dict],
 ) -> None:
-    """Word-phase body for one bucket chunk (one pool task).
+    """Either phase's body for one bucket chunk (one pool task).
 
-    Mutates ``assignments`` (this chunk's tokens only — chunks are disjoint)
-    and ``proposals`` (the same token columns) in place; every random draw
-    comes from the task-local ``rng``.
+    ``prior`` is β (word phase) or the α vector (document phase),
+    ``prior_mass`` its total over the topics; ``external`` is the frozen
+    ``(table, cdf, mass)`` of the other shards' word-topic counts.  Mutates
+    ``assignments`` (this chunk's tokens only — chunks are disjoint) and
+    ``proposals`` (the same token columns) in place; every random draw comes
+    from the task-local ``rng``.  The flat view of the chunk is rebuilt here
+    on every call rather than cached: it is cheap next to the chain and a
+    cache would hold a second copy of the corpus index.
     """
-    tokens, mask, lengths = chunk.tokens, chunk.mask, chunk.lengths
-    current = assignments[tokens]
-    if exact:
-        # The exact proposal draws from the whole histogram, so build it.
-        word_counts = _row_counts(current, mask, num_topics)
-        if external_word_topic is not None:
-            word_counts += external_word_topic[chunk.rows]
-        count_at, count_current = _dense_counts(word_counts, current)
-    else:
-        count_at, count_current = _slot_counts(
-            current, mask, num_topics, slot_table_width(num_topics, chunk.slab_len)
-        )
+    flat = chunk.tokens[chunk.mask]
+    _, row, token_offset, token_length = token_layout(chunk.lengths)
+    current = assignments.take(flat)
+    width = num_topics if exact else slot_table_width(num_topics, chunk.slab_len)
+    count_at, count_current = _slot_counts(
+        current, row, chunk.num_rows, num_topics, width
+    )
+    if external is not None:
+        external_table, external_cdf, external_mass = external
+        token_words = chunk.rows[row]
+        external_at = _external_counts(external_table, token_words)
 
-    current = _run_chain(
+    def target(counts: np.ndarray, topics: np.ndarray) -> np.ndarray:
+        """``f = (C_r + prior) / (C + β̄)`` at ``topics``, given the row counts there."""
+        if external is not None:
+            counts = counts + external_at(topics)
+        here = prior.take(topics) if np.ndim(prior) else prior
+        return (counts + here) * topic_inv.take(topics)
+
+    _run_chain(
         current,
-        count_current,
-        proposals,
-        tokens,
-        mask,
-        count_at,
-        lambda topics: beta,
-        stale_topic_counts,
-        beta_sum,
-        num_mh_steps,
+        target(count_current, current),
+        proposals.take(flat, axis=1),
+        lambda topics: target(count_at(topics), topics),
         rng,
         chain_stats=chain_stats,
         compiled=compiled,
     )
-    assignments[tokens[mask]] = current[mask]
+    assignments[flat] = current
 
-    # Fresh c_w for the proposal distribution (Alg. 2 recomputes it
-    # after the chain, before drawing q_word).
-    flat_tokens = tokens[mask]
+    # Fresh counts for the proposal distribution (Alg. 2 recomputes them
+    # after the chain): random positioning reads them off ``current`` itself.
     if exact:
-        fresh = _row_counts(current, mask, num_topics)
-        if external_word_topic is not None:
-            fresh += external_word_topic[chunk.rows]
-        # One batched draw covers all M steps, so the per-row CDF is
-        # prepared once instead of once per step.
-        slab_len = chunk.slab_len
-        drawn = row_categorical_matrix(fresh + beta, slab_len * num_mh_steps, rng)
-        for step in range(num_mh_steps):
-            block = drawn[:, step * slab_len : (step + 1) * slab_len]
-            proposals[step, flat_tokens] = block[mask]
-    else:
-        word_weight = (lengths / (lengths + num_topics * beta))[:, None]
-        for step in range(num_mh_steps):
-            use_counts = rng.random(current.shape) < word_weight
-            positions = rng.integers(0, lengths[:, None], size=current.shape)
-            positioned = np.take_along_axis(current, positions, axis=1)
-            uniform = rng.integers(num_topics, size=current.shape)
-            drawn = np.where(use_counts, positioned, uniform)
-            proposals[step, flat_tokens] = drawn[mask]
+        fresh = np.bincount(
+            row * num_topics + current, minlength=chunk.num_rows * num_topics
+        ).reshape(chunk.num_rows, num_topics)
+        if external is not None:
+            fresh = fresh + external_table[chunk.rows]
+        cdf = prepare_table(fresh + prior)
+        for step in range(proposals.shape[0]):
+            proposals[step][flat] = table_categorical_draws(cdf, num_topics, row, rng)
+        return
+    table = None
+    if external is not None:
+        table = (external_cdf, token_words, external_mass[token_words])
+    for step in range(proposals.shape[0]):
+        proposals[step][flat] = positioning_mixture_proposal(
+            current, token_offset, token_length, prior_mass, num_topics, rng,
+            alpha_alias=alpha_alias, table=table,
+        )  # fmt: skip
+
+
+def _run_phase(
+    label: str,
+    chunks: List[SlabBucket],
+    body: Callable[[SlabBucket, np.random.Generator, Optional[dict]], None],
+    rng: np.random.Generator,
+    chain_stats: Optional[dict],
+    threads: Optional[int],
+) -> None:
+    """Dispatch ``body`` over the phase's chunks, one spawned RNG stream each.
+
+    ``chain_stats`` is modified in place: its ``proposed``/``accepted``
+    entries accumulate the per-task totals.
+    """
+    if not chunks:
+        return
+    task_rngs = pool.spawn_task_rngs(rng, len(chunks))
+    per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
+    tasks = [
+        partial(body, chunk, task_rng, stats if chain_stats is not None else None)
+        for chunk, task_rng, stats in zip(chunks, task_rngs, per_task)
+    ]
+    pool.run_tasks(tasks, threads=threads, label=label)
+    if chain_stats is not None:
+        for stats in per_task:  # in task order
+            chain_stats["proposed"] += stats["proposed"]
+            chain_stats["accepted"] += stats["accepted"]
 
 
 def word_phase(
@@ -396,15 +414,19 @@ def word_phase(
     threads: Optional[int] = None,
     use_jit: bool = False,
     max_cells: Optional[int] = None,
+    external_proposal: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> None:
     """Word phase over word-axis buckets: accept doc proposals, draw word proposals.
 
     Mutates ``assignments`` and ``proposals`` in place.  ``stale_topic_counts``
     is the phase-frozen global ``c_k`` (float64, external shard counts already
-    added).  ``exact_word_proposal`` selects the Sec. 4.3 alias strategy —
-    an exact batched draw from ``q_word(k) ∝ C_wk + β`` — which is also forced
-    whenever frozen ``external_word_topic`` counts are installed (random
-    positioning cannot reach the other shards' tokens).
+    added).  With frozen ``external_word_topic`` counts installed the chain
+    reads ``C_wk^local + E_wk`` and the proposal gains a third component, a
+    draw from the table's CDF (random positioning cannot reach the other
+    shards' tokens); ``external_proposal`` is that table's
+    :func:`external_proposal_table`, built here when the caller has not kept
+    one.  ``exact_word_proposal`` selects the Sec. 4.3 alias strategy instead
+    — an exact per-row draw from ``q_word(k) ∝ C_wk + β``.
 
     Bucket chunks run as independent tasks on :mod:`repro.kernels.pool`
     (``threads`` per :func:`repro.kernels.pool.resolve_threads`), each with
@@ -414,92 +436,26 @@ def word_phase(
     ``max_cells`` overrides the per-chunk working-set budget
     (:data:`~repro.kernels.buckets.MAX_SLAB_CELLS`).
     """
-    exact = exact_word_proposal or external_word_topic is not None
-    chunks = _phase_chunks(buckets, num_topics, max_cells, dense=exact)
-    if not chunks:
-        return
-    compiled = jit_mh_chain() if use_jit else None
-    task_rngs = pool.spawn_task_rngs(rng, len(chunks))
-    per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
-    tasks = [
-        partial(
-            _word_chunk,
-            assignments,
-            proposals,
-            chunk,
-            stale_topic_counts,
-            num_topics,
-            num_mh_steps,
-            beta,
-            beta_sum,
-            task_rngs[index],
-            exact,
-            external_word_topic,
-            per_task[index] if chain_stats is not None else None,
-            compiled,
-        )
-        for index, chunk in enumerate(chunks)
-    ]
-    pool.run_tasks(tasks, threads=threads, label="warp.word")
-    _merge_chain_stats(chain_stats, per_task)
-
-
-def _document_chunk(
-    assignments: np.ndarray,
-    proposals: np.ndarray,
-    chunk: SlabBucket,
-    stale_topic_counts: np.ndarray,
-    alpha: np.ndarray,
-    alpha_sum: float,
-    num_topics: int,
-    num_mh_steps: int,
-    beta_sum: float,
-    rng: np.random.Generator,
-    alpha_alias: Optional[AliasTable],
-    chain_stats: Optional[dict],
-    compiled,
-) -> None:
-    """Document-phase body for one bucket chunk (one pool task).
-
-    Mutates ``assignments`` (this chunk's tokens only — chunks are disjoint)
-    and ``proposals`` (the same token columns) in place; every random draw
-    comes from the task-local ``rng``.
-    """
-    tokens, mask, lengths = chunk.tokens, chunk.mask, chunk.lengths
-    current = assignments[tokens]
-    count_at, count_current = _slot_counts(
-        current, mask, num_topics, slot_table_width(num_topics, chunk.slab_len)
+    external = None
+    if external_word_topic is not None:
+        if external_proposal is None:
+            external_proposal = external_proposal_table(external_word_topic)
+        external = (external_word_topic, *external_proposal)
+    body = partial(
+        _chunk_body,
+        assignments,
+        proposals[:num_mh_steps],
+        _topic_inv(stale_topic_counts, beta_sum),
+        beta,
+        num_topics * beta,
+        num_topics,
+        None,
+        exact_word_proposal,
+        external,
+        jit_mh_chain() if use_jit else None,
     )
-
-    current = _run_chain(
-        current,
-        count_current,
-        proposals,
-        tokens,
-        mask,
-        count_at,
-        lambda topics: alpha[topics],
-        stale_topic_counts,
-        beta_sum,
-        num_mh_steps,
-        rng,
-        chain_stats=chain_stats,
-        compiled=compiled,
-    )
-    assignments[tokens[mask]] = current[mask]
-
-    flat_tokens = tokens[mask]
-    doc_weight = (lengths / (lengths + alpha_sum))[:, None]
-    for step in range(num_mh_steps):
-        use_counts = rng.random(current.shape) < doc_weight
-        positions = rng.integers(0, lengths[:, None], size=current.shape)
-        positioned = np.take_along_axis(current, positions, axis=1)
-        if alpha_alias is None:
-            prior = rng.integers(num_topics, size=current.shape)
-        else:
-            prior = alpha_alias.draw_many(current.size, rng).reshape(current.shape)
-        drawn = np.where(use_counts, positioned, prior)
-        proposals[step, flat_tokens] = drawn[mask]
+    chunks = _phase_chunks(buckets, num_topics, max_cells, dense=exact_word_proposal)
+    _run_phase("warp.word", chunks, body, rng, chain_stats, threads)
 
 
 def document_phase(
@@ -530,30 +486,18 @@ def document_phase(
     streams, and honours the same ``threads``/``use_jit``/``max_cells``
     knobs with the same bit-exact determinism contract.
     """
+    body = partial(
+        _chunk_body,
+        assignments,
+        proposals[:num_mh_steps],
+        _topic_inv(stale_topic_counts, beta_sum),
+        alpha,
+        alpha_sum,
+        num_topics,
+        alpha_alias,
+        False,
+        None,
+        jit_mh_chain() if use_jit else None,
+    )
     chunks = _phase_chunks(buckets, num_topics, max_cells)
-    if not chunks:
-        return
-    compiled = jit_mh_chain() if use_jit else None
-    task_rngs = pool.spawn_task_rngs(rng, len(chunks))
-    per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
-    tasks = [
-        partial(
-            _document_chunk,
-            assignments,
-            proposals,
-            chunk,
-            stale_topic_counts,
-            alpha,
-            alpha_sum,
-            num_topics,
-            num_mh_steps,
-            beta_sum,
-            task_rngs[index],
-            alpha_alias,
-            per_task[index] if chain_stats is not None else None,
-            compiled,
-        )
-        for index, chunk in enumerate(chunks)
-    ]
-    pool.run_tasks(tasks, threads=threads, label="warp.doc")
-    _merge_chain_stats(chain_stats, per_task)
+    _run_phase("warp.doc", chunks, body, rng, chain_stats, threads)

@@ -233,7 +233,6 @@ def mh_fold_in(
 
     alpha_symmetric = bool(np.allclose(alpha, alpha[0]))
     alpha_alias = None if alpha_symmetric else AliasTable(alpha)
-    doc_weight = token_length / (token_length + alpha_sum)
 
     # log φ of the current assignment, kept incrementally; acceptance compares
     # log φ to avoid 0/0 when both proposals have zero mass.
@@ -247,7 +246,7 @@ def mh_fold_in(
                 assignments,
                 token_offset,
                 token_length,
-                doc_weight,
+                alpha_sum,
                 num_topics,
                 rng,
                 alpha_alias=alpha_alias,

@@ -226,9 +226,10 @@ class ShardRunner:
                 self.sampler.fit(self.config.iterations_per_epoch)
             finally:
                 # No-mass external counts (single worker, or this shard owns
-                # every token) are never installed: that keeps the O(1)
-                # mixture word proposal instead of forcing per-word alias
-                # tables, and the acceptance rates are identical either way.
+                # every token) are never installed: that keeps the
+                # two-component mixture word proposal and skips the O(VK)
+                # proposal table (on the scalar kernel, the per-word alias
+                # tables); the acceptance rates are identical either way.
                 self.sampler.clear_external_counts()
         else:
             self.sampler.state.import_global_word_topic(global_word_topic)

@@ -95,6 +95,23 @@ class TestTokenViews:
             docs = tiny_corpus.token_documents[tiny_corpus.word_token_indices(word)]
             assert np.all(np.diff(docs) >= 0)
 
+    @pytest.mark.parametrize("vocab_size", [6, 255, 256, 65535, 65536, 65537])
+    def test_word_order_is_the_int64_stable_argsort(self, vocab_size):
+        # The word-major permutation is sorted through a narrow unsigned view
+        # of the word ids; it must be the int64 one at every width boundary.
+        rng = np.random.default_rng(vocab_size)
+        vocabulary = Vocabulary(f"w{i}" for i in range(vocab_size))
+        documents = [
+            Document(np.append(rng.integers(vocab_size, size=200), [0, vocab_size - 1]))
+            for _ in range(5)
+        ]
+        corpus = Corpus(documents, vocabulary)
+        for view in (corpus, corpus.slice(1, 4)):
+            assert view.token_words.dtype == np.int64
+            expected = np.argsort(view.token_words, kind="stable")
+            assert view.word_order.dtype == expected.dtype
+            np.testing.assert_array_equal(view.word_order, expected)
+
     def test_term_document_counts(self, tiny_corpus):
         matrix = tiny_corpus.term_document_counts()
         assert matrix.shape == (4, 6)

@@ -1,17 +1,20 @@
 """WarpLDA's K-free row counts: slot-table exactness and the K-scaling guard.
 
 ``repro.kernels.warp`` reads a row's delayed counts ``c[row, topic]`` through
-a per-row slot table of width ``W = slot_table_width(K, slab_len)`` instead of
-a dense ``(R, K)`` histogram.  Two things are pinned here:
+a per-row slot table of width ``W = slot_table_width(K, slab_len)``, keyed
+``row * W + slot`` over the chunk's real tokens, instead of a dense ``(R, K)``
+histogram.  Two things are pinned here:
 
 * **exactness** — the table returns exactly the dense histogram's values for
-  any topics (property tests, adversarial collisions included), one chunk's
+  any topics (property tests, adversarial collisions included), with the
+  frozen external counts added on top where they are installed; one chunk's
   chain and a whole trajectory are byte-equal to a dense oracle (the width
   helper patched to return ``K``);
 * **K-independence, by counting** — the chunk list and every allocated table
   cell are the same at ``K = 2**14`` and ``K = 2**20``, nothing on the
-  random-positioning path allocates along a ``K`` axis, and the exact-alias
-  path, which must, still honours ``R * K <= max_cells``.
+  positioning path — external counts installed or not — allocates a table
+  along a ``K`` axis, and the exact-alias path, which must, still honours
+  ``R * K <= max_cells``.
 """
 
 import tracemalloc
@@ -25,28 +28,39 @@ from repro.core.warplda import WarpLDA
 from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.kernels import warp
 from repro.kernels.buckets import MIN_SLOT_WIDTH, corpus_buckets
+from repro.kernels.proposals import token_layout
 from repro.kernels.warp import (
+    _external_counts,
     _phase_chunks,
-    _row_counts,
     _slot_counts,
     document_phase,
+    external_proposal_table,
     slot_table_width,
     word_phase,
 )
 
 
-def dense_lookup(current, mask, num_topics, topics):
-    rows = np.arange(current.shape[0])[:, None]
-    return _row_counts(current, mask, num_topics)[rows, topics]
+def dense_histogram(current, row, num_rows, num_topics):
+    """The ``(R, K)`` oracle, built the slow obvious way."""
+    table = np.zeros((num_rows, num_topics))
+    np.add.at(table, (row, current), 1.0)
+    return table
 
 
-def prefix_mask(lengths, slab_len):
-    return np.arange(slab_len)[None, :] < np.asarray(lengths)[:, None]
+def dense_lookup(current, row, num_rows, num_topics, topics):
+    return dense_histogram(current, row, num_rows, num_topics)[row, topics]
+
+
+def ragged(matrix, lengths):
+    """The real tokens of a padded ``(R, L)`` matrix and their local row ids."""
+    matrix, lengths = np.asarray(matrix), np.asarray(lengths)
+    mask = np.arange(matrix.shape[1])[None, :] < lengths[:, None]
+    return matrix[mask], token_layout(lengths)[1]
 
 
 @st.composite
 def chunks(draw):
-    """An ``(R, L)`` chunk, a width below or at ``K``, and topics to query."""
+    """A ragged chunk, a width below or at ``K``, and topics to query."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     num_rows = draw(st.integers(1, 6))
     slab_len = 1 << draw(st.integers(0, 5))
@@ -56,16 +70,15 @@ def chunks(draw):
     lengths = rng.integers(1, slab_len + 1, size=num_rows)
     # Few distinct topics per row (a trained document) or many (a fresh one).
     pool = rng.integers(num_topics, size=(num_rows, draw(st.integers(1, 8))))
-    current = np.take_along_axis(
-        pool, rng.integers(pool.shape[1], size=(num_rows, slab_len)), axis=1
-    )
-    # Half the queries hit the row's own topics, half are arbitrary.
+    picks = rng.integers(pool.shape[1], size=(num_rows, slab_len))
+    current, row = ragged(np.take_along_axis(pool, picks, axis=1), lengths)
+    # Half the queries hit the chunk's own topics, half are arbitrary.
     queries = np.where(
-        rng.random((num_rows, slab_len)) < 0.5,
-        rng.permuted(current, axis=1),
-        rng.integers(num_topics, size=(num_rows, slab_len)),
+        rng.random(current.size) < 0.5,
+        rng.permutation(current),
+        rng.integers(num_topics, size=current.size),
     )
-    return current, prefix_mask(lengths, slab_len), num_topics, width, queries
+    return current, row, num_rows, num_topics, width, queries
 
 
 class TestSlotTableExactness:
@@ -73,72 +86,86 @@ class TestSlotTableExactness:
     @settings(max_examples=300, deadline=None)
     @given(chunks())
     def test_matches_dense_histogram(self, chunk):
-        current, mask, num_topics, width, queries = chunk
-        count_at, count_current = _slot_counts(current, mask, num_topics, width)
+        current, row, num_rows, num_topics, width, queries = chunk
+        count_at, count_current = _slot_counts(current, row, num_rows, num_topics, width)
         for topics in (queries, current):
             np.testing.assert_array_equal(
-                count_at(topics), dense_lookup(current, mask, num_topics, topics)
+                count_at(topics), dense_lookup(current, row, num_rows, num_topics, topics)
             )
         # The counts at the chunk's own topics, as the builder hands them to
-        # the chain: exact wherever there is a real token.
+        # the chain.
         np.testing.assert_array_equal(
-            count_current[mask], dense_lookup(current, mask, num_topics, current)[mask]
+            count_current, dense_lookup(current, row, num_rows, num_topics, current)
         )
+
+    @seed(20260929)
+    @settings(max_examples=100, deadline=None)
+    @given(chunks(), st.integers(0, 2**32 - 1))
+    def test_external_term_adds_exactly(self, chunk, table_seed):
+        # What the chain reads with frozen external counts installed: slot
+        # lookup + E[word, topic] == (dense local + external)[row, topic].
+        current, row, num_rows, num_topics, width, queries = chunk
+        rng = np.random.default_rng(table_seed)
+        external = rng.integers(0, 5, size=(num_rows + 3, num_topics))
+        external[rng.integers(num_rows + 3)] = 0  # a word the other shards never saw
+        words = rng.permutation(num_rows + 3)[:num_rows]
+        count_at, _ = _slot_counts(current, row, num_rows, num_topics, width)
+        external_at = _external_counts(external, words[row])
+        combined = dense_histogram(current, row, num_rows, num_topics) + external[words]
+        for topics in (queries, current):
+            np.testing.assert_array_equal(
+                count_at(topics) + external_at(topics), combined[row, topics]
+            )
 
     @pytest.mark.parametrize("width", [1, 2, 64])
     def test_all_topics_congruent_mod_width(self, width):
         # Every topic of every row lands in slot 0: one owner, the rest overflow.
         num_topics = width * 9
-        current = (np.arange(24).reshape(3, 8) % 9) * width
-        mask = prefix_mask([8, 5, 1], 8)
-        queries = np.arange(24).reshape(3, 8) % num_topics
-        count_at, _ = _slot_counts(current, mask, num_topics, width)
+        current, row = ragged((np.arange(24).reshape(3, 8) % 9) * width, [8, 5, 1])
+        queries = np.arange(current.size) % num_topics
+        count_at, _ = _slot_counts(current, row, 3, num_topics, width)
         for topics in (current, queries):
             np.testing.assert_array_equal(
-                count_at(topics), dense_lookup(current, mask, num_topics, topics)
+                count_at(topics), dense_lookup(current, row, 3, num_topics, topics)
             )
 
     def test_one_topic_more_than_slots(self):
         # K = W + 1: topics 0 and W share slot 0, every other slot is private.
         width, num_topics = 64, 65
-        current = np.array([[0, 64, 64, 3], [64, 64, 64, 64], [0, 1, 2, 3]])
-        mask = prefix_mask([4, 4, 3], 4)
-        queries = np.array([[64, 0, 5, 3], [0, 64, 1, 2], [64, 3, 0, 2]])
-        count_at, _ = _slot_counts(current, mask, num_topics, width)
+        lengths = [4, 4, 3]
+        current, row = ragged([[0, 64, 64, 3], [64, 64, 64, 64], [0, 1, 2, 3]], lengths)
+        queries, _ = ragged([[64, 0, 5, 3], [0, 64, 1, 2], [64, 3, 0, 2]], lengths)
+        count_at, _ = _slot_counts(current, row, 3, num_topics, width)
         np.testing.assert_array_equal(
-            count_at(queries), dense_lookup(current, mask, num_topics, queries)
+            count_at(queries), dense_lookup(current, row, 3, num_topics, queries)
         )
 
     def test_single_cell_rows_and_padded_tails(self):
-        # L = 1 rows, and rows of one real token under a long padded tail whose
-        # cells hold topics the row does not contain (worse than real padding,
-        # which repeats the last real token): padding must never be counted.
-        ones = np.array([[7], [300], [7]])
-        count_at, _ = _slot_counts(ones, np.ones((3, 1), dtype=bool), 1000, 64)
-        np.testing.assert_array_equal(count_at(ones), [[1.0], [1.0], [1.0]])
-        np.testing.assert_array_equal(count_at(ones[::-1] + 64), [[0.0]] * 3)
+        # L = 1 rows, and short rows of a long slab: what would have been the
+        # padded tail is simply not there, so it can never be counted.
+        ones, row = np.array([7, 300, 7]), np.arange(3)
+        count_at, _ = _slot_counts(ones, row, 3, 1000, 64)
+        np.testing.assert_array_equal(count_at(ones), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(count_at(ones[::-1] + 64), [0.0] * 3)
 
-        current = np.array([[5, 69, 133, 5, 69, 133, 5, 69]] * 2)
-        mask = prefix_mask([1, 2], 8)
-        count_at, _ = _slot_counts(current, mask, 200, 64)
-        np.testing.assert_array_equal(
-            count_at(current), dense_lookup(current, mask, 200, current)
-        )
-        np.testing.assert_array_equal(count_at(current)[0], [1, 0, 0, 1, 0, 0, 1, 0])
+        current, row = ragged([[5, 69, 133, 5, 69, 133, 5, 69]] * 2, [1, 2])
+        np.testing.assert_array_equal(current, [5, 5, 69])
+        count_at, _ = _slot_counts(current, row, 2, 200, 64)
+        queries = np.array([69, 69, 133])
+        np.testing.assert_array_equal(count_at(current), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(count_at(queries), [0.0, 1.0, 0.0])
 
     def test_single_topic_model_is_dense(self):
-        current = np.zeros((2, 4), dtype=np.int64)
-        mask = prefix_mask([4, 2], 4)
-        count_at, _ = _slot_counts(current, mask, 1, slot_table_width(1, 4))
-        np.testing.assert_array_equal(count_at(current), [[4.0] * 4, [2.0] * 4])
+        current, row = ragged(np.zeros((2, 4), dtype=np.int64), [4, 2])
+        count_at, _ = _slot_counts(current, row, 2, 1, slot_table_width(1, 4))
+        np.testing.assert_array_equal(count_at(current), [4.0] * 4 + [2.0] * 2)
 
     def test_absent_topics_read_zero(self):
-        current = np.array([[3, 3, 67, 131]])
-        mask = np.ones((1, 4), dtype=bool)
-        count_at, _ = _slot_counts(current, mask, 512, 64)
+        current, row = np.array([3, 3, 67, 131]), np.zeros(4, dtype=np.int64)
+        count_at, _ = _slot_counts(current, row, 1, 512, 64)
         # Same slot as an owner, same slot as an overflowed topic, empty slot.
         np.testing.assert_array_equal(
-            count_at(np.array([[195, 259, 4, 3]])), [[0.0, 0.0, 0.0, 2.0]]
+            count_at(np.array([195, 259, 4, 3])), [0.0, 0.0, 0.0, 2.0]
         )
 
 
@@ -296,9 +323,13 @@ class TestKScalingGuard:
             finally:
                 tracemalloc.stop()
 
+        # The one K-long array a phase may allocate is the reciprocal of the
+        # shared ``stale_topic_counts`` (float64, once per phase, not per
+        # chunk or token): the peak grows by exactly that vector and by
+        # nothing else — one more K-long array of even one byte per topic
+        # would add 1 MiB at LARGE.
         small, large = peak(self.SMALL), peak(self.LARGE)
-        assert large < self.LARGE
-        assert abs(large - small) < 64 * 1024
+        assert abs((large - small) - 8 * (self.LARGE - self.SMALL)) < 64 * 1024
 
     def test_exact_alias_path_keeps_the_dense_cap(self, corpus, monkeypatch):
         # q_word(k) ∝ C_wk + β is drawn from a per-row CDF over all K topics:
@@ -309,22 +340,60 @@ class TestKScalingGuard:
         assert len(exact) > len(_phase_chunks(buckets, num_topics, max_cells))
         assert all(c.num_rows * num_topics <= max(max_cells, num_topics) for c in exact)
 
+        seen = self.record_tables(monkeypatch)
+        self.run_word_phase(corpus, num_topics, max_cells, exact_word_proposal=True)
+        assert seen and all(width == num_topics for _, width in seen)
+        assert all(rows * width <= max(max_cells, width) for rows, width in seen)
+
+    def test_external_counts_allocate_no_row_by_k_array(self, corpus, monkeypatch):
+        # Frozen external counts used to force the dense (R, K) table and a
+        # per-row CDF.  Now the chunks and their tables are the positioning
+        # path's own, and the whole phase peaks below one (R, K) array of its
+        # largest chunk.
+        num_topics, max_cells = 4096, 1 << 12
+        buckets = corpus_buckets(corpus, "word")
+        chunks = _phase_chunks(buckets, num_topics, max_cells)
+        rng = np.random.default_rng(4)
+        external = rng.integers(0, 3, size=(corpus.vocabulary_size, num_topics))
+        external[buckets[0].rows[0]] = 0
+        proposal = external_proposal_table(external)
+
+        seen = self.record_tables(monkeypatch)
+        tracemalloc.start()
+        try:
+            self.run_word_phase(
+                corpus, num_topics, max_cells,
+                external_word_topic=external, external_proposal=proposal,
+            )  # fmt: skip
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == [
+            (c.num_rows, slot_table_width(num_topics, c.slab_len)) for c in chunks
+        ]
+        assert all(width < num_topics for _, width in seen)
+        assert peak < max(c.num_rows for c in chunks) * num_topics * 8
+
+    @staticmethod
+    def record_tables(monkeypatch):
+        """Record ``(rows, width)`` of every count table a phase builds."""
+        seen = []
+        original = warp._slot_counts
+
+        def recording(current, row, num_rows, num_topics, width):
+            seen.append((num_rows, width))
+            return original(current, row, num_rows, num_topics, width)
+
+        monkeypatch.setattr(warp, "_slot_counts", recording)
+        return seen
+
+    @staticmethod
+    def run_word_phase(corpus, num_topics, max_cells, **kwargs):
         rng = np.random.default_rng(2)
         assignments = rng.integers(num_topics, size=corpus.num_tokens)
         proposals = rng.integers(num_topics, size=(1, corpus.num_tokens))
         stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
-        seen = []
-        original = warp._row_counts
-
-        def recording(current, mask, width):
-            seen.append((current.shape[0], width))
-            return original(current, mask, width)
-
-        monkeypatch.setattr(warp, "_row_counts", recording)
         word_phase(
-            assignments, proposals, buckets, stale,
-            num_topics, 1, 0.01, 1.5, rng, exact_word_proposal=True,
-            threads=1, max_cells=max_cells,
+            assignments, proposals, corpus_buckets(corpus, "word"), stale,
+            num_topics, 1, 0.01, 1.5, rng, threads=1, max_cells=max_cells, **kwargs,
         )  # fmt: skip
-        assert seen and all(width == num_topics for _, width in seen)
-        assert all(rows * width <= max(max_cells, width) for rows, width in seen)

@@ -9,7 +9,6 @@ from repro.kernels import (
     corpus_buckets,
     positioning_mixture_proposal,
     row_categorical_draw,
-    row_categorical_matrix,
     table_categorical_draws,
     token_layout,
 )
@@ -90,19 +89,6 @@ class TestDraws:
         frequencies = np.bincount(draws[1::2], minlength=3) / 5000
         np.testing.assert_allclose(frequencies, [0.5, 0.5, 0.0], atol=0.03)
 
-    def test_row_matrix_draw_distribution(self):
-        rng = np.random.default_rng(1)
-        draws = row_categorical_matrix(np.array([[1.0, 1.0, 2.0]]), 40000, rng)
-        frequencies = np.bincount(draws.ravel(), minlength=3) / 40000
-        np.testing.assert_allclose(frequencies, [0.25, 0.25, 0.5], atol=0.02)
-
-    def test_row_matrix_respects_rows(self):
-        rng = np.random.default_rng(2)
-        weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-        draws = row_categorical_matrix(weights, 100, rng)
-        assert (draws[0] == 0).all()
-        assert (draws[1] == 1).all()
-
     def test_table_draws_follow_row_ids(self):
         rng = np.random.default_rng(3)
         table = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -128,7 +114,7 @@ class TestProposals:
         _, _, token_offset, token_length = token_layout([3, 2])
         source = np.array([7, 7, 7, 9, 9])
         proposed = positioning_mixture_proposal(
-            source, token_offset, token_length, np.ones(5), 10, rng
+            source, token_offset, token_length, 0.0, 10, rng
         )
         np.testing.assert_array_equal(proposed, source)
 
@@ -137,7 +123,7 @@ class TestProposals:
         _, _, token_offset, token_length = token_layout([20000])
         source = np.zeros(20000, dtype=np.int64)
         proposed = positioning_mixture_proposal(
-            source, token_offset, token_length, np.zeros(20000), 4, rng
+            source, token_offset, token_length, 1e12, 4, rng
         )
         frequencies = np.bincount(proposed, minlength=4) / 20000
         np.testing.assert_allclose(frequencies, 0.25, atol=0.02)
