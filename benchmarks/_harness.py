@@ -22,7 +22,6 @@ benchmarks/bench_*.py`` and pytest rootdir discovery put this directory on
 
 from __future__ import annotations
 
-import importlib.metadata
 import json
 import os
 import platform
@@ -42,29 +41,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _DIGEST_HISTOGRAM_LIMIT = 32
 
 
-def _numba_version() -> Optional[str]:
-    """Installed numba version without importing it (imports compile LLVM)."""
-    try:
-        return importlib.metadata.version("numba")
-    except importlib.metadata.PackageNotFoundError:
-        return None
-
-
 def environment() -> Dict[str, Any]:
     """The toolchain + host stamp embedded in every benchmark record.
 
-    Besides the package versions, records what the threaded kernel tier
-    depends on: logical core count, the ``REPRO_THREADS`` default in effect,
-    and whether the optional numba jit tier is available — so a throughput
-    shift seen by ``check_regression.py`` can be attributed to the host or
-    toolchain rather than a code change.
+    Besides the package versions, records the logical core count — so a
+    throughput shift seen by ``check_regression.py`` can be attributed to
+    the host or toolchain rather than a code change.
     """
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_logical": os.cpu_count(),
-        "repro_threads": os.environ.get("REPRO_THREADS"),
-        "numba": _numba_version(),
     }
 
 

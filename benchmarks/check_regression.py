@@ -1,7 +1,7 @@
 """CI perf-regression gate: compare a bench record against its baseline.
 
 Reads the JSON record a ``--smoke`` bench run just wrote (e.g.
-``BENCH_sampling.json``), finds the committed baseline for the same
+``BENCH_outofcore.json``), finds the committed baseline for the same
 benchmark under ``benchmarks/baselines/``, and fails (exit 1) when any
 throughput metric dropped by more than ``--max-drop`` (default 30%).
 
@@ -24,15 +24,15 @@ Threshold override, loosest wins is **not** the policy — the CLI flag beats
 the environment, which beats the default::
 
     # one-off local run
-    python benchmarks/check_regression.py --current BENCH_sampling.json --max-drop 0.5
+    python benchmarks/check_regression.py --current BENCH_outofcore.json --max-drop 0.5
 
     # CI-wide knob (e.g. a known-slow runner pool)
     REPRO_BENCH_MAX_DROP=0.5 python benchmarks/check_regression.py --current ...
 
 Regenerate a baseline after an intentional perf change::
 
-    PYTHONPATH=src python benchmarks/bench_sampling_throughput.py --smoke \
-        --output benchmarks/baselines/sampling_throughput.smoke.json
+    PYTHONPATH=src python benchmarks/bench_outofcore.py --smoke \
+        --output benchmarks/baselines/outofcore.smoke.json
 """
 
 from __future__ import annotations

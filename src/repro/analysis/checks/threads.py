@@ -5,7 +5,7 @@ concurrent dispatch through one module — ``repro.kernels.pool`` — which owns
 the shared executors, sizes them from the resolved ``threads`` setting, and
 collects results in submission order.  A kernel that spins up its own
 ``ThreadPoolExecutor`` (or raw ``threading.Thread``) sidesteps all of that:
-its worker count would not honour ``REPRO_THREADS``, its results could land
+its worker count would not honour ``threads=``, its results could land
 in completion order, and the executor would not be shared or reused.
 
 ``THR001`` flags thread/executor creation inside ``repro.kernels.*`` (the
@@ -52,7 +52,7 @@ class ThreadChecker(Checker):
             "kernel creates threads outside repro.kernels.pool",
             "kernels must dispatch concurrent work through "
             "repro.kernels.pool.run_tasks, which owns the shared executors, "
-            "honours the threads/REPRO_THREADS setting, and keeps results "
+            "honours the threads setting, and keeps results "
             "in submission order for bit-exact determinism",
         ),
     )

@@ -184,7 +184,7 @@ def _add_spec_arguments(
     model.add_argument(
         "--threads",
         type=int,
-        help="kernel worker threads (default: REPRO_THREADS env, else 1); "
+        help="kernel worker threads (default 1); "
         "results are bit-identical for any value",
     )
     model.add_argument("--word-proposal", choices=("mixture", "alias"))

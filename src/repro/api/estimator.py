@@ -389,7 +389,7 @@ class LDA:
         if self._snapshot is None or self._snapshot_stale:
             snapshot = self._model.export_snapshot()
             # Record the spec as *executed*: a sampler without the requested
-            # path degraded (jit -> slab -> scalar) when it was built, and
+            # path degraded (slab -> scalar) when it was built, and
             # the provenance must say so rather than echo the request.
             spec_dict = self.spec.to_dict()
             spec_dict["kernel"] = resolve_kernel(

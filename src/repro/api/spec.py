@@ -30,7 +30,11 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.api.backends import BACKEND_REGISTRY, get_backend
-from repro.samplers.base import validate_hyperparameters, validate_sampler_options
+from repro.samplers.base import (
+    read_kernel,
+    validate_hyperparameters,
+    validate_sampler_options,
+)
 from repro.samplers.registry import SAMPLER_REGISTRY
 
 __all__ = ["ModelSpec", "ALGORITHMS", "BACKEND_NAMES", "SPEC_METADATA_KEY"]
@@ -67,13 +71,10 @@ class ModelSpec:
         MH proposals per token per phase (WarpLDA / LightLDA only; ignored
         by the exact samplers, like the constructors it lowers to).
     kernel:
-        ``"slab"`` (vectorised kernels), ``"scalar"`` (legacy loops) or
-        ``"jit"`` (WarpLDA's numba inner chains; silently identical to
-        ``"slab"`` when numba is unavailable).
+        ``"slab"`` (vectorised kernels) or ``"scalar"`` (legacy loops).
     threads:
         Worker threads for the slab kernels' bucket dispatch: a positive
-        int, or ``None`` to defer to the ``REPRO_THREADS`` environment
-        variable (default 1).  Thread count never changes results — the
+        int, or ``None`` for 1.  Thread count never changes results — the
         sampled trajectory is bit-identical for every value.
     word_proposal:
         WarpLDA's word-proposal strategy, ``"mixture"`` or ``"alias"``
@@ -197,7 +198,8 @@ class ModelSpec:
         """Build a spec from a (possibly partial) dict; unknown keys raise.
 
         Missing keys take the dataclass defaults, so a spec file only needs
-        to name what it overrides.
+        to name what it overrides.  A retired kernel name reads as its
+        successor (:func:`repro.samplers.base.read_kernel`).
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -206,7 +208,10 @@ class ModelSpec:
                 f"unknown ModelSpec keys {sorted(unknown)}; known keys: "
                 f"{sorted(known)}"
             )
-        return cls(**dict(data))
+        values = dict(data)
+        if "kernel" in values:
+            values["kernel"] = read_kernel(values["kernel"])
+        return cls(**values)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The spec as a JSON document."""

@@ -134,16 +134,12 @@ class WarpLDA:
         ``"alias"`` (dense alias table per word).
     kernel:
         ``"slab"`` (the default: bucketed whole-bucket NumPy execution, see
-        :mod:`repro.kernels.warp`), ``"jit"`` (the slab path with the MH
-        inner chains compiled by numba when importable — bit-identical to
-        ``"slab"``, silently falling back to it without numba; see
-        :mod:`repro.kernels.jit`) or ``"scalar"`` (the legacy row-by-row
+        :mod:`repro.kernels.warp`) or ``"scalar"`` (the legacy row-by-row
         loop, kept as the correctness oracle).
     threads:
-        Worker threads for the slab/jit kernel phases (bucket chunks run
-        concurrently on :mod:`repro.kernels.pool`).  ``None`` defers to the
-        ``REPRO_THREADS`` environment variable (default 1).  The trajectory
-        is bit-identical for every thread count.
+        Worker threads for the slab kernel phases (bucket chunks run
+        concurrently on :mod:`repro.kernels.pool`); ``None`` means 1.  The
+        trajectory is bit-identical for every thread count.
     seed:
         Seed or generator controlling the full trajectory.
 
@@ -544,7 +540,6 @@ class WarpLDA:
             external_proposal=self._external_proposal,
             chain_stats=chain_stats,
             threads=self.threads,
-            use_jit=self.kernel == "jit",
         )
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 
@@ -564,7 +559,6 @@ class WarpLDA:
             alpha_alias=self._alpha_alias,
             chain_stats=chain_stats,
             threads=self.threads,
-            use_jit=self.kernel == "jit",
         )
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 

@@ -39,10 +39,6 @@ Layout
     spawning that keeps the trajectory bit-identical for every thread count
     (the ``THR001`` invariant makes it the only thread owner in this
     package).
-:mod:`~repro.kernels.jit`
-    Optional numba-compiled inner MH chains for WarpLDA (``kernel="jit"``);
-    loads lazily and degrades to the NumPy slab path — bit-identically —
-    when numba is not installed.
 
 Exactness
 ---------

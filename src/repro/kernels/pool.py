@@ -29,13 +29,11 @@ the kernel tier (the ``THR001`` invariant, see ``docs/invariants.md``):
 kernels must route concurrency through :func:`run_tasks` instead of spawning
 ad-hoc threads, so the determinism contract stays auditable in one place.
 
-Thread-count resolution order: an explicit ``threads`` argument, else the
-``REPRO_THREADS`` environment variable, else 1 (serial).
+Thread count: the explicit ``threads`` argument, else 1 (serial).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -47,16 +45,12 @@ from repro.obs import get_telemetry
 from repro.sampling.rng import spawn_rngs
 
 __all__ = [
-    "REPRO_THREADS_ENV",
     "resolve_threads",
     "run_tasks",
     "spawn_task_rngs",
 ]
 
 T = TypeVar("T")
-
-#: Environment variable consulted when no explicit thread count is given.
-REPRO_THREADS_ENV = "REPRO_THREADS"
 
 # Executors keyed by worker count, created lazily and shared across every
 # kernel call (phases run back to back; re-creating a pool per phase would
@@ -69,21 +63,11 @@ _EXECUTORS_LOCK = threading.Lock()
 def resolve_threads(threads: Optional[int] = None) -> int:
     """Resolve a thread-count setting to a concrete positive integer.
 
-    Precedence: explicit ``threads`` argument > ``REPRO_THREADS`` environment
-    variable > 1.  The environment default is read at every call, so kernels
-    constructed with ``threads=None`` honour the ambient setting at run time
-    (the CI thread-matrix job relies on this).
+    ``None`` (no ``threads=`` given by the constructor, the spec or
+    ``--threads``) is 1, serial.
     """
     if threads is None:
-        raw = os.environ.get(REPRO_THREADS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{REPRO_THREADS_ENV} must be an integer, got {raw!r}"
-            ) from None
+        return 1
     threads = int(threads)
     if threads <= 0:
         raise ValueError(f"threads must be positive, got {threads}")

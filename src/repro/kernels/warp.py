@@ -75,12 +75,6 @@ bit-identical for every thread count — ``threads=1`` simply runs the same
 tasks inline.  The chunk list is a pure function of the corpus, the table
 width (so of ``K`` only while ``K < max(64, 2 L)``), the proposal kind and
 ``max_cells``; it never depends on the thread count.
-
-When ``use_jit=True`` and numba is importable (:mod:`repro.kernels.jit`),
-the per-chunk MH chain runs as one compiled ``nogil`` loop consuming the
-same pre-drawn uniforms and the same pre-gathered ``f`` terms — it has no
-``(R, K)`` input and runs on the very same chunks — bit-identical to the
-NumPy chain, silently falling back to it when numba is absent.
 """
 
 from __future__ import annotations
@@ -93,7 +87,6 @@ import numpy as np
 from repro.kernels import pool
 from repro.kernels.buckets import MAX_SLAB_CELLS, MIN_SLOT_WIDTH, SlabBucket
 from repro.kernels.draws import prepare_table, table_categorical_draws
-from repro.kernels.jit import jit_mh_chain
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.sampling.alias import AliasTable
 
@@ -119,8 +112,8 @@ def slot_table_width(num_topics: int, slab_len: int) -> int:
     paper's hash table of capacity ``min(K, 2 * L_d)``.  ``W == K`` means the
     table is the dense histogram; otherwise ``W`` is a power of two (slab
     lengths are), which is what lets a topic's slot be ``topic & (W - 1)``.
-    This is the one place the width is decided: the chunk cap, the table
-    builder and the working-set model of ``bench_thread_scaling`` all call it.
+    This is the one place the width is decided: the chunk cap and the table
+    builder both call it.
     """
     return min(num_topics, max(MIN_SLOT_WIDTH, 2 * slab_len))
 
@@ -250,7 +243,6 @@ def _run_chain(
     f_at: CountLookup,
     rng: np.random.Generator,
     chain_stats: Optional[dict] = None,
-    compiled=None,
 ) -> None:
     """Accept/reject the ``M`` stored proposals of one chunk, in place.
 
@@ -265,28 +257,19 @@ def _run_chain(
     carried forward and the count table is read once per step, at the
     proposal only.
 
-    With ``compiled`` (:func:`repro.kernels.jit.jit_mh_chain`) the same
-    uniforms and the same ``f`` values — every step's gathered up front,
-    through the same ``f_at`` — feed one fused loop, which therefore never
-    sees a count table and is bit-identical to the NumPy steps below.
-
     ``chain_stats`` (telemetry only, ``None`` by default) is a mutable
     ``{"proposed": int, "accepted": int}`` accumulator for MH acceptance
     counting; it never touches the RNG stream, so instrumented and plain
     runs stay bit-identical.
     """
     uniforms = rng.random(proposed.shape)
-    if compiled is not None:
-        f_proposed = np.stack([f_at(topics) for topics in proposed])
-        accepted = int(compiled(current, proposed, f_current, f_proposed, uniforms))
-    else:
-        accepted = 0
-        for step_uniforms, topics in zip(uniforms, proposed):
-            f_proposed = f_at(topics)
-            moved = np.flatnonzero(step_uniforms * f_current < f_proposed)
-            current[moved] = topics.take(moved)
-            f_current[moved] = f_proposed.take(moved)
-            accepted += moved.size
+    accepted = 0
+    for step_uniforms, topics in zip(uniforms, proposed):
+        f_proposed = f_at(topics)
+        moved = np.flatnonzero(step_uniforms * f_current < f_proposed)
+        current[moved] = topics.take(moved)
+        f_current[moved] = f_proposed.take(moved)
+        accepted += moved.size
     if chain_stats is not None:
         chain_stats["proposed"] += proposed.size
         chain_stats["accepted"] += accepted
@@ -302,7 +285,6 @@ def _chunk_body(
     alpha_alias: Optional[AliasTable],
     exact: bool,
     external: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    compiled,
     chunk: SlabBucket,
     rng: np.random.Generator,
     chain_stats: Optional[dict],
@@ -344,7 +326,6 @@ def _chunk_body(
         lambda topics: target(count_at(topics), topics),
         rng,
         chain_stats=chain_stats,
-        compiled=compiled,
     )
     assignments[flat] = current
 
@@ -412,7 +393,6 @@ def word_phase(
     external_word_topic: Optional[np.ndarray] = None,
     chain_stats: Optional[dict] = None,
     threads: Optional[int] = None,
-    use_jit: bool = False,
     max_cells: Optional[int] = None,
     external_proposal: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> None:
@@ -431,8 +411,7 @@ def word_phase(
     Bucket chunks run as independent tasks on :mod:`repro.kernels.pool`
     (``threads`` per :func:`repro.kernels.pool.resolve_threads`), each with
     its own RNG stream spawned from ``rng`` — one main-stream draw per phase,
-    so the trajectory is bit-identical for every thread count.  ``use_jit``
-    swaps in the compiled chain of :mod:`repro.kernels.jit` when available;
+    so the trajectory is bit-identical for every thread count.
     ``max_cells`` overrides the per-chunk working-set budget
     (:data:`~repro.kernels.buckets.MAX_SLAB_CELLS`).
     """
@@ -452,7 +431,6 @@ def word_phase(
         None,
         exact_word_proposal,
         external,
-        jit_mh_chain() if use_jit else None,
     )
     chunks = _phase_chunks(buckets, num_topics, max_cells, dense=exact_word_proposal)
     _run_phase("warp.word", chunks, body, rng, chain_stats, threads)
@@ -472,7 +450,6 @@ def document_phase(
     alpha_alias: Optional[AliasTable] = None,
     chain_stats: Optional[dict] = None,
     threads: Optional[int] = None,
-    use_jit: bool = False,
     max_cells: Optional[int] = None,
 ) -> None:
     """Document phase over doc-axis buckets: accept word proposals, draw doc proposals.
@@ -483,7 +460,7 @@ def document_phase(
     Like :func:`word_phase`, mutates ``assignments`` and ``proposals`` in
     place (accepted moves and freshly drawn doc-phase proposals), dispatches
     bucket chunks through :mod:`repro.kernels.pool` with per-task RNG
-    streams, and honours the same ``threads``/``use_jit``/``max_cells``
+    streams, and honours the same ``threads``/``max_cells``
     knobs with the same bit-exact determinism contract.
     """
     body = partial(
@@ -497,7 +474,6 @@ def document_phase(
         alpha_alias,
         False,
         None,
-        jit_mh_chain() if use_jit else None,
     )
     chunks = _phase_chunks(buckets, num_topics, max_cells)
     _run_phase("warp.doc", chunks, body, rng, chain_stats, threads)

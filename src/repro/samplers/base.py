@@ -41,6 +41,7 @@ __all__ = [
     "KERNELS",
     "TopicState",
     "LDASampler",
+    "read_kernel",
     "resolve_hyperparameters",
     "resolve_kernel",
     "validate_hyperparameters",
@@ -49,10 +50,8 @@ __all__ = [
 
 #: Every execution path a run may request.  ``"slab"``: the vectorised
 #: bucket kernels of :mod:`repro.kernels`; ``"scalar"``: the legacy
-#: per-row/per-token loops, kept as the correctness oracle; ``"jit"``:
-#: WarpLDA's slab path with numba-compiled MH chains (bit-identical to
-#: ``"slab"``, and silently *is* ``"slab"`` without numba).
-KERNELS = ("slab", "scalar", "jit")
+#: per-row/per-token loops, kept as the correctness oracle.
+KERNELS = ("slab", "scalar")
 
 _WORD_PROPOSALS = ("mixture", "alias")
 
@@ -94,25 +93,32 @@ def validate_sampler_options(
         )
 
 
+def read_kernel(name: str) -> str:
+    """The kernel an on-disk artefact names, as today's :data:`KERNELS` spell it.
+
+    The one read rule for spec files, snapshot-embedded specs and
+    ``checkpoint.json``: the retired ``"jit"`` tier was bit-identical to
+    ``"slab"`` by contract, so an artefact that names it loads — and a
+    checkpoint resumes, exactly — as ``"slab"``.  Constructors do not apply
+    it: ``kernel="jit"`` in code is an ordinary invalid name.
+    """
+    return "slab" if name == "jit" else name
+
+
 def resolve_kernel(sampler_cls: type, kernel: str) -> str:
     """Best supported execution path for ``kernel`` on ``sampler_cls``.
 
-    The degradation order mirrors the kernels' capability ladder:
-    a requested path the sampler implements is used as-is; ``"jit"`` (the
-    WarpLDA-only compiled tier) degrades to ``"slab"`` where available; and
-    anything else degrades to ``"scalar"``, which every sampler implements.
-    This keeps one config (``TrainerConfig``/``ModelSpec``) valid across
-    samplers with different kernel support instead of erroring midway
-    through construction.  Called by
+    A requested path the sampler implements is used as-is; anything else
+    degrades to ``"scalar"``, which every sampler implements.  This keeps
+    one config (``TrainerConfig``/``ModelSpec``) valid across samplers with
+    different kernel support instead of erroring midway through
+    construction.  Called by
     :func:`repro.samplers.registry.build_sampler` (what runs) and by
     :meth:`repro.api.LDA.export_snapshot` (what the provenance records).
+    A name that is no kernel at all raises the shared text.
     """
-    kernels = sampler_cls.KERNELS
-    if kernel in kernels:
-        return kernel
-    if "slab" in kernels:
-        return "slab"
-    return "scalar"
+    validate_sampler_options(kernel=kernel)
+    return kernel if kernel in sampler_cls.KERNELS else "scalar"
 
 
 def resolve_hyperparameters(
@@ -329,9 +335,9 @@ class LDASampler(abc.ABC):
         the rest only accept ``"scalar"``.
     threads:
         Worker threads for the slab kernels (dispatched through
-        :mod:`repro.kernels.pool`); ``None`` defers to the ``REPRO_THREADS``
-        environment variable (default 1).  The trajectory is bit-identical
-        for every thread count; the scalar path ignores the setting.
+        :mod:`repro.kernels.pool`); ``None`` means 1.  The trajectory is
+        bit-identical for every thread count; the scalar path ignores the
+        setting.
     """
 
     #: Human-readable algorithm name used in benchmark tables.

@@ -11,7 +11,8 @@ this package turns them into something deployable:
   with an LRU result cache and throughput/latency statistics.
 
 See ``examples/serving_demo.py`` for the end-to-end flow and
-``benchmarks/bench_serving_throughput.py`` for the serving benchmark.
+the ``serve_cold`` / ``serve_hot`` workloads of ``benchmarks/suite/`` for the
+serving benchmark.
 """
 
 from repro.serving.infer import InferenceEngine, em_fold_in, mh_fold_in

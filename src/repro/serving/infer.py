@@ -9,7 +9,8 @@ Two fold-in strategies are offered, both operating on a
   power-of-two size buckets (padding contributes exact zeros), and each
   update becomes two batched matrix-vector products.  Mathematically
   equivalent to the per-document loop it replaces, several times faster on
-  realistic batches (see ``benchmarks/bench_serving_throughput.py``).
+  realistic batches (``serving.infer.fold_in_ms`` on the ``serve_cold``
+  workload of ``benchmarks/suite/``).
 * **MH fold-in** (``strategy="mh"``) — WarpLDA's own trick applied to
   serving: per-token topic assignments are refined with Metropolis-Hastings
   steps whose proposal is the doc-proposal mixture of Sec. 4.3 (random

@@ -234,14 +234,14 @@ class ModelSnapshot:
         Snapshots are immutable, so provenance added after export — which
         checkpoint a resumed run came from, which deployment served it —
         always produces a new snapshot instead of mutating a served one.
+        The copy shares this snapshot's read-only Φ, α and frozen vocabulary.
         """
-        merged = {**self._metadata, **extra}
-        return ModelSnapshot(
-            phi=self._phi,
-            alpha=self._alpha,
-            beta=self._beta,
-            vocabulary=self._vocabulary,
-            metadata=merged,
+        return ModelSnapshot.adopt(
+            self._phi,
+            self._alpha,
+            self._beta,
+            self._vocabulary,
+            {**self._metadata, **extra},
         )
 
     # ------------------------------------------------------------------ #

@@ -20,14 +20,14 @@ paper's cheap O(1) sampler makes affordable in the first place:
   :meth:`repro.serving.server.TopicServer.attach_registry`.
 
 See ``examples/streaming_demo.py`` for the end-to-end walkthrough and
-``benchmarks/bench_streaming.py`` for ingest-to-servable latency and
-sustained throughput numbers (``BENCH_streaming.json``).
+the ``stream_replay`` workload of ``benchmarks/suite/`` for ingest-to-servable
+latency (``servable_p50_ms``) and sustained throughput (``docs_per_s``).
 """
 
 from repro.streaming.corpus import StreamingCorpus
 from repro.streaming.online import OnlineTrainer, OnlineTrainerConfig, OnlineUpdate
 from repro.streaming.pipeline import IngestReport, StreamingPipeline
-from repro.streaming.registry import ModelRegistry, PublishedVersion
+from repro.streaming.registry import ModelRegistry, PublishedVersion, VersionIdentity
 from repro.streaming.stream import DocumentStream, MiniBatch, StreamStats
 
 __all__ = [
@@ -42,4 +42,5 @@ __all__ = [
     "StreamStats",
     "StreamingCorpus",
     "StreamingPipeline",
+    "VersionIdentity",
 ]

@@ -71,13 +71,11 @@ class OnlineTrainerConfig:
         Defaults to ``"cgs"`` — the exact-enumeration sampler mixes fastest
         per sweep, which matters when each batch only gets a few sweeps.
     kernel:
-        ``"slab"`` (vectorised kernels, default), ``"scalar"``, or ``"jit"``
-        (WarpLDA only; falls back to slab without numba); samplers without a
-        slab path fall back to scalar automatically.
+        ``"slab"`` (vectorised kernels, default) or ``"scalar"``; samplers
+        without a slab path fall back to scalar automatically.
     threads:
-        Worker threads for the slab kernels' bucket dispatch; ``None`` defers
-        to the ``REPRO_THREADS`` environment variable (default 1).  Results
-        are bit-identical for every thread count.
+        Worker threads for the slab kernels' bucket dispatch; ``None`` means
+        1.  Results are bit-identical for every thread count.
     window_docs:
         Sliding-window size in documents.  Documents beyond the window are
         retired into the decayed external counts.

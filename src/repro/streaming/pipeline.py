@@ -13,8 +13,9 @@ production deployment runs forever:
    hot-swap immediately, which bounds the **ingest-to-servable latency** —
    the wall-clock time from a batch entering the pipeline to a server
    answering queries with a model that has seen it.  Each
-   :class:`IngestReport` records that latency; the streaming benchmark
-   aggregates them into ``BENCH_streaming.json``.
+   :class:`IngestReport` records that latency; the ``stream_replay``
+   workload of ``benchmarks/suite/`` reports their median as
+   ``servable_p50_ms``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.corpus.corpus import Document
 from repro.obs import get_telemetry
 from repro.serving.server import TopicServer
 from repro.streaming.online import OnlineTrainer, OnlineUpdate
-from repro.streaming.registry import ModelRegistry, PublishedVersion
+from repro.streaming.registry import ModelRegistry, VersionIdentity
 from repro.streaming.stream import MiniBatch
 
 __all__ = ["IngestReport", "StreamingPipeline"]
@@ -41,7 +42,10 @@ class IngestReport:
     """What one pipeline step did, with its latency breakdown."""
 
     update: OnlineUpdate
-    published: Optional[PublishedVersion]
+    #: Identity of the version this step published (``None`` when it did not
+    #: publish).  Deliberately not the registry entry: a report outlives the
+    #: registry's retention window and must not keep that snapshot reachable.
+    published: Optional[VersionIdentity]
     #: Wall-clock seconds for append + window sweeps + (if due) publish,
     #: measured from :meth:`StreamingPipeline.ingest` entry — pure pipeline
     #: work, no queueing.
@@ -127,7 +131,7 @@ class StreamingPipeline:
         obs = get_telemetry()
         entered = time.perf_counter()
         arrival = batch.closed_at if isinstance(batch, MiniBatch) else entered
-        published: Optional[PublishedVersion] = None
+        published: Optional[VersionIdentity] = None
         servable: Optional[float] = None
         publish_seconds: Optional[float] = None
         with obs.span("ingest", batch=self.trainer.batches_ingested + 1):
@@ -142,10 +146,13 @@ class StreamingPipeline:
             if due:
                 publish_started = time.perf_counter()
                 with obs.span("publish", batch=update.batch_index):
-                    published = self.registry.publish(
+                    entry = self.registry.publish(
                         self.trainer.export_snapshot(),
                         batch_index=update.batch_index,
                         **publish_metadata,
+                    )
+                    published = VersionIdentity(
+                        entry.version, entry.published_at, entry.metadata
                     )
                     if self.server is not None:
                         self.server.refresh()

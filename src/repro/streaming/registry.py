@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.obs import get_telemetry
 from repro.serving.snapshot import ModelSnapshot
 
-__all__ = ["ModelRegistry", "PublishedVersion"]
+__all__ = ["ModelRegistry", "PublishedVersion", "VersionIdentity"]
 
 #: On-disk name of the atomic current-version pointer.
 _CURRENT_POINTER = "CURRENT"
@@ -56,6 +56,20 @@ class PublishedVersion:
 
     version: int
     snapshot: ModelSnapshot
+    published_at: float
+    metadata: Dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class VersionIdentity:
+    """A :class:`PublishedVersion` minus its snapshot.
+
+    What a log of publishes holds on to
+    (:attr:`repro.streaming.pipeline.IngestReport.published`): it says which
+    version a step produced and keeps no garbage-collected model alive.
+    """
+
+    version: int
     published_at: float
     metadata: Dict[str, Any] = field(default_factory=dict)
 

@@ -45,6 +45,7 @@ from repro.evaluation.convergence import ConvergenceTracker
 from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.obs import Telemetry, get_telemetry, use_telemetry
 from repro.samplers.base import (
+    read_kernel,
     resolve_hyperparameters,
     validate_hyperparameters,
     validate_sampler_options,
@@ -84,14 +85,12 @@ class TrainerConfig:
         own delay); larger values trade staleness for fewer barriers.
     kernel:
         Execution path for every shard's sampler: ``"slab"`` (the vectorised
-        kernels of :mod:`repro.kernels`, the default), ``"jit"`` (WarpLDA's
-        compiled MH chains when numba is importable) or ``"scalar"`` (the
-        legacy per-row loops).  Samplers without the requested path degrade
-        along ``jit -> slab -> scalar`` automatically
-        (:func:`repro.samplers.base.resolve_kernel`).
+        kernels of :mod:`repro.kernels`, the default) or ``"scalar"`` (the
+        legacy per-row loops).  Samplers without the slab path run the
+        scalar one (:func:`repro.samplers.base.resolve_kernel`).
     threads:
-        Worker threads for each shard's slab kernels (``None`` defers to
-        ``REPRO_THREADS``).  Thread count never changes the trajectory.
+        Worker threads for each shard's slab kernels (``None`` means 1).
+        Thread count never changes the trajectory.
     """
 
     sampler: str = "warplda"
@@ -135,11 +134,11 @@ class TrainerConfig:
         Checkpoints written before the kernel layer existed carry no
         ``kernel`` key; they must resume on the scalar path they were
         trained with (the slab default would silently change the RNG
-        trajectory of a bit-exact resume).
+        trajectory of a bit-exact resume).  A retired kernel name reads as
+        its successor (:func:`repro.samplers.base.read_kernel`).
         """
-        if "kernel" not in data:
-            data = {**data, "kernel": "scalar"}
-        return cls(**data)
+        kernel = read_kernel(data.get("kernel", "scalar"))
+        return cls(**{**data, "kernel": kernel})
 
 
 class ShardRunner:

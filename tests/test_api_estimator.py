@@ -168,12 +168,12 @@ class TestModelAccess:
             ("fpluslda", "scalar"),
         ],
     )
-    def test_snapshot_records_the_kernel_a_jit_request_ran(
+    def test_snapshot_names_the_kernel_that_ran(
         self, small_corpus, algorithm, ran
     ):
-        # Only WarpLDA has a jit path; a baseline degrades jit -> slab ->
-        # scalar when it is built, and the provenance names what ran.
-        model = LDA(num_topics=4, algorithm=algorithm, kernel="jit", seed=0)
+        # A baseline without a slab path degrades to scalar when it is
+        # built, and the provenance names what ran.
+        model = LDA(num_topics=4, algorithm=algorithm, kernel="slab", seed=0)
         model.fit(small_corpus, num_iterations=1)
         assert model.model.kernel == ran
         embedded = model.export_snapshot().metadata[SPEC_METADATA_KEY]

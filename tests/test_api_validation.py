@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+
+import numpy as np
 import pytest
 
-from repro.api import ModelSpec
+from repro.api import LDA, ModelSpec
 from repro.core.warplda import WarpLDA
-from repro.samplers.registry import SAMPLER_REGISTRY
+from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 from repro.streaming.online import OnlineTrainer, OnlineTrainerConfig
+from repro.training.checkpoint import Checkpoint
 from repro.training.parallel import ParallelTrainer, TrainerConfig
 
 CONFIGS = {
@@ -28,6 +33,9 @@ def entry_points(corpus, num_mh_steps=False):
         corpus, num_workers=2, backend="inline", **kw
     )
     points["OnlineTrainer"] = lambda **kw: OnlineTrainer(**kw)
+    points["build_sampler"] = lambda **kw: build_sampler(
+        "warplda", corpus, **{"num_topics": 5, **kw}
+    )
     for name, sampler_cls in SAMPLER_REGISTRY.items():
         if num_mh_steps and name not in ("warplda", "lightlda", "aliaslda"):
             continue
@@ -63,12 +71,13 @@ class TestValidationConsistency:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"kernel": "fast"}, "kernel must be 'slab', 'scalar' or 'jit', got 'fast'"),
+            ({"kernel": "fast"}, "kernel must be 'slab' or 'scalar', got 'fast'"),
+            ({"kernel": "jit"}, "kernel must be 'slab' or 'scalar', got 'jit'"),
             ({"threads": 0}, "threads must be positive, got 0"),
             ({"threads": True}, "threads must be an int or None, got True"),
             ({"num_mh_steps": 0}, "num_mh_steps must be positive, got 0"),
         ],
-        ids=["kernel", "threads-zero", "threads-bool", "mh-steps"],
+        ids=["kernel", "retired-kernel", "threads-zero", "threads-bool", "mh-steps"],
     )
     def test_run_options_raise_the_same_text_everywhere(
         self, small_corpus, options, message
@@ -89,3 +98,51 @@ class TestValidationConsistency:
             with pytest.raises(ValueError) as raised:
                 make()
             assert str(raised.value) == message
+
+
+def _rewrite_kernel(path, *keys):
+    """Rewrite the ``kernel`` entry at ``keys`` of a JSON file to the retired name."""
+    document = json.loads(path.read_text())
+    node = document
+    for key in keys:
+        node = node[key]
+    assert node["kernel"] == "slab"
+    node["kernel"] = "jit"
+    path.write_text(json.dumps(document))
+
+
+class TestRetiredKernelName:
+    """Artefacts written while ``"jit"`` was a kernel name still load, as ``"slab"``."""
+
+    def test_spec_dict_and_spec_file(self, tmp_path):
+        assert ModelSpec.from_dict({"kernel": "jit"}) == ModelSpec(kernel="slab")
+        path = ModelSpec(num_topics=7).save(tmp_path / "spec.json")
+        _rewrite_kernel(path)
+        assert ModelSpec.load(path) == ModelSpec(num_topics=7, kernel="slab")
+
+    def test_snapshot_sidecar(self, small_corpus, tmp_path):
+        model = LDA(num_topics=4, seed=0).fit(small_corpus, num_iterations=1)
+        path = model.save(tmp_path / "model.npz")
+        _rewrite_kernel(tmp_path / "model.npz.json", "metadata", "model_spec")
+        loaded = LDA.load(path)
+        assert loaded.spec == model.spec
+        assert loaded.export_snapshot() == model.export_snapshot()
+
+    def test_checkpoint_resumes_byte_identically_to_slab(self, small_corpus, tmp_path):
+        with ParallelTrainer(
+            small_corpus, num_workers=2, num_topics=5, seed=11, backend="inline"
+        ) as trainer:
+            trainer.train(2)
+            trainer.save_checkpoint(tmp_path / "slab")
+        shutil.copytree(tmp_path / "slab", tmp_path / "retired")
+        _rewrite_kernel(tmp_path / "retired" / "checkpoint.json", "config")
+        resumed = {}
+        for name in ("slab", "retired"):
+            checkpoint = Checkpoint.load(tmp_path / name)
+            assert checkpoint.config.kernel == "slab"
+            with checkpoint.restore(small_corpus, backend="inline") as trainer:
+                trainer.train(2)
+                blob = trainer.export_snapshot().save(tmp_path / f"{name}.npz")
+                resumed[name] = (trainer.assignments(), blob.read_bytes())
+        np.testing.assert_array_equal(resumed["retired"][0], resumed["slab"][0])
+        assert resumed["retired"][1] == resumed["slab"][1]

@@ -192,6 +192,12 @@ class TestProvenanceAndValidation:
         assert "deployment" not in snapshot.metadata
         assert stamped == snapshot  # identity ignores metadata
 
+    def test_with_metadata_shares_what_is_immutable(self, snapshot):
+        stamped = snapshot.with_metadata(epoch=7)
+        assert np.shares_memory(stamped.phi, snapshot.phi)
+        assert np.shares_memory(stamped.alpha, snapshot.alpha)
+        assert stamped.vocabulary is snapshot.vocabulary
+
     def test_predicted_speedup_consistent_with_iteration_time(self):
         corpus = Corpus.from_token_lists([[0, 1, 2, 0], [1, 2], [0, 0, 1]])
         cluster = SimulatedCluster(corpus, ClusterConfig(num_workers=4))

@@ -5,18 +5,16 @@ The contract under test (``repro.kernels.pool`` module docstring, README
 **bit-identical for every thread count** — the task decomposition never
 depends on the worker count, per-task RNG streams are spawned from a single
 main-stream draw, and results are applied in task order.  These tests pin
-that matrix for all three slab kernels (warp, cgs, light), through every
-entry point (constructor argument, ``REPRO_THREADS`` environment default),
-down to the exported snapshot bytes.
+that matrix for all three slab kernels (warp, cgs, light), from the
+constructor argument down to the exported snapshot bytes.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.warplda import WarpLDA
-from repro.kernels import pool, warp
+from repro.kernels import pool
 from repro.kernels.cgs import blocked_gibbs_sweep
-from repro.kernels.jit import _mh_chain, jit_available
 from repro.kernels.light import delayed_cycle_sweep
 from repro.samplers import (
     AliasLDASampler,
@@ -58,22 +56,9 @@ SLAB_SAMPLERS = [
 # Pool primitives
 # --------------------------------------------------------------------- #
 class TestResolveThreads:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(pool.REPRO_THREADS_ENV, raising=False)
+    def test_default_is_serial(self):
         assert pool.resolve_threads(None) == 1
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(pool.REPRO_THREADS_ENV, "3")
-        assert pool.resolve_threads(None) == 3
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(pool.REPRO_THREADS_ENV, "8")
         assert pool.resolve_threads(2) == 2
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(pool.REPRO_THREADS_ENV, "many")
-        with pytest.raises(ValueError, match="REPRO_THREADS"):
-            pool.resolve_threads(None)
 
     @pytest.mark.parametrize("bad", [0, -2])
     def test_non_positive_raises(self, bad):
@@ -155,16 +140,6 @@ class TestThreadCountDeterminism:
         assert blobs[2] == blobs[1]
         assert blobs[4] == blobs[1]
 
-    def test_env_default_matches_explicit_and_serial(
-        self, small_corpus, monkeypatch
-    ):
-        monkeypatch.delenv(pool.REPRO_THREADS_ENV, raising=False)
-        serial = WarpLDA(small_corpus, num_topics=5, seed=3).fit(4)
-        monkeypatch.setenv(pool.REPRO_THREADS_ENV, "3")
-        via_env = WarpLDA(small_corpus, num_topics=5, seed=3).fit(4)
-        np.testing.assert_array_equal(via_env.assignments, serial.assignments)
-        np.testing.assert_array_equal(via_env.proposals, serial.proposals)
-
     def test_cgs_multi_wave_sweep_is_thread_invariant(self, small_corpus):
         # A tiny block budget forces many blocks, so the wave size exceeds 1
         # and blocks genuinely run concurrently within a wave.
@@ -212,68 +187,6 @@ class TestThreadCountDeterminism:
             states[threads] = sampler.state.assignments.copy()
         np.testing.assert_array_equal(states[2], states[1])
         np.testing.assert_array_equal(states[4], states[1])
-
-
-class TestJitTier:
-    def test_jit_kernel_validates(self, small_corpus):
-        model = WarpLDA(small_corpus, num_topics=5, seed=3, kernel="jit")
-        assert model.kernel == "jit"
-
-    def test_jit_falls_back_bit_identically_without_numba(self, small_corpus):
-        # Without numba the "jit" kernel silently runs the slab path —
-        # same decomposition, same RNG consumption, same trajectory.  (With
-        # numba present the compiled chain replays the NumPy chain exactly,
-        # so this equality holds either way.)
-        slab = WarpLDA(
-            small_corpus, num_topics=5, seed=3, kernel="slab"
-        ).fit(4)
-        jit = WarpLDA(small_corpus, num_topics=5, seed=3, kernel="jit").fit(4)
-        np.testing.assert_array_equal(jit.assignments, slab.assignments)
-        np.testing.assert_array_equal(jit.proposals, slab.proposals)
-
-    # K above the 64-slot floor, so the chain reads the slot tables (narrower
-    # than K for every bucket but the longest rows') that both tiers share.
-    SLOT_TABLE_TOPICS = 100
-
-    def assert_jit_matches_slab(self, corpus, alpha=None):
-        runs = {
-            kernel: WarpLDA(
-                corpus,
-                num_topics=self.SLOT_TABLE_TOPICS,
-                alpha=alpha,
-                seed=3,
-                kernel=kernel,
-                threads=2,
-            ).fit(4)
-            for kernel in ("slab", "jit")
-        }
-        np.testing.assert_array_equal(
-            runs["jit"].assignments, runs["slab"].assignments
-        )
-        np.testing.assert_array_equal(runs["jit"].proposals, runs["slab"].proposals)
-        # The acceptance tallies come out of the loop itself on the jit tier.
-        tallies = {kernel: {"proposed": 0, "accepted": 0} for kernel in runs}
-        for kernel, model in runs.items():
-            model._word_phase_slab(chain_stats=tallies[kernel])
-            model._document_phase_slab(chain_stats=tallies[kernel])
-        assert tallies["jit"] == tallies["slab"]
-        assert 0 < tallies["jit"]["accepted"] < tallies["jit"]["proposed"]
-
-    @pytest.mark.parametrize("asymmetric_alpha", [False, True])
-    def test_interpreted_chain_matches_numpy_chain(
-        self, small_corpus, monkeypatch, asymmetric_alpha
-    ):
-        # numba compiles ``_mh_chain`` as written; run interpreted, the very
-        # same loop goes through the whole jit plumbing with no numba around.
-        monkeypatch.setattr(warp, "jit_mh_chain", lambda: _mh_chain)
-        alpha = (
-            np.linspace(0.05, 0.9, self.SLOT_TABLE_TOPICS) if asymmetric_alpha else None
-        )
-        self.assert_jit_matches_slab(small_corpus, alpha)
-
-    @pytest.mark.skipif(not jit_available(), reason="numba not installed")
-    def test_compiled_chain_matches_numpy_chain(self, small_corpus):
-        self.assert_jit_matches_slab(small_corpus)
 
 
 # --------------------------------------------------------------------- #

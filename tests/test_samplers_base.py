@@ -113,8 +113,8 @@ class TestBuildSampler:
     @pytest.mark.parametrize(
         "algorithm, kernel, ran",
         [
-            ("warplda", "jit", "jit"),
-            ("cgs", "jit", "slab"),
+            ("warplda", "slab", "slab"),
+            ("cgs", "slab", "slab"),
             ("sparselda", "slab", "scalar"),
             ("lightlda", "scalar", "scalar"),
         ],

@@ -1,5 +1,8 @@
 """StreamingPipeline + TopicServer hot-swap: the full ingest→serve loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -199,6 +202,26 @@ class TestPipeline:
         assert report.ingest_to_servable_seconds is not None
         assert 0 < report.ingest_to_servable_seconds <= report.ingest_seconds
         assert server.served_version == report.published.version
+
+    def test_held_reports_keep_no_collected_snapshot_alive(self, small_corpus):
+        trainer = OnlineTrainer(num_topics=3, sweeps_per_batch=1, seed=0)
+        registry = ModelRegistry(retain=2)
+        pipeline = StreamingPipeline(trainer, registry)
+        vocab = trainer.corpus.vocabulary
+        batches = [
+            [vocab.encode(tokens_of(small_corpus, d), on_oov="add") for d in docs]
+            for docs in (range(0, 5), range(5, 10), range(10, 15))
+        ]
+        reports = [pipeline.ingest(batches[0])]
+        first = weakref.ref(registry.get(1).snapshot.phi)
+        reports += [pipeline.ingest(batch) for batch in batches[1:]]
+        gc.collect()
+        assert registry.versions() == [2, 3]
+        assert first() is None
+        # The reports still say what each step published.
+        assert [r.published.version for r in reports] == [1, 2, 3]
+        assert [r.published.metadata["registry_version"] for r in reports] == [1, 2, 3]
+        assert reports[0].published.published_at <= reports[2].published.published_at
 
     def test_invalid_publish_every(self):
         with pytest.raises(ValueError, match="publish_every"):
