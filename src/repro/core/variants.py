@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.warplda import WarpLDA
 from repro.corpus.corpus import Corpus
-from repro.samplers.base import LDASampler, validate_sampler_options
+from repro.samplers.base import LDASampler
 from repro.sampling.alias import AliasTable
 from repro.sampling.rng import RngLike
 
@@ -68,8 +68,7 @@ class DelayedUpdateLightLDA(LDASampler):
         num_mh_steps: int = 1,
         **kwargs,
     ):
-        validate_sampler_options(num_mh_steps=num_mh_steps)
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, num_mh_steps=num_mh_steps, **kwargs)
         self.delay_word_counts = bool(delay_word_counts)
         self.delay_doc_counts = bool(delay_doc_counts)
         self.simple_word_proposal = bool(simple_word_proposal)

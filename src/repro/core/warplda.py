@@ -44,26 +44,19 @@ Implementation notes
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.evaluation.convergence import ConvergenceTracker
-from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.kernels.buckets import corpus_buckets
 from repro.kernels.warp import document_phase as slab_document_phase
 from repro.kernels.warp import external_proposal_table
 from repro.kernels.warp import word_phase as slab_word_phase
 from repro.obs import get_telemetry
-from repro.samplers.base import (
-    KERNELS,
-    resolve_hyperparameters,
-    validate_sampler_options,
-)
+from repro.samplers.base import KERNELS, Sampler
 from repro.sampling.alias import AliasTable
-from repro.sampling.rng import RngLike, ensure_rng, export_rng_state, restore_rng_state
+from repro.sampling.rng import RngLike
 
 __all__ = [
     "WarpLDA",
@@ -111,8 +104,13 @@ def word_proposal_acceptance(
     return np.minimum(1.0, ratio)
 
 
-class WarpLDA:
+class WarpLDA(Sampler):
     """The WarpLDA sampler.
+
+    It stores no count matrices: :meth:`doc_topic_counts` and
+    :meth:`word_topic_counts` materialise them from the assignments, for
+    evaluation only, and frozen external counts are kept beside the
+    sampler's own and read by the kernels rather than added into anything.
 
     Parameters
     ----------
@@ -155,6 +153,8 @@ class WarpLDA:
     name = "WarpLDA"
     #: Execution paths this sampler implements (all of them).
     KERNELS = KERNELS
+    DEFAULT_KERNEL = "slab"
+    SNAPSHOT_FIELDS = ("num_mh_steps",)
 
     def __init__(
         self,
@@ -168,22 +168,19 @@ class WarpLDA:
         threads: Optional[int] = None,
         seed: RngLike = None,
     ):
-        self.corpus = corpus
-        self.alpha, self.alpha_sum, self.beta, self.beta_sum = resolve_hyperparameters(
-            num_topics, alpha, beta, corpus.vocabulary_size
-        )
-        validate_sampler_options(
+        super().__init__(
+            corpus,
+            num_topics,
+            alpha,
+            beta,
+            seed,
+            kernel,
+            threads,
             num_mh_steps=num_mh_steps,
-            kernel=kernel,
-            threads=threads,
             word_proposal=word_proposal,
         )
-        self.num_topics = num_topics
         self.num_mh_steps = num_mh_steps
         self.word_proposal = word_proposal
-        self.kernel = kernel
-        self.threads = threads
-        self.rng = ensure_rng(seed)
 
         num_tokens = corpus.num_tokens
         self.assignments = self.rng.integers(
@@ -198,7 +195,6 @@ class WarpLDA:
             self.num_topics, size=(self.num_mh_steps, num_tokens)
         ).astype(np.int64)
         self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
-        self.iterations_completed = 0
 
         self._alpha_is_symmetric = bool(np.allclose(self.alpha, self.alpha[0]))
         self._alpha_alias = None if self._alpha_is_symmetric else AliasTable(self.alpha)
@@ -207,7 +203,6 @@ class WarpLDA:
         # epoch (see repro.training); None when training single-process.
         self._external_word_topic: Optional[np.ndarray] = None
         self._external_proposal: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._external_topic_counts: Optional[np.ndarray] = None
         # Reused per-phase scratch: the delayed global counts as float64 (and
         # the cached float64 view of the external sums), so neither phase
         # re-allocates a K-vector per call.  Concurrent bucket tasks share
@@ -218,90 +213,44 @@ class WarpLDA:
         self._external_topic_f64: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    # Training loop
+    # One iteration
     # ------------------------------------------------------------------ #
-    def fit(
-        self,
-        num_iterations: int,
-        tracker: Optional[ConvergenceTracker] = None,
-        evaluate_every: int = 1,
-    ) -> "WarpLDA":
-        """Run ``num_iterations`` full iterations (word phase + doc phase)."""
-        if num_iterations < 0:
-            raise ValueError(f"num_iterations must be non-negative, got {num_iterations}")
-        if evaluate_every <= 0:
-            raise ValueError(f"evaluate_every must be positive, got {evaluate_every}")
-        if tracker is not None:
-            tracker.start()
-        obs = get_telemetry()
-        for _ in range(num_iterations):
-            if obs.enabled:
-                started = time.perf_counter()
-                with obs.span(
-                    "sweep", sampler=self.name, iteration=self.iterations_completed
-                ):
-                    self.run_iteration()
-                elapsed = time.perf_counter() - started
-                num_tokens = self.corpus.num_tokens
-                obs.count("sampler.tokens_sampled", num_tokens)
-                if elapsed > 0:
-                    obs.record("sampler.tokens_per_sec", num_tokens / elapsed)
-            else:
-                self.run_iteration()
-            if tracker is not None and self.iterations_completed % evaluate_every == 0:
-                tracker.record(
-                    iteration=self.iterations_completed,
-                    log_likelihood=self.log_likelihood(),
-                    tokens_processed=self.iterations_completed * self.corpus.num_tokens,
-                )
-        return self
+    def _sample_iteration(self) -> None:
+        """One full WarpLDA iteration: word phase, then document phase.
 
-    def run_iteration(self) -> None:
-        """One full WarpLDA iteration: word phase, then document phase."""
-        obs = get_telemetry()
-        if obs.enabled:
-            self._run_iteration_instrumented(obs)
-        elif self.kernel == "scalar":
-            self._word_phase()
-            self._document_phase()
-        else:
-            self._word_phase_slab()
-            self._document_phase_slab()
-        self.iterations_completed += 1
-
-    def _run_iteration_instrumented(self, obs) -> None:
-        """The same iteration with per-phase spans and MH acceptance counts.
-
-        The word phase accepts the *doc* proposals drawn by the previous
-        document phase and vice versa (Eq. 7), so the counters are named for
-        the proposal type being judged — the per-proposal-type acceptance
-        rates of Fig. 8.  The accumulators never touch the RNG stream, so an
-        instrumented run stays bit-identical to an un-instrumented one.
+        Under active telemetry each phase runs in a span and the MH
+        acceptance is counted.  The word phase accepts the *doc* proposals
+        drawn by the previous document phase and vice versa (Eq. 7), so the
+        counters are named for the proposal type being judged — the
+        per-proposal-type acceptance rates of Fig. 8.  The accumulators never
+        touch the RNG stream, so an instrumented run stays bit-identical to
+        an un-instrumented one.
         """
-        slab = self.kernel != "scalar"
-        doc_proposal_stats = {"proposed": 0, "accepted": 0}
-        word_proposal_stats = {"proposed": 0, "accepted": 0}
+        if self.kernel == "scalar":
+            word_phase, document_phase = self._word_phase, self._document_phase
+        else:
+            word_phase, document_phase = self._word_phase_slab, self._document_phase_slab
+        obs = get_telemetry()
+        doc_proposal_stats = word_proposal_stats = None
+        if obs.enabled:
+            doc_proposal_stats = {"proposed": 0, "accepted": 0}
+            word_proposal_stats = {"proposed": 0, "accepted": 0}
         with obs.span("word_phase", kernel=self.kernel):
-            if slab:
-                self._word_phase_slab(chain_stats=doc_proposal_stats)
-            else:
-                self._word_phase(chain_stats=doc_proposal_stats)
+            word_phase(chain_stats=doc_proposal_stats)
         with obs.span("doc_phase", kernel=self.kernel):
-            if slab:
-                self._document_phase_slab(chain_stats=word_proposal_stats)
-            else:
-                self._document_phase(chain_stats=word_proposal_stats)
-        for proposal, stats in (
-            ("doc_proposal", doc_proposal_stats),
-            ("word_proposal", word_proposal_stats),
-        ):
-            obs.count(f"mh.{proposal}.proposed", stats["proposed"])
-            obs.count(f"mh.{proposal}.accepted", stats["accepted"])
-            if stats["proposed"]:
-                obs.record(
-                    f"mh.{proposal}.acceptance_rate",
-                    stats["accepted"] / stats["proposed"],
-                )
+            document_phase(chain_stats=word_proposal_stats)
+        if obs.enabled:
+            for proposal, stats in (
+                ("doc_proposal", doc_proposal_stats),
+                ("word_proposal", word_proposal_stats),
+            ):
+                obs.count(f"mh.{proposal}.proposed", stats["proposed"])
+                obs.count(f"mh.{proposal}.accepted", stats["accepted"])
+                if stats["proposed"]:
+                    obs.record(
+                        f"mh.{proposal}.acceptance_rate",
+                        stats["accepted"] / stats["proposed"],
+                    )
 
     def _stale_topic_counts(self) -> np.ndarray:
         """The phase-frozen global ``c_k`` as float64, in a reused buffer.
@@ -320,11 +269,9 @@ class WarpLDA:
         return view
 
     # ------------------------------------------------------------------ #
-    # Data-parallel shard hooks (repro.training)
+    # Driver protocol and resumable state
     # ------------------------------------------------------------------ #
-    def set_external_counts(
-        self, word_topic: np.ndarray, topic_counts: Optional[np.ndarray] = None
-    ) -> None:
+    def set_external_counts(self, word_topic: np.ndarray) -> None:
         """Install frozen word-topic counts contributed by other shards.
 
         During a data-parallel epoch every worker samples its shard against
@@ -337,40 +284,32 @@ class WarpLDA:
         the external contribution for a whole epoch is precisely the delayed
         count update that makes WarpLDA's MCEM reordering legal (Sec. 4.2) —
         only the delay grows from one phase to one epoch.
+
+        A table with no mass (a single shard, or an empty retired window) is
+        never installed: the acceptance rates are identical either way, and
+        skipping it keeps the two-component mixture word proposal and avoids
+        the O(VK) proposal table (on the scalar kernel, the per-word alias
+        tables) — so it is RNG-identical to not calling this at all.
         """
-        word_topic = np.ascontiguousarray(word_topic, dtype=np.int64)
-        expected = (self.corpus.vocabulary_size, self.num_topics)
-        if word_topic.shape != expected:
-            raise ValueError(
-                f"external word_topic must have shape {expected}, got "
-                f"{word_topic.shape}"
-            )
-        if np.any(word_topic < 0):
-            raise ValueError("external word-topic counts must be non-negative")
-        if topic_counts is None:
-            topic_counts = word_topic.sum(axis=0)
-        topic_counts = np.asarray(topic_counts, dtype=np.int64)
-        if topic_counts.shape != (self.num_topics,):
-            raise ValueError(
-                f"external topic_counts must have shape ({self.num_topics},), "
-                f"got {topic_counts.shape}"
-            )
-        # Freeze private copies: the kernels read these from every concurrent
-        # bucket task, so they must be immutable for the phase (and must not
-        # alias an array the caller could keep mutating).
-        self._external_word_topic = np.array(word_topic, dtype=np.int64)
-        self._external_word_topic.flags.writeable = False
-        self._external_proposal = None
-        self._external_topic_counts = topic_counts
-        self._external_topic_f64 = topic_counts.astype(np.float64)
+        word_topic = self._checked_external_counts(word_topic)
+        self.clear_external_counts()
+        if not word_topic.any():
+            return
+        # The kernels read these from every concurrent bucket task, so they
+        # are immutable for the phase (and never alias the caller's array).
+        word_topic.flags.writeable = False
+        self._external_word_topic = word_topic
+        self._external_topic_f64 = word_topic.sum(axis=0).astype(np.float64)
         self._external_topic_f64.flags.writeable = False
 
     def clear_external_counts(self) -> None:
         """Return to single-process semantics (no external shard counts)."""
         self._external_word_topic = None
         self._external_proposal = None
-        self._external_topic_counts = None
         self._external_topic_f64 = None
+
+    def _assignments_changed(self) -> None:
+        self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
 
     def export_state(self) -> Dict[str, Any]:
         """Capture everything needed to continue this run bit-exactly.
@@ -379,35 +318,15 @@ class WarpLDA:
         proposals drawn by the previous document phase, so dropping them
         would change the trajectory of a resumed run.
         """
-        return {
-            "assignments": self.assignments.copy(),
-            "proposals": self.proposals.copy(),
-            "rng_state": export_rng_state(self.rng),
-            "iterations_completed": int(self.iterations_completed),
-        }
+        return {**super().export_state(), "proposals": self.proposals.copy()}
 
     def import_state(self, state: Dict[str, Any]) -> None:
         """Restore a state captured by :meth:`export_state`."""
-        assignments = np.asarray(state["assignments"], dtype=np.int64)
-        proposals = np.asarray(state["proposals"], dtype=np.int64)
-        if assignments.shape != self.assignments.shape:
-            raise ValueError(
-                f"assignments must have shape {self.assignments.shape}, got "
-                f"{assignments.shape}"
-            )
-        if proposals.shape != self.proposals.shape:
-            raise ValueError(
-                f"proposals must have shape {self.proposals.shape}, got "
-                f"{proposals.shape}"
-            )
-        for name, topics in (("assignments", assignments), ("proposals", proposals)):
-            if topics.size and (topics.min() < 0 or topics.max() >= self.num_topics):
-                raise ValueError(f"{name} contain out-of-range topics")
-        self.assignments[:] = assignments
+        proposals = self._checked_topics(
+            "proposals", state["proposals"], self.proposals.shape
+        )
+        super().import_state(state)
         self.proposals[:] = proposals
-        self.topic_counts = np.bincount(self.assignments, minlength=self.num_topics)
-        self.rng = restore_rng_state(state["rng_state"])
-        self.iterations_completed = int(state["iterations_completed"])
 
     # ------------------------------------------------------------------ #
     # The two phases
@@ -635,7 +554,7 @@ class WarpLDA:
             )
 
     # ------------------------------------------------------------------ #
-    # Model access (same interface as the baseline samplers)
+    # Count hooks (materialised from the assignments)
     # ------------------------------------------------------------------ #
     def doc_topic_counts(self) -> np.ndarray:
         """Materialise the ``D x K`` count matrix (for evaluation only)."""
@@ -644,49 +563,7 @@ class WarpLDA:
         return counts
 
     def word_topic_counts(self) -> np.ndarray:
-        """Materialise the ``V x K`` count matrix (for evaluation only)."""
+        """Materialise this sampler's own ``V x K`` count matrix."""
         counts = np.zeros((self.corpus.vocabulary_size, self.num_topics), dtype=np.int64)
         np.add.at(counts, (self.corpus.token_words, self.assignments), 1)
         return counts
-
-    def log_likelihood(self) -> float:
-        """Log joint likelihood ``log p(W, Z | α, β)`` of the current state."""
-        return log_joint_likelihood_from_assignments(
-            self.corpus.token_documents,
-            self.corpus.token_words,
-            self.assignments,
-            self.corpus.num_documents,
-            self.corpus.vocabulary_size,
-            self.num_topics,
-            self.alpha,
-            self.beta,
-        )
-
-    def theta(self) -> np.ndarray:
-        """MAP estimate of the document-topic proportions Θ (Eq. 4)."""
-        counts = self.doc_topic_counts().astype(np.float64) + self.alpha
-        return counts / counts.sum(axis=1, keepdims=True)
-
-    def phi(self) -> np.ndarray:
-        """MAP estimate of the topic-word distributions Φ (K x V, Eq. 4)."""
-        counts = self.word_topic_counts().T.astype(np.float64) + self.beta
-        return counts / counts.sum(axis=1, keepdims=True)
-
-    def export_snapshot(self):
-        """Freeze the current model into a :class:`~repro.serving.ModelSnapshot`.
-
-        Same hook as :meth:`repro.samplers.base.LDASampler.export_snapshot`,
-        so the serving layer treats all samplers uniformly.
-        """
-        # Imported here so the training layer has no hard dependency on serving.
-        from repro.serving.snapshot import ModelSnapshot
-
-        return ModelSnapshot.from_model(
-            self, extra_metadata={"num_mh_steps": self.num_mh_steps}
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WarpLDA(K={self.num_topics}, M={self.num_mh_steps}, "
-            f"D={self.corpus.num_documents}, iterations={self.iterations_completed})"
-        )

@@ -33,6 +33,7 @@ from repro.distributed.partition import (
 )
 from repro.distributed.scaling import MACHINE_SCALING_MODEL, ScalingModel
 from repro.evaluation.convergence import ConvergenceTracker
+from repro.samplers.base import validate_fit_arguments
 from repro.sampling.rng import RngLike
 
 __all__ = ["ClusterConfig", "SimulatedCluster", "DistributedWarpLDA"]
@@ -205,8 +206,7 @@ class DistributedWarpLDA:
         evaluate_every: int = 1,
     ) -> "DistributedWarpLDA":
         """Run ``num_iterations`` iterations, recording modelled elapsed time."""
-        if num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
+        validate_fit_arguments(num_iterations, evaluate_every)
         if tracker is not None:
             tracker.start()
         for _ in range(num_iterations):

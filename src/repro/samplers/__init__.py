@@ -13,13 +13,16 @@ These are the algorithms the paper analyses and compares against (Table 2):
 * :class:`~repro.samplers.lightlda.LightLDASampler` — O(1) cycle
   Metropolis-Hastings proposals (Yuan et al., WWW 2015).
 
-All of them share :class:`~repro.samplers.base.LDASampler` /
-:class:`~repro.samplers.base.TopicState`, so they are interchangeable in the
-benchmark harness and the example applications.
+All of them derive from :class:`~repro.samplers.base.LDASampler` (count
+matrices in a :class:`~repro.samplers.base.TopicState`), and it, like
+:class:`repro.core.warplda.WarpLDA`, from the one
+:class:`~repro.samplers.base.Sampler` base — so every sampler steps, reports
+and takes frozen external counts the same way, and the trainers, the
+benchmarks and the example applications never tell them apart.
 """
 
 from repro.samplers.aliaslda import AliasLDASampler
-from repro.samplers.base import LDASampler, TopicState
+from repro.samplers.base import LDASampler, Sampler, TopicState
 from repro.samplers.cgs import CollapsedGibbsSampler
 from repro.samplers.fpluslda import FPlusLDASampler
 from repro.samplers.lightlda import LightLDASampler
@@ -31,6 +34,7 @@ __all__ = [
     "FPlusLDASampler",
     "LDASampler",
     "LightLDASampler",
+    "Sampler",
     "SparseLDASampler",
     "TopicState",
 ]

@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.kernels.cgs import blocked_gibbs_sweep
-from repro.samplers.base import LDASampler, validate_sampler_options
+from repro.samplers.base import LDASampler
 from repro.sampling.alias import AliasTable
 
 __all__ = ["AliasLDASampler"]
@@ -68,8 +68,7 @@ class AliasLDASampler(LDASampler):
     DEFAULT_KERNEL = "slab"
 
     def __init__(self, *args, num_mh_steps: int = 2, **kwargs):
-        validate_sampler_options(num_mh_steps=num_mh_steps)
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, num_mh_steps=num_mh_steps, **kwargs)
         self.num_mh_steps = int(num_mh_steps)
         self._word_tables: Dict[int, _StaleWordTable] = {}
 

@@ -1,16 +1,13 @@
-"""Shared infrastructure for collapsed-Gibbs-style LDA samplers.
+"""The one sampler base, and what a sampler run is made of.
 
+:class:`Sampler` is the abstract base of *every* sampler: the baselines
+through :class:`LDASampler`, and :class:`repro.core.warplda.WarpLDA`
+directly.  The two families differ only in what they store:
 :class:`TopicState` owns the per-token topic assignments ``Z`` and the three
-count structures of Eq. (1): the document-topic matrix ``C_d``, the word-topic
-matrix ``C_w`` and the global topic vector ``c_k``.  :class:`LDASampler` is the
-abstract base every baseline derives from; it provides hyper-parameter
-handling (α = 50/K, β = 0.01 by default, as in Sec. 6.1), the ``fit`` loop
-with optional convergence tracking, and the Θ / Φ point estimates.
-
-WarpLDA does **not** derive from this class — by design it stores no count
-matrices (see :mod:`repro.core.warplda`) — but exposes the same ``fit`` /
-``log_likelihood`` / ``phi`` interface so the benchmark harness can treat all
-samplers uniformly.
+count structures of Eq. (1) — the document-topic matrix ``C_d``, the
+word-topic matrix ``C_w`` and the global topic vector ``c_k`` — for the
+baselines, while WarpLDA stores no count matrices at all and recomputes what
+it needs from ``Z`` (see :mod:`repro.core.warplda`).
 
 This module is also the one home of *what a sampler run is made of*: the
 kernel names (:data:`KERNELS`), the ``(K, α, β)`` check
@@ -33,7 +30,7 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.evaluation.convergence import ConvergenceTracker
-from repro.evaluation.likelihood import log_joint_likelihood
+from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.obs import get_telemetry
 from repro.sampling.rng import RngLike, ensure_rng, export_rng_state, restore_rng_state
 
@@ -41,10 +38,12 @@ __all__ = [
     "KERNELS",
     "TopicState",
     "LDASampler",
+    "Sampler",
     "read_kernel",
     "resolve_hyperparameters",
     "resolve_kernel",
     "validate_hyperparameters",
+    "validate_fit_arguments",
     "validate_sampler_options",
 ]
 
@@ -242,61 +241,6 @@ class TopicState:
         self.word_topic[word, topic] += 1
         self.topic_counts[topic] += 1
 
-    # ------------------------------------------------------------------ #
-    # Shard-state hooks for data-parallel training (repro.training)
-    # ------------------------------------------------------------------ #
-    def local_word_topic(self) -> np.ndarray:
-        """The ``V x K`` word-topic counts contributed by *this* corpus.
-
-        Unlike :attr:`word_topic` — which may hold imported global counts
-        during a data-parallel epoch — this is always recomputed from the
-        assignments, i.e. the shard's own contribution to the global state.
-        """
-        counts = np.zeros_like(self.word_topic)
-        np.add.at(counts, (self.corpus.token_words, self.assignments), 1)
-        return counts
-
-    def import_global_word_topic(self, word_topic: np.ndarray) -> None:
-        """Install frozen *global* word-topic counts for a data-parallel epoch.
-
-        The document-topic counts stay local (documents are disjoint across
-        shards, so they are exact); the word-topic matrix and the topic totals
-        are replaced by the cluster-wide counts so the conditional
-        distributions see every shard's tokens.  This is the AD-LDA /
-        ``ldamulticore`` pattern: sample against counts frozen at the epoch
-        barrier, then merge deltas.
-        """
-        word_topic = np.asarray(word_topic, dtype=np.int64)
-        if word_topic.shape != self.word_topic.shape:
-            raise ValueError(
-                f"word_topic must have shape {self.word_topic.shape}, got "
-                f"{word_topic.shape}"
-            )
-        self.word_topic = word_topic.copy()
-        self.topic_counts = self.word_topic.sum(axis=0)
-
-    def word_topic_delta(self, baseline: np.ndarray) -> np.ndarray:
-        """Count changes relative to ``baseline`` (what a barrier merge sums)."""
-        baseline = np.asarray(baseline, dtype=np.int64)
-        if baseline.shape != self.word_topic.shape:
-            raise ValueError(
-                f"baseline must have shape {self.word_topic.shape}, got "
-                f"{baseline.shape}"
-            )
-        return self.word_topic - baseline
-
-    def apply_word_topic_delta(self, delta: np.ndarray) -> None:
-        """Merge another shard's count delta into this state's word-topic counts."""
-        delta = np.asarray(delta, dtype=np.int64)
-        if delta.shape != self.word_topic.shape:
-            raise ValueError(
-                f"delta must have shape {self.word_topic.shape}, got {delta.shape}"
-            )
-        self.word_topic += delta
-        self.topic_counts = self.word_topic.sum(axis=0)
-        if np.any(self.word_topic < 0):
-            raise ValueError("word-topic counts became negative after delta merge")
-
     def check_consistency(self) -> bool:
         """Verify that the count matrices match the assignments exactly."""
         doc_topic = np.zeros_like(self.doc_topic)
@@ -310,8 +254,39 @@ class TopicState:
         )
 
 
-class LDASampler(abc.ABC):
-    """Abstract base class of all count-matrix-based LDA samplers.
+def validate_fit_arguments(num_iterations: int, evaluate_every: int) -> None:
+    """Raise the shared ``ValueError`` for a bad ``fit(num_iterations, evaluate_every=...)``."""
+    if num_iterations < 0:
+        raise ValueError(f"num_iterations must be non-negative, got {num_iterations}")
+    if evaluate_every <= 0:
+        raise ValueError(f"evaluate_every must be positive, got {evaluate_every}")
+
+
+class Sampler(abc.ABC):
+    """What every LDA sampler is: one run description, one loop, one protocol.
+
+    :class:`LDASampler` (the baselines, which keep the count matrices of a
+    :class:`TopicState`) and :class:`repro.core.warplda.WarpLDA` (which keeps
+    only assignments and proposals) both derive from this class.  A subclass
+    supplies the sweep (:meth:`_sample_iteration`), the per-token
+    ``assignments``, the two count hooks (:meth:`doc_topic_counts`,
+    :meth:`word_topic_counts`) and how it keeps its derived state in step
+    with its assignments and with frozen external counts.  Everything else
+    — the validated run description, :meth:`fit` / :meth:`run_iteration`,
+    Θ, Φ, the log joint, snapshot export and the checked state import — is
+    here, once.
+
+    The **driver protocol** is what every data-parallel shard
+    (:mod:`repro.training.parallel`) and every online window sweep
+    (:mod:`repro.streaming.online`) calls, the same on every sampler:
+
+    * :meth:`set_assignments` — warm-start from given topics;
+    * :meth:`set_external_counts` / :meth:`clear_external_counts` — sample
+      against frozen ``V x K`` word-topic counts of tokens this sampler does
+      not own (other shards, retired documents): the delayed count update of
+      Sec. 4.2 with the delay stretched from one phase to a whole epoch;
+    * :meth:`word_topic_counts` — this sampler's own contribution, never the
+      installed external counts.
 
     Parameters
     ----------
@@ -338,6 +313,9 @@ class LDASampler(abc.ABC):
         :mod:`repro.kernels.pool`); ``None`` means 1.  The trajectory is
         bit-identical for every thread count; the scalar path ignores the
         setting.
+    **options:
+        The further run options a sampler carries (``num_mh_steps``,
+        ``word_proposal``), checked by :func:`validate_sampler_options`.
     """
 
     #: Human-readable algorithm name used in benchmark tables.
@@ -346,6 +324,10 @@ class LDASampler(abc.ABC):
     KERNELS: tuple = ("scalar",)
     #: Path chosen when ``kernel=None``.
     DEFAULT_KERNEL: str = "scalar"
+    #: Attributes recorded in the metadata of an exported snapshot.
+    SNAPSHOT_FIELDS: tuple = ()
+    #: Per-token topic assignments (aligned with the corpus token order).
+    assignments: np.ndarray
 
     def __init__(
         self,
@@ -356,15 +338,16 @@ class LDASampler(abc.ABC):
         seed: RngLike = None,
         kernel: Optional[str] = None,
         threads: Optional[int] = None,
+        **options: Any,
     ):
         self.corpus = corpus
-        self.num_topics = int(num_topics)
         self.alpha, self.alpha_sum, self.beta, self.beta_sum = resolve_hyperparameters(
             num_topics, alpha, beta, corpus.vocabulary_size
         )
+        self.num_topics = int(num_topics)
         if kernel is None:
             kernel = type(self).DEFAULT_KERNEL
-        validate_sampler_options(kernel=kernel, threads=threads)
+        validate_sampler_options(kernel=kernel, threads=threads, **options)
         if kernel not in type(self).KERNELS:
             raise ValueError(
                 f"{type(self).__name__} kernel must be one of "
@@ -373,22 +356,49 @@ class LDASampler(abc.ABC):
         self.kernel = kernel
         self.threads = threads
         self.rng = ensure_rng(seed)
-        self.state = TopicState(corpus, num_topics, rng=self.rng)
         self.iterations_completed = 0
 
     # ------------------------------------------------------------------ #
-    # Training loop
+    # What a subclass supplies
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def _sample_iteration(self) -> None:
         """Run one full sweep over all tokens (algorithm specific)."""
+
+    @abc.abstractmethod
+    def _assignments_changed(self) -> None:
+        """Rebuild whatever derives from :attr:`assignments` after a rewrite."""
+
+    @abc.abstractmethod
+    def doc_topic_counts(self) -> np.ndarray:
+        """The ``D x K`` document-topic counts (a fresh array)."""
+
+    @abc.abstractmethod
+    def word_topic_counts(self) -> np.ndarray:
+        """This sampler's own ``V x K`` word-topic counts (a fresh array)."""
+
+    @abc.abstractmethod
+    def set_external_counts(self, word_topic: np.ndarray) -> None:
+        """Sample against frozen word-topic counts of tokens owned elsewhere."""
+
+    @abc.abstractmethod
+    def clear_external_counts(self) -> None:
+        """Drop the installed external counts (a no-op when there are none)."""
+
+    # ------------------------------------------------------------------ #
+    # Training loop
+    # ------------------------------------------------------------------ #
+    def run_iteration(self) -> None:
+        """One full sweep over every token."""
+        self._sample_iteration()
+        self.iterations_completed += 1
 
     def fit(
         self,
         num_iterations: int,
         tracker: Optional[ConvergenceTracker] = None,
         evaluate_every: int = 1,
-    ) -> "LDASampler":
+    ) -> "Sampler":
         """Run ``num_iterations`` sweeps, optionally recording convergence.
 
         Parameters
@@ -401,10 +411,7 @@ class LDASampler(abc.ABC):
         evaluate_every:
             Evaluation stride (evaluation itself is not free).
         """
-        if num_iterations < 0:
-            raise ValueError(f"num_iterations must be non-negative, got {num_iterations}")
-        if evaluate_every <= 0:
-            raise ValueError(f"evaluate_every must be positive, got {evaluate_every}")
+        validate_fit_arguments(num_iterations, evaluate_every)
         if tracker is not None:
             tracker.start()
         obs = get_telemetry()
@@ -414,15 +421,14 @@ class LDASampler(abc.ABC):
                 with obs.span(
                     "sweep", sampler=self.name, iteration=self.iterations_completed
                 ):
-                    self._sample_iteration()
+                    self.run_iteration()
                 elapsed = time.perf_counter() - started
                 num_tokens = self.corpus.num_tokens
                 obs.count("sampler.tokens_sampled", num_tokens)
                 if elapsed > 0:
                     obs.record("sampler.tokens_per_sec", num_tokens / elapsed)
             else:
-                self._sample_iteration()
-            self.iterations_completed += 1
+                self.run_iteration()
             if tracker is not None and self.iterations_completed % evaluate_every == 0:
                 tracker.record(
                     iteration=self.iterations_completed,
@@ -435,19 +441,30 @@ class LDASampler(abc.ABC):
     # Model access
     # ------------------------------------------------------------------ #
     def log_likelihood(self) -> float:
-        """Log joint likelihood ``log p(W, Z | α, β)`` of the current state."""
-        return log_joint_likelihood(
-            self.state.doc_topic, self.state.word_topic, self.alpha, self.beta
+        """Log joint likelihood ``log p(W, Z | α, β)`` of the current state.
+
+        Computed from the assignments, so it is K-free in memory and never
+        sees installed external counts; bit-equal to the dense-matrix form.
+        """
+        return log_joint_likelihood_from_assignments(
+            self.corpus.token_documents,
+            self.corpus.token_words,
+            self.assignments,
+            self.corpus.num_documents,
+            self.corpus.vocabulary_size,
+            self.num_topics,
+            self.alpha,
+            self.beta,
         )
 
     def theta(self) -> np.ndarray:
-        """Posterior-mean estimate of the document-topic proportions Θ."""
-        counts = self.state.doc_topic.astype(np.float64) + self.alpha
+        """Point estimate of the document-topic proportions Θ (Eq. 4)."""
+        counts = self.doc_topic_counts().astype(np.float64) + self.alpha
         return counts / counts.sum(axis=1, keepdims=True)
 
     def phi(self) -> np.ndarray:
-        """Posterior-mean estimate of the topic-word distributions Φ (K x V)."""
-        counts = self.state.word_topic.T.astype(np.float64) + self.beta
+        """Point estimate of the topic-word distributions Φ (K x V, Eq. 4)."""
+        counts = self.word_topic_counts().T.astype(np.float64) + self.beta
         return counts / counts.sum(axis=1, keepdims=True)
 
     def export_snapshot(self):
@@ -459,58 +476,150 @@ class LDASampler(abc.ABC):
         # Imported here so the training layer has no hard dependency on serving.
         from repro.serving.snapshot import ModelSnapshot
 
-        return ModelSnapshot.from_model(self)
-
-    def invalidate_caches(self) -> None:
-        """Drop derived sampling caches (stale alias tables and the like).
-
-        Called whenever the count matrices change underneath the sampler —
-        after a data-parallel global-count import or a state restore.  The
-        base class keeps no caches; samplers that do (AliasLDA, LightLDA)
-        override this.
-        """
+        return ModelSnapshot.from_model(
+            self,
+            extra_metadata={field: getattr(self, field) for field in self.SNAPSHOT_FIELDS},
+        )
 
     # ------------------------------------------------------------------ #
-    # Mutable-state export/import (checkpointing, data-parallel shards)
+    # Driver protocol and mutable-state export/import
     # ------------------------------------------------------------------ #
+    def set_assignments(self, assignments: np.ndarray) -> None:
+        """Warm-start: replace every token's topic (checked as in :meth:`import_state`)."""
+        self.assignments[:] = self._checked_topics(
+            "assignments", assignments, self.assignments.shape
+        )
+        self._assignments_changed()
+
     def export_state(self) -> Dict[str, Any]:
         """Capture everything needed to continue this run bit-exactly.
 
         The counts are not exported: they are a pure function of the
-        assignments (and, during a data-parallel epoch, of the imported
-        global counts, which the trainer re-broadcasts every epoch anyway).
+        assignments (and, during a data-parallel epoch, of the external
+        counts, which the trainer re-installs every epoch anyway).
         """
         return {
-            "assignments": self.state.assignments.copy(),
+            "assignments": self.assignments.copy(),
             "rng_state": export_rng_state(self.rng),
             "iterations_completed": int(self.iterations_completed),
         }
 
     def import_state(self, state: Dict[str, Any]) -> None:
-        """Restore a state captured by :meth:`export_state`."""
-        assignments = np.asarray(state["assignments"], dtype=np.int64)
-        if assignments.shape != self.state.assignments.shape:
-            raise ValueError(
-                f"assignments must have shape {self.state.assignments.shape}, "
-                f"got {assignments.shape}"
-            )
-        if assignments.size and (
-            assignments.min() < 0 or assignments.max() >= self.num_topics
-        ):
-            raise ValueError("assignments contain out-of-range topics")
-        self.state.assignments[:] = assignments
-        self.state.recompute_counts()
-        self.rng = restore_rng_state(state["rng_state"])
-        self.iterations_completed = int(state["iterations_completed"])
-        self.invalidate_caches()
+        """Restore a state captured by :meth:`export_state`.
 
-    @property
-    def assignments(self) -> np.ndarray:
-        """Per-token topic assignments (aligned with the corpus token order)."""
-        return self.state.assignments
+        Corrupt assignments or a corrupt counter raise ``ValueError`` before
+        anything changes: assignments must be integer topics in ``[0, K)``,
+        one per token, and the counter a non-negative integer — never
+        truncated or wrapped.
+        """
+        counter = state["iterations_completed"]
+        if not isinstance(counter, numbers.Integral) or counter < 0:
+            raise ValueError(
+                f"iterations_completed must be a non-negative integer, got {counter!r}"
+            )
+        self.set_assignments(state["assignments"])
+        self.rng = restore_rng_state(state["rng_state"])
+        self.iterations_completed = int(counter)
+
+    def _checked_topics(
+        self, name: str, topics: np.ndarray, shape: tuple
+    ) -> np.ndarray:
+        """``topics`` as int64 after the shared checks, or ``ValueError``."""
+        topics = np.asarray(topics)
+        if topics.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integer topics, got dtype {topics.dtype}")
+        if topics.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {topics.shape}")
+        if topics.size and (topics.min() < 0 or topics.max() >= self.num_topics):
+            raise ValueError(f"{name} contain out-of-range topics")
+        return topics.astype(np.int64, copy=False)
+
+    def _checked_external_counts(self, word_topic: np.ndarray) -> np.ndarray:
+        """A private, C-ordered int64 copy of a valid external ``V x K`` table."""
+        word_topic = np.array(word_topic, dtype=np.int64, order="C")
+        expected = (self.corpus.vocabulary_size, self.num_topics)
+        if word_topic.shape != expected:
+            raise ValueError(
+                f"external word_topic must have shape {expected}, got "
+                f"{word_topic.shape}"
+            )
+        if np.any(word_topic < 0):
+            raise ValueError("external word-topic counts must be non-negative")
+        return word_topic
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(K={self.num_topics}, D={self.corpus.num_documents}, "
             f"iterations={self.iterations_completed})"
         )
+
+
+class LDASampler(Sampler):
+    """Base class of the count-matrix samplers (every baseline).
+
+    The sampler's :class:`TopicState` holds the assignments and all three
+    count structures, which the sweeps update in place.  External counts are
+    *added onto* ``state.word_topic`` (and ``topic_counts``), so every
+    kernel reads ``local + E`` without knowing about them, and are
+    subtracted again by :meth:`clear_external_counts` — exactly, because
+    each sweep moves counts between topics rather than rebuilding them.
+    Parameters are those of :class:`Sampler`.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self.state = TopicState(self.corpus, self.num_topics, rng=self.rng)
+        self._external_word_topic: Optional[np.ndarray] = None
+
+    @property
+    def assignments(self) -> np.ndarray:
+        """Per-token topic assignments (aligned with the corpus token order)."""
+        return self.state.assignments
+
+    def doc_topic_counts(self) -> np.ndarray:
+        """The ``D x K`` document-topic counts (a copy)."""
+        return self.state.doc_topic.copy()
+
+    def word_topic_counts(self) -> np.ndarray:
+        """This sampler's own ``V x K`` word-topic counts (a copy)."""
+        counts = self.state.word_topic.copy()
+        if self._external_word_topic is not None:
+            counts -= self._external_word_topic
+        return counts
+
+    def set_external_counts(self, word_topic: np.ndarray) -> None:
+        """Add frozen external word-topic counts onto the live ones."""
+        external = self._checked_external_counts(word_topic)
+        self.clear_external_counts()
+        self.state.word_topic += external
+        self._external_word_topic = external
+        self._counts_changed()
+
+    def clear_external_counts(self) -> None:
+        """Subtract the installed external counts again."""
+        if self._external_word_topic is None:
+            return
+        self.state.word_topic -= self._external_word_topic
+        self._external_word_topic = None
+        self._counts_changed()
+
+    def _assignments_changed(self) -> None:
+        self.state.recompute_counts()
+        if self._external_word_topic is not None:
+            self.state.word_topic += self._external_word_topic
+        self._counts_changed()
+
+    def _counts_changed(self) -> None:
+        self.state.topic_counts = self.state.word_topic.sum(axis=0)
+        self.invalidate_caches()
+
+    def invalidate_caches(self) -> None:
+        """Drop derived sampling caches (stale alias tables and the like).
+
+        Called whenever the count matrices change underneath the sampler —
+        external counts installed or cleared, assignments rewritten.  Every
+        epoch of a data-parallel run therefore starts from a deterministic
+        cache state, which checkpoint resume relies on for bit-exactness.
+        The base class keeps no caches; samplers that do (AliasLDA,
+        LightLDA) override this.
+        """

@@ -32,7 +32,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.kernels.light import delayed_cycle_sweep
-from repro.samplers.base import LDASampler, validate_sampler_options
+from repro.samplers.base import LDASampler
 from repro.sampling.alias import AliasTable
 
 __all__ = ["LightLDASampler"]
@@ -64,8 +64,7 @@ class LightLDASampler(LDASampler):
     DEFAULT_KERNEL = "slab"
 
     def __init__(self, *args, num_mh_steps: int = 2, **kwargs):
-        validate_sampler_options(num_mh_steps=num_mh_steps)
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, num_mh_steps=num_mh_steps, **kwargs)
         self.num_mh_steps = int(num_mh_steps)
         self._word_proposals: Dict[int, _StaleWordProposal] = {}
         # Alias table over the (fixed) prior α used by the doc proposal's

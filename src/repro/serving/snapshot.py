@@ -152,15 +152,13 @@ class ModelSnapshot:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_model(cls, model: Any, extra_metadata: Optional[Dict[str, Any]] = None) -> "ModelSnapshot":
-        """Freeze any trained sampler exposing ``phi()`` / ``alpha`` / ``beta``.
+        """Freeze a trained :class:`~repro.samplers.base.Sampler`.
 
-        Works for every :class:`~repro.samplers.base.LDASampler` subclass and
-        for :class:`~repro.core.warplda.WarpLDA`; both also expose this as
-        ``model.export_snapshot()``.
+        Every sampler also exposes this as ``model.export_snapshot()``.
         """
         metadata = {
-            "sampler": getattr(model, "name", type(model).__name__),
-            "iterations": int(getattr(model, "iterations_completed", 0)),
+            "sampler": model.name,
+            "iterations": int(model.iterations_completed),
             "num_documents": int(model.corpus.num_documents),
             "num_tokens": int(model.corpus.num_tokens),
         }

@@ -10,13 +10,16 @@ sampling math, only the bookkeeping that makes incremental refreshes sound:
 * **Warm-started window sweeps** — per-token topic assignments persist
   across batches in a stream-aligned buffer, so each update resumes the
   chain where the previous batch left it instead of re-burning in; only the
-  newly arrived tokens start from random topics.
+  newly arrived tokens start from random topics.  A window sweep is the same
+  three calls on every sampler (:class:`repro.samplers.base.Sampler`):
+  ``set_assignments(warm)``, ``set_external_counts(retired)``, ``fit``.
 * **Retired counts** — when a document ages out of the window its tokens'
   final assignments are folded into a float ``V x K`` "retired" word-topic
   matrix.  Window sweeps sample against ``retired + window`` counts (the
   AD-LDA / delayed-count device the data-parallel trainer already uses:
-  retired mass is imported as frozen external counts), so old documents keep
-  shaping Φ without being re-sampled.
+  retired mass is installed as frozen external counts through the protocol
+  every sampler shares), so old documents keep shaping Φ without being
+  re-sampled.
 * **Exponential decay** — the retired matrix is multiplied by ``decay`` per
   batch, so data ages out at a configurable half-life and the model tracks
   drift; ``decay=1`` keeps every document's mass forever, which makes the
@@ -40,7 +43,6 @@ if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
 
 import numpy as np
 
-from repro.core.warplda import WarpLDA
 from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
 from repro.samplers.base import (
@@ -349,7 +351,6 @@ class OnlineTrainer:
         assignments are written back into the stream-aligned buffer.
         """
         config = self.config
-        external = np.rint(self._retired).astype(np.int64)
         sampler = build_sampler(
             config.sampler,
             window,
@@ -361,27 +362,10 @@ class OnlineTrainer:
             threads=config.threads,
             seed=self.rng,
         )
-        if isinstance(sampler, WarpLDA):
-            sampler.assignments[:] = warm
-            sampler.topic_counts = np.bincount(
-                sampler.assignments, minlength=config.num_topics
-            )
-            if external.any():
-                sampler.set_external_counts(external)
-            sampler.fit(config.sweeps_per_batch)
-            warm[:] = sampler.assignments
-            return
-        sampler.state.assignments[:] = warm
-        sampler.state.recompute_counts()
-        if external.any():
-            # word_topic was just rebuilt from the warm assignments, so it
-            # *is* the window's local contribution — no second count pass.
-            sampler.state.import_global_word_topic(
-                external + sampler.state.word_topic
-            )
-        sampler.invalidate_caches()
+        sampler.set_assignments(warm)
+        sampler.set_external_counts(np.rint(self._retired).astype(np.int64))
         sampler.fit(config.sweeps_per_batch)
-        warm[:] = sampler.state.assignments
+        warm[:] = sampler.assignments
 
     # ------------------------------------------------------------------ #
     # Model access

@@ -14,10 +14,14 @@ specialised to document sharding:
    sends back its shard's count contribution; the master merges contributions
    at the barrier into the next global state.
 
-For WarpLDA the frozen-counts epoch is exactly the paper's delayed count
-update with the delay stretched from one phase to one epoch, so the parallel
-update has the same MCEM justification as the serial sampler.  For the
-collapsed-Gibbs baselines it is the standard AD-LDA approximation.
+A worker drives its sampler only through the protocol every sampler shares
+(:class:`repro.samplers.base.Sampler`): ``set_external_counts(global −
+own)``, ``fit``, ``clear_external_counts()``, ``word_topic_counts()`` — there
+is no per-family branch.  For WarpLDA the frozen-counts epoch is exactly the
+paper's delayed count update with the delay stretched from one phase to one
+epoch, so the parallel update has the same MCEM justification as the serial
+sampler.  For the collapsed-Gibbs baselines it is the standard AD-LDA
+approximation.
 
 Workers are long-lived processes connected by pipes; only count matrices
 (V x K int64) cross the boundary per epoch, never the corpus.  A fully
@@ -38,7 +42,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from repro.core.warplda import WarpLDA
 from repro.corpus.corpus import Corpus
 from repro.distributed.partition import contiguous_shards
 from repro.evaluation.convergence import ConvergenceTracker
@@ -169,20 +172,13 @@ class ShardRunner:
             threads=config.threads,
             seed=rng,
         )
-        self._is_warp = isinstance(self.sampler, WarpLDA)
         # The shard's contribution only changes while sampling, so it is
-        # computed once per barrier and reused for the next epoch's external
-        # counts instead of re-running the O(tokens) bincount (V x K can be
-        # large on real corpora).
-        self._contribution = self._compute_contribution()
+        # read once per barrier and reused for the next epoch's external
+        # counts (V x K can be large on real corpora).
+        self._contribution = self.sampler.word_topic_counts()
 
     # ------------------------------------------------------------------ #
-    def _compute_contribution(self) -> np.ndarray:
-        if self._is_warp:
-            return self.sampler.word_topic_counts()
-        return self.sampler.state.local_word_topic()
-
-    def local_word_topic(self) -> np.ndarray:
+    def word_topic_counts(self) -> np.ndarray:
         """This shard's own ``V x K`` word-topic count contribution."""
         return self._contribution
 
@@ -217,28 +213,12 @@ class ShardRunner:
         return self._contribution, payload
 
     def _sample_epoch(self, global_word_topic: np.ndarray) -> None:
-        if self._is_warp:
-            external = global_word_topic - self._contribution
-            if external.any():
-                self.sampler.set_external_counts(external)
-            try:
-                self.sampler.fit(self.config.iterations_per_epoch)
-            finally:
-                # No-mass external counts (single worker, or this shard owns
-                # every token) are never installed: that keeps the
-                # two-component mixture word proposal and skips the O(VK)
-                # proposal table (on the scalar kernel, the per-word alias
-                # tables); the acceptance rates are identical either way.
-                self.sampler.clear_external_counts()
-        else:
-            self.sampler.state.import_global_word_topic(global_word_topic)
-            # Stale proposal caches (AliasLDA, LightLDA) reference the counts
-            # just replaced; dropping them here also makes every epoch start
-            # from a deterministic cache state, which checkpoint resume
-            # (always at an epoch boundary) relies on for bit-exactness.
-            self.sampler.invalidate_caches()
+        self.sampler.set_external_counts(global_word_topic - self._contribution)
+        try:
             self.sampler.fit(self.config.iterations_per_epoch)
-        self._contribution = self._compute_contribution()
+        finally:
+            self.sampler.clear_external_counts()
+        self._contribution = self.sampler.word_topic_counts()
 
     def export_state(self) -> Dict[str, Any]:
         """The sampler's resumable state (see the samplers' ``export_state``)."""
@@ -247,11 +227,11 @@ class ShardRunner:
     def import_state(self, state: Dict[str, Any]) -> None:
         """Restore a state captured by :meth:`export_state`."""
         self.sampler.import_state(state)
-        self._contribution = self._compute_contribution()
+        self._contribution = self.sampler.word_topic_counts()
 
     def assignments(self) -> np.ndarray:
         """Per-token topic assignments of this shard (corpus token order)."""
-        return np.asarray(self.sampler.assignments).copy()
+        return self.sampler.assignments.copy()
 
 
 def _worker_main(
@@ -264,7 +244,7 @@ def _worker_main(
     """Entry point of a worker process: serve the shard protocol over a pipe."""
     try:
         runner = ShardRunner(shard, config, rng, index=index)
-        conn.send(("ready", runner.local_word_topic()))
+        conn.send(("ready", runner.word_topic_counts()))
     except Exception:  # noqa: BLE001 - relayed to the master verbatim
         conn.send(("error", traceback.format_exc()))
         conn.close()
@@ -350,7 +330,7 @@ class _InlineWorker:
         self, shard: Corpus, config: TrainerConfig, rng: np.random.Generator, index: int = 0
     ) -> None:
         self._runner = ShardRunner(shard, config, rng, index=index)
-        self._pending: Any = self._runner.local_word_topic()
+        self._pending: Any = self._runner.word_topic_counts()
 
     def post(self, command: str, payload: Any = None) -> None:
         if command == "epoch":

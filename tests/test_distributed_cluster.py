@@ -99,3 +99,10 @@ class TestDistributedWarpLDA:
         ).fit(1)
         assert model.phi().shape == (5, small_corpus.vocabulary_size)
         assert model.theta().shape == (small_corpus.num_documents, 5)
+
+    def test_fit_validates_evaluate_every(self, small_corpus):
+        model = DistributedWarpLDA(
+            small_corpus, ClusterConfig(num_workers=2), num_topics=5, seed=0
+        )
+        with pytest.raises(ValueError, match="evaluate_every must be positive, got 0"):
+            model.fit(2, tracker=ConvergenceTracker("dist"), evaluate_every=0)

@@ -95,6 +95,22 @@ class TestFromAssignments:
         # Same non-zero counts in the same row-major order: equal to the bit.
         assert from_assignments == from_matrices
 
+    @pytest.mark.parametrize("alpha", [None, np.array([0.2, 0.9, 0.4, 1.5, 0.7])])
+    @pytest.mark.parametrize(
+        "algorithm", ["aliaslda", "cgs", "fpluslda", "lightlda", "sparselda", "warplda"]
+    )
+    def test_every_sampler_matches_matrix_version(self, small_corpus, algorithm, alpha):
+        # Every sampler's log_likelihood() comes from its assignments; it
+        # must stay bit-equal to the dense form over its count matrices.
+        from repro.samplers.registry import build_sampler
+
+        model = build_sampler(algorithm, small_corpus, num_topics=5, alpha=alpha, seed=4)
+        model.fit(2)
+        dense = log_joint_likelihood(
+            model.doc_topic_counts(), model.word_topic_counts(), model.alpha, model.beta
+        )
+        assert model.log_likelihood() == dense
+
     def test_memory_does_not_grow_with_the_number_of_topics(self, small_corpus, rng):
         # Dense D x K and V x K int64 matrices would take ~700 MB at K = 2**20.
         num_topics = 1 << 20

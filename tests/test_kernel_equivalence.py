@@ -82,21 +82,22 @@ class TestCountInvariants:
     def test_imported_global_counts_survive_kernel_sweeps(
         self, small_corpus, sampler_class
     ):
-        # Data-parallel epochs import global word-topic counts; a kernel
-        # sweep must update them incrementally, never rebuild them down to
-        # the shard-local contribution.
+        # Data-parallel epochs add external word-topic counts onto the live
+        # ones; a kernel sweep must update them incrementally, never rebuild
+        # them down to the shard-local contribution — which is what makes
+        # clear_external_counts() an exact subtraction.
         sampler = sampler_class(small_corpus, num_topics=5, seed=0, kernel="slab")
         external = np.random.default_rng(1).integers(
-            0, 5, size=sampler.state.word_topic.shape
+            0, 5, size=(small_corpus.vocabulary_size, 5)
         ).astype(np.int64)
-        sampler.state.import_global_word_topic(
-            sampler.state.local_word_topic() + external
-        )
-        sampler.invalidate_caches()
+        sampler.set_external_counts(external)
         sampler.fit(2)
-        np.testing.assert_array_equal(
-            sampler.state.word_topic - sampler.state.local_word_topic(), external
-        )
+        local = np.zeros_like(external)
+        np.add.at(local, (small_corpus.token_words, sampler.assignments), 1)
+        np.testing.assert_array_equal(sampler.state.word_topic - local, external)
+        np.testing.assert_array_equal(sampler.word_topic_counts(), local)
+        sampler.clear_external_counts()
+        assert sampler.state.check_consistency()
 
     def test_pre_kernel_checkpoint_config_resumes_on_scalar(self):
         from repro.training import TrainerConfig

@@ -199,30 +199,37 @@ class TestSharedBufferSafety:
         with pytest.raises(ValueError, match="read-only"):
             stale[0] = 1.0
 
-    def test_external_counts_are_frozen_copies(self, small_corpus):
-        model = WarpLDA(small_corpus, num_topics=5, seed=3)
-        external = np.ones(
-            (small_corpus.vocabulary_size, model.num_topics), dtype=np.int64
+    @staticmethod
+    def _run_with_external(corpus, build, threads, mutate=False):
+        model = build(corpus, threads)
+        external = np.full(
+            (corpus.vocabulary_size, model.num_topics), 2, dtype=np.int64
         )
         model.set_external_counts(external)
-        assert not model._external_word_topic.flags.writeable
-        assert not model._external_topic_f64.flags.writeable
+        if mutate:
+            external[:] = 99
+        model.fit(3)
+        model.clear_external_counts()
+        return model.assignments.copy(), model.word_topic_counts()
+
+    def test_external_counts_are_frozen_copies(self, small_corpus):
         # The installed counts are copies: mutating the caller's array must
-        # not alias into concurrently running bucket tasks.
-        external[:] = 99
-        assert int(model._external_word_topic.max()) == 1
+        # not alias into concurrently running bucket tasks (nor, for the
+        # count-matrix samplers, into the exact subtraction on clear).
+        for param in SLAB_SAMPLERS:
+            plain = self._run_with_external(small_corpus, param.values[0], 2)
+            mutated = self._run_with_external(
+                small_corpus, param.values[0], 2, mutate=True
+            )
+            for expected, got in zip(plain, mutated):
+                np.testing.assert_array_equal(got, expected, err_msg=param.id)
 
     def test_external_counts_do_not_perturb_determinism(self, small_corpus):
-        def run(threads):
-            model = WarpLDA(small_corpus, num_topics=5, seed=3, threads=threads)
-            external = np.full(
-                (small_corpus.vocabulary_size, model.num_topics),
-                2,
-                dtype=np.int64,
-            )
-            model.set_external_counts(external)
-            return model.fit(3).assignments.copy()
-
-        baseline = run(1)
-        for threads in (2, 4):
-            np.testing.assert_array_equal(run(threads), baseline)
+        for param in SLAB_SAMPLERS:
+            baseline = self._run_with_external(small_corpus, param.values[0], 1)
+            for threads in (2, 4):
+                run = self._run_with_external(small_corpus, param.values[0], threads)
+                for expected, got in zip(baseline, run):
+                    np.testing.assert_array_equal(
+                        got, expected, err_msg=f"{param.id} threads={threads}"
+                    )

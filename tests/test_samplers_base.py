@@ -5,7 +5,7 @@ import pytest
 
 from repro.evaluation import ConvergenceTracker
 from repro.samplers import CollapsedGibbsSampler, TopicState
-from repro.samplers.base import resolve_hyperparameters
+from repro.samplers.base import KERNELS, resolve_hyperparameters
 from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 
 
@@ -144,3 +144,95 @@ class TestBuildSampler:
     def test_unknown_algorithm_rejected(self, tiny_corpus):
         with pytest.raises(ValueError, match="unknown sampler 'plsa'"):
             build_sampler("plsa", tiny_corpus, num_topics=3)
+
+
+def _counts(rows, assignments, num_rows, num_topics=4):
+    counts = np.zeros((num_rows, num_topics), dtype=np.int64)
+    np.add.at(counts, (rows, assignments), 1)
+    return counts
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("algorithm", sorted(SAMPLER_REGISTRY))
+class TestDriverProtocol:
+    """The four calls every driver makes, identical on every sampler."""
+
+    def test_set_assignments_rebuilds_the_counts(self, small_corpus, algorithm, kernel):
+        sampler = build_sampler(algorithm, small_corpus, num_topics=4, kernel=kernel, seed=0)
+        warm = np.random.default_rng(1).integers(4, size=small_corpus.num_tokens)
+        sampler.set_assignments(warm)
+        np.testing.assert_array_equal(sampler.assignments, warm)
+        np.testing.assert_array_equal(
+            sampler.doc_topic_counts(),
+            _counts(small_corpus.token_documents, warm, small_corpus.num_documents),
+        )
+        np.testing.assert_array_equal(
+            sampler.word_topic_counts(),
+            _counts(small_corpus.token_words, warm, small_corpus.vocabulary_size),
+        )
+        # What the sweeps read: WarpLDA's c_k, or the baselines' TopicState.
+        live = sampler.topic_counts if algorithm == "warplda" else sampler.state.topic_counts
+        np.testing.assert_array_equal(live, np.bincount(warm, minlength=4))
+
+    def test_external_counts_are_reversible(self, small_corpus, algorithm, kernel):
+        sampler = build_sampler(algorithm, small_corpus, num_topics=4, kernel=kernel, seed=0)
+        external = np.random.default_rng(2).integers(
+            0, 3, size=(small_corpus.vocabulary_size, 4)
+        )
+        sampler.set_external_counts(external)
+        sampler.fit(1)
+        # A warm start while E is installed keeps E installed.
+        sampler.set_assignments(np.random.default_rng(3).integers(4, size=small_corpus.num_tokens))
+        sampler.fit(1)
+        own = _counts(
+            small_corpus.token_words, sampler.assignments, small_corpus.vocabulary_size
+        )
+        np.testing.assert_array_equal(sampler.word_topic_counts(), own)
+        sampler.clear_external_counts()
+        np.testing.assert_array_equal(sampler.word_topic_counts(), own)
+        sampler.clear_external_counts()  # idempotent
+        np.testing.assert_array_equal(sampler.word_topic_counts(), own)
+
+    def test_zero_external_counts_change_nothing(self, small_corpus, algorithm, kernel):
+        # WarpLDA never installs a zero-mass table (it would switch the word
+        # proposal to the three-component mixture); for the count-matrix
+        # samplers adding zero is a no-op.  Either way: RNG-identical.
+        plain = build_sampler(algorithm, small_corpus, num_topics=4, kernel=kernel, seed=0)
+        zero = build_sampler(algorithm, small_corpus, num_topics=4, kernel=kernel, seed=0)
+        zero.set_external_counts(np.zeros((small_corpus.vocabulary_size, 4), dtype=np.int64))
+        plain.fit(2)
+        zero.fit(2)
+        np.testing.assert_array_equal(zero.assignments, plain.assignments)
+        assert zero.rng.bit_generator.state == plain.rng.bit_generator.state
+
+    def test_run_iteration_is_one_fit_sweep(self, small_corpus, algorithm, kernel):
+        stepped = build_sampler(algorithm, small_corpus, num_topics=4, kernel=kernel, seed=0)
+        fitted = build_sampler(algorithm, small_corpus, num_topics=4, kernel=kernel, seed=0)
+        stepped.run_iteration()
+        stepped.run_iteration()
+        fitted.fit(2)
+        assert stepped.iterations_completed == fitted.iterations_completed == 2
+        np.testing.assert_array_equal(stepped.assignments, fitted.assignments)
+
+
+@pytest.mark.parametrize("algorithm", sorted(SAMPLER_REGISTRY))
+class TestImportStateRejectsCorruptState:
+    """A corrupt ``state.npz`` raises a typed error; nothing is truncated."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda state: {"assignments": state["assignments"] + 0.7}, "integer topics"),
+            (lambda state: {"iterations_completed": -4}, "non-negative integer"),
+            (lambda state: {"iterations_completed": 2.9}, "non-negative integer"),
+        ],
+        ids=["float-assignments", "negative-counter", "fractional-counter"],
+    )
+    def test_rejected_and_state_untouched(self, tiny_corpus, algorithm, corrupt, message):
+        sampler = build_sampler(algorithm, tiny_corpus, num_topics=3, seed=0)
+        state = sampler.export_state()
+        before = sampler.assignments.copy()
+        with pytest.raises(ValueError, match=message):
+            sampler.import_state({**state, **corrupt(state)})
+        np.testing.assert_array_equal(sampler.assignments, before)
+        assert sampler.iterations_completed == 0
