@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.corpus import load_preset
-from repro.distributed.partition import contiguous_shards
 from repro.serving import InferenceEngine, TopicServer
-from repro.training import ParallelTrainer
+from repro.training import ParallelTrainer, contiguous_shards
 
 NUM_TOPICS = 15
 NUM_WORKERS = 4

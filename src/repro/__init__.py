@@ -45,8 +45,7 @@ Subpackages
     A memory-hierarchy simulator and memory-access analysis used to reproduce
     the paper's cache-locality results.
 ``repro.distributed``
-    The distributed sparse-matrix framework (VisitByRow / VisitByColumn),
-    partitioning strategies and a simulated cluster.
+    The word-partitioning strategies and imbalance index of Fig. 4.
 ``repro.report``
     Helpers shared by the benchmark harness for formatting tables and series.
 ``repro.serving``

@@ -1,42 +1,20 @@
-"""The distributed sparse-matrix framework and cluster simulation (Sec. 5).
+"""Balanced partitioning of rows and columns (Sec. 5.3.2, Fig. 4).
 
-The paper implements WarpLDA on top of a purpose-built framework whose only
-data structure is a distributed ``D x V`` sparse matrix manipulated through
-three methods — ``AddEntry``, ``VisitByRow`` and ``VisitByColumn`` — storing a
-single CSC copy of the data plus row pointers.  This package provides:
-
-* :mod:`repro.distributed.sparse_matrix` — an in-process implementation of
-  that framework (used by the distributed WarpLDA driver);
-* :mod:`repro.distributed.partition` — the static / dynamic / greedy
-  partitioning strategies and the imbalance index of Fig. 4;
-* :mod:`repro.distributed.cluster` — a simulated multi-worker cluster with a
-  communication/computation performance model (Fig. 6, Fig. 9b);
-* :mod:`repro.distributed.scaling` — the thread/machine scaling model used
-  for Fig. 9.
+:mod:`repro.distributed.partition` holds the static / dynamic / greedy
+word-partitioning strategies and the imbalance index of Fig. 4.  The
+data-parallel trainer that runs Sec. 5 lives in :mod:`repro.training`.
 """
 
-from repro.distributed.cluster import ClusterConfig, DistributedWarpLDA, SimulatedCluster
 from repro.distributed.partition import (
     imbalance_index,
-    partition_documents_balanced,
     partition_words_dynamic,
     partition_words_greedy,
     partition_words_static,
 )
-from repro.distributed.scaling import ScalingModel, machine_scaling_curve, thread_scaling_curve
-from repro.distributed.sparse_matrix import SparseMatrixFramework
 
 __all__ = [
-    "ClusterConfig",
-    "DistributedWarpLDA",
-    "ScalingModel",
-    "SimulatedCluster",
-    "SparseMatrixFramework",
     "imbalance_index",
-    "machine_scaling_curve",
-    "partition_documents_balanced",
     "partition_words_dynamic",
     "partition_words_greedy",
     "partition_words_static",
-    "thread_scaling_curve",
 ]

@@ -24,13 +24,11 @@ import numpy as np
 from repro.sampling.rng import RngLike, ensure_rng
 
 __all__ = [
-    "contiguous_shards",
     "imbalance_by_strategy",
     "imbalance_index",
     "partition_words_static",
     "partition_words_dynamic",
     "partition_words_greedy",
-    "partition_documents_balanced",
     "partition_loads",
 ]
 
@@ -54,6 +52,10 @@ def partition_loads(sizes: np.ndarray, assignment: np.ndarray, num_partitions: i
     assignment = np.asarray(assignment, dtype=np.int64)
     if sizes.shape != assignment.shape:
         raise ValueError("sizes and assignment must have the same shape")
+    if assignment.size and (assignment.min() < 0 or assignment.max() >= num_partitions):
+        raise ValueError(
+            f"assignment names a partition outside [0, {num_partitions})"
+        )
     return np.bincount(assignment, weights=sizes, minlength=num_partitions)
 
 
@@ -112,42 +114,6 @@ def partition_words_greedy(sizes: np.ndarray, num_partitions: int) -> np.ndarray
         assignment[word] = partition
         loads[partition] += int(sizes[word])
     return assignment
-
-
-def partition_documents_balanced(lengths: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Greedy balanced partitioning of rows (documents) by token count."""
-    return partition_words_greedy(lengths, num_partitions)
-
-
-def contiguous_shards(sizes: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Cut items into contiguous ranges with roughly equal total size.
-
-    This is the dynamic strategy restricted to *ranges*: the result is the
-    ``num_partitions + 1`` boundary array such that shard ``p`` owns items
-    ``[boundaries[p], boundaries[p + 1])``.  Contiguity is what makes the
-    shards cheap corpus views (:meth:`repro.corpus.corpus.Corpus.slice`), the
-    layout data-parallel training shards documents with.  Every shard gets at
-    least one item, so ``num_partitions`` must not exceed ``len(sizes)``.
-    """
-    sizes = _validate(sizes, num_partitions)
-    if num_partitions > sizes.size:
-        raise ValueError(
-            f"cannot cut {sizes.size} items into {num_partitions} non-empty "
-            f"contiguous shards"
-        )
-    cumulative = np.cumsum(sizes)
-    targets = cumulative[-1] * np.arange(1, num_partitions) / num_partitions
-    cuts = np.searchsorted(cumulative, targets, side="left") + 1
-    boundaries = np.empty(num_partitions + 1, dtype=np.int64)
-    boundaries[0] = 0
-    boundaries[-1] = sizes.size
-    # Clamp so every shard keeps at least one item even when a single item
-    # exceeds the fair share (power-law document lengths make that real).
-    for partition in range(1, num_partitions):
-        low = boundaries[partition - 1] + 1
-        high = sizes.size - (num_partitions - partition)
-        boundaries[partition] = min(max(int(cuts[partition - 1]), low), high)
-    return boundaries
 
 
 def imbalance_by_strategy(

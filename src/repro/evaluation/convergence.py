@@ -69,9 +69,8 @@ class ConvergenceTracker:
     ) -> ConvergenceRecord:
         """Append one measurement and return it.
 
-        ``elapsed_seconds`` may be supplied explicitly (the simulated cluster
-        does this to report modelled rather than wall-clock time); otherwise
-        the tracker's own clock is used.
+        ``elapsed_seconds`` may be supplied explicitly to place a record on a
+        fixed timeline; otherwise the tracker's own clock is used.
         """
         if self._start_time is None:
             self.start()

@@ -33,8 +33,8 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
 def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
     """Derive ``count`` independent generators from one seed.
 
-    Used by the simulated cluster so that every worker has its own stream while
-    the whole run stays reproducible from a single seed.
+    Used by :class:`~repro.training.ParallelTrainer` so that every worker has
+    its own stream while the whole run stays reproducible from a single seed.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

@@ -41,6 +41,7 @@ its event loop.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 from collections import deque
@@ -138,6 +139,13 @@ class WorkerPool:
             daemon=True,
             name=f"repro-service-worker-{index}",
         )
+        if self._context.get_start_method() == "fork":
+            # Move every object the parent holds into the permanent
+            # generation, so no collection in the child rewrites their GC
+            # headers and copies the pages it shares with the parent.
+            # Without this, a worker's first full collection copies most of
+            # the inherited heap, at a moment set by its share of the traffic.
+            gc.freeze()
         process.start()
         child_conn.close()
         return PoolWorker(index, process, parent_conn)

@@ -1,7 +1,4 @@
-"""Real multiprocess data-parallel training (Sec. 5 executed, not simulated).
-
-PRs before this one reproduced the paper's distributed design as a cost-model
-simulation (:mod:`repro.distributed.cluster`).  This package runs it:
+"""Real multiprocess data-parallel training (the paper's Sec. 5, executed).
 
 * :class:`~repro.training.parallel.ParallelTrainer` shards a corpus by
   document across N ``multiprocessing`` workers, samples every shard locally
@@ -16,11 +13,17 @@ simulation (:mod:`repro.distributed.cluster`).  This package runs it:
 """
 
 from repro.training.checkpoint import Checkpoint
-from repro.training.parallel import SAMPLER_REGISTRY, ParallelTrainer, TrainerConfig
+from repro.training.parallel import (
+    SAMPLER_REGISTRY,
+    ParallelTrainer,
+    TrainerConfig,
+    contiguous_shards,
+)
 
 __all__ = [
     "Checkpoint",
     "ParallelTrainer",
     "SAMPLER_REGISTRY",
     "TrainerConfig",
+    "contiguous_shards",
 ]

@@ -4,7 +4,7 @@ The execution model is the synchronous variant of the paper's Sec. 5 design,
 specialised to document sharding:
 
 1. the corpus is cut into ``num_workers`` contiguous document ranges with
-   roughly equal token counts (:func:`repro.distributed.partition.contiguous_shards`),
+   roughly equal token counts (:func:`contiguous_shards`),
    each a cheap :meth:`~repro.corpus.corpus.Corpus.slice` view;
 2. every worker owns one shard and a sampler seeded from its own
    :func:`~repro.sampling.rng.spawn_rngs` stream;
@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.distributed.partition import contiguous_shards
 from repro.evaluation.convergence import ConvergenceTracker
 from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.obs import Telemetry, get_telemetry, use_telemetry
@@ -61,9 +60,50 @@ if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
 
     from repro.serving.snapshot import ModelSnapshot
 
-__all__ = ["ParallelTrainer", "TrainerConfig", "ShardRunner", "SAMPLER_REGISTRY"]
+__all__ = [
+    "ParallelTrainer",
+    "TrainerConfig",
+    "ShardRunner",
+    "SAMPLER_REGISTRY",
+    "contiguous_shards",
+]
 
 BACKENDS = ("process", "inline")
+
+
+def contiguous_shards(sizes: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Cut items into contiguous ranges with roughly equal total size.
+
+    The result is the ``num_partitions + 1`` boundary array such that shard
+    ``p`` owns items ``[boundaries[p], boundaries[p + 1])``.  Contiguity is
+    what makes the shards cheap corpus views
+    (:meth:`repro.corpus.corpus.Corpus.slice`), the layout data-parallel
+    training shards documents with.  Every shard gets at least one item, so
+    ``num_partitions`` must not exceed ``len(sizes)``.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0:
+        raise ValueError("sizes must be a non-empty 1-D array")
+    if np.any(sizes < 0):
+        raise ValueError("sizes must be non-negative")
+    if not 0 < num_partitions <= sizes.size:
+        raise ValueError(
+            f"cannot cut {sizes.size} items into {num_partitions} non-empty "
+            f"contiguous shards"
+        )
+    cumulative = np.cumsum(sizes)
+    targets = cumulative[-1] * np.arange(1, num_partitions) / num_partitions
+    cuts = np.searchsorted(cumulative, targets, side="left") + 1
+    boundaries = np.empty(num_partitions + 1, dtype=np.int64)
+    boundaries[0] = 0
+    boundaries[-1] = sizes.size
+    # Clamp so every shard keeps at least one item even when a single item
+    # exceeds the fair share (power-law document lengths make that real).
+    for partition in range(1, num_partitions):
+        low = boundaries[partition - 1] + 1
+        high = sizes.size - (num_partitions - partition)
+        boundaries[partition] = min(max(int(cuts[partition - 1]), low), high)
+    return boundaries
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,26 @@ class TestValidationConsistency:
                 make(**options)
             assert str(raised.value) == message, name
 
+    @pytest.mark.parametrize("name", [*sorted(SAMPLER_REGISTRY), "ParallelTrainer"])
+    def test_zero_evaluate_every_raises_the_same_text_everywhere(
+        self, small_corpus, name
+    ):
+        """Every training loop that takes a tracker rejects a zero evaluation
+        stride with the one text, before it runs a sweep."""
+        if name == "ParallelTrainer":
+            with ParallelTrainer(
+                small_corpus, num_workers=2, num_topics=5, seed=0, backend="inline"
+            ) as trainer:
+                with pytest.raises(ValueError) as raised:
+                    trainer.train(2, evaluate_every=0)
+                assert trainer.epochs_completed == 0
+        else:
+            sampler = SAMPLER_REGISTRY[name](small_corpus, num_topics=5, seed=0)
+            with pytest.raises(ValueError) as raised:
+                sampler.fit(2, evaluate_every=0)
+            assert sampler.iterations_completed == 0
+        assert str(raised.value) == "evaluate_every must be positive, got 0"
+
     def test_word_proposal_checked_by_spec_and_sampler(self, small_corpus):
         message = "word_proposal must be 'mixture' or 'alias', got 'bogus'"
         for make in (

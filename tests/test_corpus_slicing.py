@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
-from repro.distributed.partition import contiguous_shards, imbalance_index
+from repro.distributed.partition import imbalance_index
+from repro.training import contiguous_shards
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +113,40 @@ class TestContiguousShards:
         assert np.array_equal(
             contiguous_shards(np.array([3, 1, 2], dtype=np.int64), 1), [0, 3]
         )
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [np.array([], dtype=np.int64), np.ones((2, 2), dtype=np.int64), np.array([1, -1, 2])],
+        ids=["empty", "2-d", "negative"],
+    )
+    def test_invalid_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="sizes must be"):
+            contiguous_shards(sizes, 1)
+
+    @pytest.mark.parametrize("num_partitions", [0, -1])
+    def test_non_positive_partition_count_rejected(self, num_partitions):
+        with pytest.raises(ValueError, match="contiguous shards"):
+            contiguous_shards(np.ones(3, dtype=np.int64), num_partitions)
+
+    def test_all_zero_sizes_still_give_nonempty_shards(self):
+        boundaries = contiguous_shards(np.zeros(5, dtype=np.int64), 3)
+        assert boundaries[0] == 0
+        assert boundaries[-1] == 5
+        assert (np.diff(boundaries) >= 1).all()
+
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=80),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_shard_is_within_one_item_of_its_fair_share(self, sizes, data):
+        sizes = np.array(sizes, dtype=np.int64)
+        num_partitions = data.draw(st.integers(min_value=1, max_value=sizes.size))
+        boundaries = contiguous_shards(sizes, num_partitions)
+        assert boundaries.shape == (num_partitions + 1,)
+        assert boundaries[0] == 0
+        assert boundaries[-1] == sizes.size
+        assert (np.diff(boundaries) >= 1).all()
+        loads = np.add.reduceat(sizes, boundaries[:-1])
+        assert loads.sum() == sizes.sum()
+        assert loads.max() <= sizes.sum() / num_partitions + sizes.max()

@@ -24,8 +24,8 @@ from repro.corpus import (
     write_store,
 )
 from repro.corpus.store import FORMAT_VERSION, MANIFEST_NAME
-from repro.distributed.partition import contiguous_shards
 from repro.kernels.buckets import corpus_buckets
+from repro.training import contiguous_shards
 
 #: Small enough that the 3k-token fixture spans many chunks.
 CHUNK = 257

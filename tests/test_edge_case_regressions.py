@@ -1,6 +1,6 @@
 """Regression tests for the edge-case sweep: empty/OOV documents in serving
 perplexity, bag-of-words cache-key canonicalisation, WarpLDA on degenerate
-documents, snapshot provenance and simulator validation hooks."""
+documents, and snapshot provenance."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import pytest
 from repro.core.warplda import WarpLDA
 from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
-from repro.distributed import ClusterConfig, SimulatedCluster
 from repro.evaluation.perplexity import held_out_perplexity
 from repro.serving import InferenceEngine, ModelSnapshot, TopicServer
 from repro.serving.infer import em_fold_in, mh_fold_in
@@ -197,22 +196,3 @@ class TestProvenanceAndValidation:
         assert np.shares_memory(stamped.phi, snapshot.phi)
         assert np.shares_memory(stamped.alpha, snapshot.alpha)
         assert stamped.vocabulary is snapshot.vocabulary
-
-    def test_predicted_speedup_consistent_with_iteration_time(self):
-        corpus = Corpus.from_token_lists([[0, 1, 2, 0], [1, 2], [0, 0, 1]])
-        cluster = SimulatedCluster(corpus, ClusterConfig(num_workers=4))
-        single = 2.0
-        assert cluster.predicted_speedup(single) == pytest.approx(
-            single / cluster.iteration_time(single)
-        )
-        with pytest.raises(ValueError):
-            cluster.predicted_speedup(0.0)
-
-    def test_prediction_error_sign(self):
-        corpus = Corpus.from_token_lists([[0, 1, 2, 0], [1, 2], [0, 0, 1]])
-        cluster = SimulatedCluster(corpus, ClusterConfig(num_workers=2))
-        predicted = cluster.iteration_time(1.0)
-        assert cluster.prediction_error(1.0, predicted) == pytest.approx(0.0)
-        assert cluster.prediction_error(1.0, predicted / 2) > 0
-        with pytest.raises(ValueError):
-            cluster.prediction_error(1.0, 0.0)

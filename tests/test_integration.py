@@ -12,7 +12,6 @@ from repro.corpus import (
     read_uci_bow,
     write_uci_bow,
 )
-from repro.distributed import ClusterConfig, DistributedWarpLDA, SparseMatrixFramework
 from repro.evaluation import (
     ConvergenceTracker,
     held_out_perplexity,
@@ -78,39 +77,3 @@ class TestWarpLdaVersusLightLda:
         )
         ratio = speedup_ratio(light_tracker, warp_tracker, target=target, metric="time")
         assert ratio is None or ratio > 0
-
-
-class TestWarpLdaOnTheFramework:
-    def test_visitors_reconstruct_warplda_counts(self, small_corpus):
-        """The sparse-matrix framework exposes exactly the per-row / per-column
-        views WarpLDA needs: rebuild c_d and c_w from a trained model through
-        the framework and compare with the model's own matrices."""
-        model = WarpLDA(small_corpus, num_topics=5, seed=2).fit(3)
-        matrix = SparseMatrixFramework.from_corpus(small_corpus, data_width=1)
-
-        # Store each token's assignment into its entry, via a row visit.
-        doc_offsets = small_corpus.doc_offsets
-
-        def store(row, data):
-            tokens = model.assignments[doc_offsets[row] : doc_offsets[row + 1]]
-            data[:, 0] = np.sort(tokens)
-
-        matrix.visit_by_row(store)
-
-        word_topic = np.zeros((small_corpus.vocabulary_size, 5), dtype=np.int64)
-
-        def accumulate(col, data):
-            word_topic[col] = np.bincount(data[:, 0], minlength=5)
-
-        matrix.visit_by_column(accumulate)
-        np.testing.assert_array_equal(
-            word_topic.sum(axis=0), model.word_topic_counts().sum(axis=0)
-        )
-
-    def test_distributed_run_tracks_convergence(self, small_corpus):
-        tracker = ConvergenceTracker("distributed")
-        DistributedWarpLDA(
-            small_corpus, ClusterConfig(num_workers=4), num_topics=5, seed=0
-        ).fit(5, tracker=tracker)
-        assert len(tracker) == 5
-        assert tracker.log_likelihoods[-1] > tracker.log_likelihoods[0]

@@ -1,5 +1,7 @@
 """Tests for the shared-memory worker pool (`repro.service.pool`)."""
 
+import gc
+import multiprocessing
 import time
 
 import numpy as np
@@ -139,6 +141,20 @@ class TestLifecycle:
         assert len(stopped) == 2
         assert all("telemetry" in payload for payload in stopped)
         assert pool.close() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="only forked workers inherit the parent's heap",
+    )
+    def test_parent_heap_is_frozen_before_fork(self):
+        # A frozen object is out of every collected generation, so no full
+        # collection in a worker rewrites its header and unshares its page.
+        inherited = [object()]
+        pool = WorkerPool(make_snapshot(0), num_workers=1)
+        try:
+            assert not any(obj is inherited for obj in gc.get_objects())
+        finally:
+            pool.close()
 
     def test_submit_after_close_raises(self):
         pool = WorkerPool(make_snapshot(0), num_workers=1)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
-from repro.training import SAMPLER_REGISTRY, ParallelTrainer, TrainerConfig
+from repro.distributed import imbalance_index
+from repro.evaluation import ConvergenceTracker
+from repro.training import (
+    SAMPLER_REGISTRY,
+    Checkpoint,
+    ParallelTrainer,
+    TrainerConfig,
+    contiguous_shards,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +158,126 @@ class TestParallelTrainerInline:
                 num_topics=4,
                 backend="inline",
             )
+
+
+# --------------------------------------------------------------------- #
+# The train loop: measured timeline, argument checks, checkpoint stride
+# --------------------------------------------------------------------- #
+class TestTrainLoop:
+    @pytest.mark.parametrize("evaluate_every", [1, 2])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_tracker_records_measured_timeline(self, corpus, backend, evaluate_every):
+        """The Fig. 6 / Fig. 9 time axis: one point per evaluated epoch, on
+        the wall clock, ending at the trainer's own global likelihood."""
+        tracker = ConvergenceTracker("parallel")
+        with ParallelTrainer(
+            corpus, num_workers=2, num_topics=5, seed=0, backend=backend
+        ) as trainer:
+            trainer.train(4, tracker=tracker, evaluate_every=evaluate_every)
+            final = trainer.log_likelihood()
+        assert tracker.iterations == list(range(evaluate_every, 5, evaluate_every))
+        times = tracker.times
+        assert times[0] > 0
+        assert all(later > earlier for earlier, later in zip(times, times[1:]))
+        assert tracker.log_likelihoods[-1] == final
+        assert [point.tokens_processed for point in tracker.records] == [
+            iterations * corpus.num_tokens for iterations in tracker.iterations
+        ]
+
+    def test_tracker_counts_inner_sweeps(self, corpus):
+        tracker = ConvergenceTracker("parallel")
+        with ParallelTrainer(
+            corpus,
+            num_workers=2,
+            num_topics=4,
+            iterations_per_epoch=3,
+            seed=0,
+            backend="inline",
+        ) as trainer:
+            trainer.train(2, tracker=tracker)
+        assert tracker.iterations == [3, 6]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num_epochs": -1}, "num_epochs must be non-negative, got -1"),
+            ({"evaluate_every": 0}, "evaluate_every must be positive, got 0"),
+            ({"evaluate_every": -2}, "evaluate_every must be positive, got -2"),
+            ({"checkpoint_every": -1}, "checkpoint_every must be non-negative, got -1"),
+        ],
+    )
+    def test_invalid_train_arguments_rejected_before_any_epoch(
+        self, corpus, kwargs, message
+    ):
+        tracker = ConvergenceTracker("parallel")
+        with ParallelTrainer(
+            corpus, num_workers=2, num_topics=4, seed=0, backend="inline"
+        ) as trainer:
+            before = trainer.assignments()
+            with pytest.raises(ValueError, match=message):
+                trainer.train(**{"num_epochs": 2, "tracker": tracker, **kwargs})
+            assert trainer.epochs_completed == 0
+            assert np.array_equal(trainer.assignments(), before)
+        assert len(tracker) == 0
+
+    def test_zero_epochs_changes_nothing(self, corpus, tmp_path):
+        tracker = ConvergenceTracker("parallel")
+        with ParallelTrainer(
+            corpus, num_workers=2, num_topics=4, seed=0, backend="inline"
+        ) as trainer:
+            before = trainer.assignments()
+            trainer.train(0, tracker=tracker, checkpoint_dir=tmp_path / "ckpt")
+            assert trainer.epochs_completed == 0
+            assert np.array_equal(trainer.assignments(), before)
+        assert len(tracker) == 0
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("checkpoint_every", [0, 2])
+    def test_final_epoch_is_always_checkpointed(self, corpus, tmp_path, checkpoint_every):
+        with ParallelTrainer(
+            corpus, num_workers=2, num_topics=4, seed=0, backend="inline"
+        ) as trainer:
+            trainer.train(
+                3, checkpoint_dir=tmp_path / "ckpt", checkpoint_every=checkpoint_every
+            )
+            final = trainer.assignments()
+        checkpoint = Checkpoint.load(tmp_path / "ckpt")
+        assert checkpoint.epochs_completed == 3
+        with checkpoint.restore(corpus, backend="inline") as restored:
+            assert np.array_equal(restored.assignments(), final)
+
+
+# --------------------------------------------------------------------- #
+# Document sharding
+# --------------------------------------------------------------------- #
+class TestSharding:
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
+    def test_shards_are_the_contiguous_cut(self, corpus, num_workers):
+        with ParallelTrainer(
+            corpus, num_workers=num_workers, num_topics=4, seed=0, backend="inline"
+        ) as trainer:
+            assert np.array_equal(
+                trainer.boundaries,
+                contiguous_shards(corpus.document_lengths(), num_workers),
+            )
+            trainer.train(1)
+            assignments = trainer.assignments()
+            assert assignments.shape == (corpus.num_tokens,)
+            states = trainer.export_worker_states()
+            assert len(states) == num_workers
+            lengths = corpus.document_lengths()
+            for index, state in enumerate(states):
+                start, stop = trainer.boundaries[index : index + 2]
+                assert state["assignments"].size == lengths[start:stop].sum()
+
+    def test_shards_are_token_balanced(self, medium_corpus):
+        with ParallelTrainer(
+            medium_corpus, num_workers=4, num_topics=4, seed=0, backend="inline"
+        ) as trainer:
+            states = trainer.export_worker_states()
+        loads = np.array([state["assignments"].size for state in states])
+        assert loads.sum() == medium_corpus.num_tokens
+        assert imbalance_index(loads) < 0.5
 
 
 # --------------------------------------------------------------------- #
