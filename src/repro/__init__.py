@@ -20,8 +20,8 @@ same surface drives the command line: ``python -m repro
 Subpackages
 -----------
 ``repro.api``
-    The declarative front door: ``ModelSpec``, the backend registry and the
-    ``LDA`` estimator facade.
+    The declarative front door: ``ModelSpec`` and the ``LDA`` estimator
+    facade that builds every engine from it.
 ``repro.sampling``
     Low-level sampling primitives: alias tables, F+ trees, discrete and
     Metropolis-Hastings samplers.
@@ -97,7 +97,6 @@ _EXPORTS = {
     "StreamingPipeline": "repro.streaming",
     "Checkpoint": "repro.training",
     "ParallelTrainer": "repro.training",
-    "TrainerConfig": "repro.training",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

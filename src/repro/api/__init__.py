@@ -10,27 +10,23 @@ seed); one estimator runs it:
 >>> model.save("model.npz")                # doctest: +SKIP
 >>> LDA.load("model.npz").transform(docs)  # doctest: +SKIP
 
-The spec lowers into the existing layers through the backend registry
-(:mod:`repro.api.backends`): ``serial`` builds the samplers directly,
-``parallel`` a :class:`~repro.training.parallel.ParallelTrainer`, ``online``
-an :class:`~repro.streaming.online.OnlineTrainer` behind a
-:class:`~repro.streaming.pipeline.StreamingPipeline` — all seeded from the
+:func:`build_engine` passes the spec's values, as keywords, to the existing
+layers: ``serial`` builds a sampler directly, ``parallel`` a
+:class:`~repro.training.parallel.ParallelTrainer`, ``online`` an
+:class:`~repro.streaming.online.OnlineTrainer` (which ``LDA`` runs behind a
+:class:`~repro.streaming.pipeline.StreamingPipeline`) — all seeded from the
 spec, bit-identical to direct construction.  The command line rides the same
 path: ``python -m repro {train,stream,serve,eval}``.
 """
 
-from repro.api.backends import BACKEND_REGISTRY, Backend, get_backend, register_backend
-from repro.api.estimator import LDA
+from repro.api.estimator import LDA, build_engine
 from repro.api.spec import ALGORITHMS, BACKEND_NAMES, SPEC_METADATA_KEY, ModelSpec
 
 __all__ = [
     "ALGORITHMS",
     "BACKEND_NAMES",
-    "BACKEND_REGISTRY",
-    "Backend",
     "LDA",
     "ModelSpec",
     "SPEC_METADATA_KEY",
-    "get_backend",
-    "register_backend",
+    "build_engine",
 ]

@@ -232,31 +232,34 @@ def _add_spec_arguments(
 def build_spec(
     args: argparse.Namespace, fixed_backend: Optional[str] = None
 ) -> ModelSpec:
-    """Resolve ``--spec`` plus explicit flags into one validated ModelSpec."""
-    data: Dict[str, Any] = {}
-    if args.spec is not None:
-        data = ModelSpec.load(args.spec).to_dict()
-    for dest, field in _SPEC_FIELD_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            data[field] = value
-
-    file_backend = data.get("backend", "serial")
-    backend = fixed_backend or getattr(args, "backend", None) or file_backend
-    options = dict(data.get("backend_options", {})) if backend == file_backend else {}
-    for dest, option_backend, key in _SPEC_OPTION_FLAGS:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        if option_backend != backend:
-            raise SystemExit(
-                f"--{dest.replace('_', '-')} applies to the {option_backend!r} "
-                f"backend, but this run uses {backend!r}"
-            )
-        options[key] = value
-    data["backend"] = backend
-    data["backend_options"] = options
+    """Resolve ``--spec`` plus explicit flags into one validated ModelSpec
+    (an invalid one, from the file or the flags, exits with its reason)."""
     try:
+        data: Dict[str, Any] = {}
+        if args.spec is not None:
+            data = ModelSpec.load(args.spec).to_dict()
+        for dest, field in _SPEC_FIELD_FLAGS:
+            value = getattr(args, dest, None)
+            if value is not None:
+                data[field] = value
+
+        file_backend = data.get("backend", "serial")
+        backend = fixed_backend or getattr(args, "backend", None) or file_backend
+        options = (
+            dict(data.get("backend_options", {})) if backend == file_backend else {}
+        )
+        for dest, option_backend, key in _SPEC_OPTION_FLAGS:
+            value = getattr(args, dest, None)
+            if value is None:
+                continue
+            if option_backend != backend:
+                raise SystemExit(
+                    f"--{dest.replace('_', '-')} applies to the {option_backend!r} "
+                    f"backend, but this run uses {backend!r}"
+                )
+            options[key] = value
+        data["backend"] = backend
+        data["backend_options"] = options
         spec = ModelSpec.from_dict(data)
     except ValueError as exc:
         raise SystemExit(f"invalid model spec: {exc}") from None

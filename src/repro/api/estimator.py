@@ -24,12 +24,13 @@ call               dispatches to
                    model reloads as a ready ``LDA``
 =================  ====================================================
 
-Construction is lazy and every sampler comes out of
-:func:`repro.samplers.registry.build_sampler` with the spec's seed, so a
-facade run is bit-identical to direct construction from the same values and
-seed (the equivalence the test suite checks).  Heavy
-layers (``multiprocessing``, serving, streaming) are imported only when the
-spec actually reaches them.
+Construction is lazy: :func:`build_engine` passes the spec's values and
+seed, as keywords, to :func:`repro.samplers.registry.build_sampler`,
+:class:`~repro.training.parallel.ParallelTrainer` or
+:class:`~repro.streaming.online.OnlineTrainer`, so a facade run is
+bit-identical to direct construction from the same values and seed (the
+equivalence the test suite checks).  Heavy layers (``multiprocessing``,
+serving, streaming) are imported only when the spec actually reaches them.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from typing import (
     Union,
 )
 
-from repro.api.backends import get_backend
 from repro.api.spec import SPEC_METADATA_KEY, ModelSpec
-from repro.samplers.base import resolve_kernel
-from repro.samplers.registry import SAMPLER_REGISTRY
+from repro.samplers.base import resolve_kernel, validate_positive_int
+from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 
 if TYPE_CHECKING:  # heavy layers stay lazy at runtime (PR 5 guarantee)
     from repro.corpus.corpus import Corpus
@@ -65,7 +65,7 @@ if TYPE_CHECKING:  # heavy layers stay lazy at runtime (PR 5 guarantee)
     from repro.streaming.registry import ModelRegistry
     from repro.streaming.stream import MiniBatch
 
-__all__ = ["LDA", "iter_token_batches"]
+__all__ = ["LDA", "build_engine", "iter_token_batches"]
 
 
 def _materialize(document: Any) -> Any:
@@ -100,8 +100,7 @@ def iter_token_batches(
     vocabulary growth.  Shared by :meth:`LDA.fit` on the online backend and
     the ``python -m repro stream`` subcommand.
     """
-    if batch_docs <= 0:
-        raise ValueError(f"batch_docs must be positive, got {batch_docs}")
+    validate_positive_int("batch_docs", batch_docs)
     vocabulary = corpus.vocabulary
     for start in range(0, corpus.num_documents, batch_docs):
         stop = min(start + batch_docs, corpus.num_documents)
@@ -109,6 +108,49 @@ def iter_token_batches(
             [vocabulary.word(w) for w in corpus.document_words(d)]
             for d in range(start, stop)
         ]
+
+
+def build_engine(spec: ModelSpec, corpus: Optional["Corpus"] = None) -> Any:
+    """Construct the engine ``spec`` describes, seeded from ``spec.seed``.
+
+    ``serial``: a sampler over ``corpus``; ``parallel``: a
+    :class:`~repro.training.parallel.ParallelTrainer` over ``corpus``;
+    ``online``: an :class:`~repro.streaming.online.OnlineTrainer`, which owns
+    its growing corpus.  Backend options are the trainers' own keywords,
+    except the facade's ``publish_every`` and ``batch_docs``.
+    """
+    options = dict(spec.backend_options)
+    sampler_fields = ("num_topics", "alpha", "beta", "num_mh_steps", "kernel", "threads")
+    keywords = {name: getattr(spec, name) for name in sampler_fields}
+    if spec.backend == "online":
+        from repro.streaming.online import OnlineTrainer
+
+        for key in ("publish_every", "batch_docs"):
+            options.pop(key, None)
+        return OnlineTrainer(
+            seed=spec.seed, sampler=spec.algorithm, **keywords, **options
+        )
+    if corpus is None:
+        raise ValueError(f"the {spec.backend} backend needs a corpus to build on")
+    if spec.backend == "parallel":
+        from repro.training.parallel import ParallelTrainer
+
+        return ParallelTrainer(
+            corpus,
+            options.pop("num_workers", 2),
+            seed=spec.seed,
+            backend=options.pop("backend", "process"),
+            sampler=spec.algorithm,
+            **keywords,
+            **options,
+        )
+    return build_sampler(
+        spec.algorithm,
+        corpus,
+        word_proposal=spec.word_proposal,
+        seed=spec.seed,
+        **keywords,
+    )
 
 
 class LDA:
@@ -137,7 +179,6 @@ class LDA:
         elif spec_kwargs:
             raise ValueError("pass either spec or keyword arguments, not both")
         self.spec = spec
-        self._backend = get_backend(spec.backend)
         self._model: Optional[Any] = None
         self._fit_corpus: Optional[Any] = None
         self._pipeline: Optional[Any] = None
@@ -169,7 +210,7 @@ class LDA:
     @property
     def batch_docs(self) -> int:
         """Documents per mini-batch when replaying a corpus (online backend)."""
-        return int(self.spec.backend_options.get("batch_docs", 64))
+        return self.spec.backend_options.get("batch_docs", 64)
 
     def use_registry(self, registry: "ModelRegistry") -> "LDA":
         """Publish online updates into ``registry`` (e.g. a persisted one).
@@ -292,7 +333,7 @@ class LDA:
             if resume:
                 self._model = self._resume(checkpoint_dir, corpus)
             else:
-                self._model = self._backend.build(self.spec, corpus)
+                self._model = build_engine(self.spec, corpus)
             self._fit_corpus = corpus
         with self._activate():
             if self.spec.backend == "parallel":
@@ -308,28 +349,24 @@ class LDA:
         return self
 
     def _resume(self, checkpoint_dir: Union[str, Path], corpus: "Corpus") -> Any:
-        """Restore the parallel trainer from a checkpoint and adopt its config."""
+        """Restore the parallel trainer from a checkpoint and adopt its keywords."""
         from repro.training.checkpoint import Checkpoint
 
-        checkpoint = Checkpoint.load(checkpoint_dir)
-        config = checkpoint.config
         options = self.spec.backend_options
-        spec = self.spec.with_options(
-            algorithm=config.sampler,
-            num_topics=config.num_topics,
-            alpha=config.alpha,
-            beta=config.beta,
-            num_mh_steps=config.num_mh_steps,
-            kernel=config.kernel,
-            threads=config.threads,
+        trainer = Checkpoint.load(checkpoint_dir).restore(
+            corpus, backend=options.get("backend", "process")
+        )
+        # The trainer's sampler keywords are spec fields of the same name.
+        config = dict(trainer.config)
+        self.spec = self.spec.with_options(
+            algorithm=config.pop("sampler"),
             backend_options={
                 **options,
-                "num_workers": checkpoint.num_workers,
-                "iterations_per_epoch": config.iterations_per_epoch,
+                "num_workers": trainer.num_workers,
+                "iterations_per_epoch": config.pop("iterations_per_epoch"),
             },
+            **config,
         )
-        trainer = checkpoint.restore(corpus, backend=options.get("backend", "process"))
-        self.spec = spec
         return trainer
 
     def partial_fit(self, batch: Union["MiniBatch", Sequence[Any]]) -> Any:
@@ -351,13 +388,13 @@ class LDA:
             from repro.streaming.pipeline import StreamingPipeline
             from repro.streaming.registry import ModelRegistry
 
-            self._model = self._backend.build(self.spec)
+            self._model = build_engine(self.spec)
             if self._registry is None:
                 self._registry = ModelRegistry()
             self._pipeline = StreamingPipeline(
                 self._model,
                 self._registry,
-                publish_every=int(self.spec.backend_options.get("publish_every", 1)),
+                publish_every=self.spec.backend_options.get("publish_every", 1),
             )
         from repro.streaming.stream import MiniBatch
 

@@ -4,15 +4,16 @@ A :class:`ModelSpec` is the single source of truth for *what* model to train
 and *how* to execute it: the algorithm (any key of
 :data:`repro.samplers.registry.SAMPLER_REGISTRY`), the execution kernel, the
 Dirichlet hyper-parameters, the execution backend (``serial``, ``parallel``
-or ``online``) with its backend-specific options, and the seed.  It validates
-once, at construction — through the same
+or ``online``) with its backend-specific options (:data:`BACKEND_OPTIONS`),
+and the seed.  It validates once, at construction — through the same
 :func:`repro.samplers.base.validate_hyperparameters` /
 :func:`~repro.samplers.base.validate_sampler_options` pair every sampler
-constructor and trainer config uses — and then *lowers* via the backend
-registry in :mod:`repro.api.backends`: to the keywords of
-:func:`repro.samplers.registry.build_sampler` (serial), a
-:class:`~repro.training.parallel.TrainerConfig` (parallel) or an
-:class:`~repro.streaming.online.OnlineTrainerConfig` (online).
+constructor and trainer uses, and through the target trainer's own
+``validate_schedule`` for its backend options — so a spec that constructs
+is a spec that runs.  :func:`repro.api.estimator.build_engine` then passes
+its values, as keywords, to :func:`repro.samplers.registry.build_sampler`
+(serial), :class:`~repro.training.parallel.ParallelTrainer` (parallel) or
+:class:`~repro.streaming.online.OnlineTrainer` (online).
 
 Specs are JSON-stable: ``to_dict``/``from_dict`` round-trip exactly,
 ``from_dict`` rejects unknown keys, and ``save``/``load`` move them through
@@ -25,25 +26,42 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
-from repro.api.backends import BACKEND_REGISTRY, get_backend
 from repro.samplers.base import (
     read_kernel,
     validate_hyperparameters,
+    validate_positive_int,
     validate_sampler_options,
 )
 from repro.samplers.registry import SAMPLER_REGISTRY
 
-__all__ = ["ModelSpec", "ALGORITHMS", "BACKEND_NAMES", "SPEC_METADATA_KEY"]
+__all__ = [
+    "ModelSpec",
+    "ALGORITHMS",
+    "BACKEND_NAMES",
+    "BACKEND_OPTIONS",
+    "SPEC_METADATA_KEY",
+]
 
 #: Algorithms a spec may name (the registry's CLI spellings).
 ALGORITHMS = tuple(sorted(SAMPLER_REGISTRY))
 
-#: Execution backends a spec may name (the backend registry's keys).
-BACKEND_NAMES = tuple(sorted(BACKEND_REGISTRY))
+#: The keys each execution backend accepts in ``ModelSpec.backend_options``.
+#: ``publish_every`` and ``batch_docs`` shape the facade's streaming pipeline
+#: and corpus replay; every other key is a keyword of the backend's trainer.
+BACKEND_OPTIONS: Dict[str, frozenset] = {
+    "serial": frozenset(),
+    "parallel": frozenset({"num_workers", "iterations_per_epoch", "backend"}),
+    "online": frozenset(
+        {"window_docs", "sweeps_per_batch", "decay", "publish_every", "batch_docs"}
+    ),
+}
+
+#: Execution backends a spec may name.
+BACKEND_NAMES = tuple(sorted(BACKEND_OPTIONS))
 
 #: Key under which :meth:`repro.api.LDA.save` embeds the spec dict in
 #: :class:`~repro.serving.snapshot.ModelSnapshot` metadata.
@@ -69,7 +87,7 @@ class ModelSpec:
         Symmetric word Dirichlet parameter.
     num_mh_steps:
         MH proposals per token per phase (WarpLDA / LightLDA only; ignored
-        by the exact samplers, like the constructors it lowers to).
+        by the exact samplers, like the constructors it is passed to).
     kernel:
         ``"slab"`` (vectorised kernels) or ``"scalar"`` (legacy loops).
     threads:
@@ -142,13 +160,17 @@ class ModelSpec:
         if self.threads is not None:
             # numpy integers become plain ints so the spec stays JSON-stable.
             object.__setattr__(self, "threads", int(self.threads))
-        backend_impl = get_backend(self.backend)
+        allowed = BACKEND_OPTIONS.get(self.backend)
+        if allowed is None:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; choose from {BACKEND_NAMES}"
+            )
         options = dict(self.backend_options or {})
-        unknown = set(options) - backend_impl.option_keys
+        unknown = set(options) - allowed
         if unknown:
             raise ValueError(
                 f"unknown {self.backend!r} backend options {sorted(unknown)}; "
-                f"allowed: {sorted(backend_impl.option_keys) or 'none'}"
+                f"allowed: {sorted(allowed) or 'none'}"
             )
         object.__setattr__(self, "backend_options", options)
         if self.seed is not None:
@@ -168,30 +190,49 @@ class ModelSpec:
                     f"telemetry must be a path or None, got {self.telemetry!r}"
                 )
             object.__setattr__(self, "telemetry", str(self.telemetry))
-        # Backend-specific consistency (e.g. vector alpha is serial-only) is
-        # delegated to the lowering path, so a spec that constructs is a
-        # spec that lowers.
-        backend_impl.validate(self)
+        if self.backend != "serial":
+            self._validate_trainer_backend(options)
+
+    def _validate_trainer_backend(self, options: Dict[str, Any]) -> None:
+        """What the parallel and online trainers add to a spec's checks.
+
+        The trainer modules are imported here so that ``import repro.api``
+        stays free of ``multiprocessing`` and the streaming stack.
+        """
+        if isinstance(self.alpha, list):
+            raise ValueError(
+                f"the {self.backend!r} backend supports only a scalar (or default) "
+                "alpha; a length-K alpha vector requires backend='serial'"
+            )
+        # The trainers take no word_proposal keyword, so a non-default setting
+        # would be silently dropped while the snapshot metadata still records
+        # it — reject instead of lying about provenance.
+        if self.word_proposal != "mixture":
+            raise ValueError(
+                f"word_proposal={self.word_proposal!r} is only honoured by "
+                f"backend='serial'; the {self.backend!r} backend always uses "
+                "the mixture proposal"
+            )
+        if self.backend == "parallel":
+            from repro.training.parallel import validate_schedule
+
+            validate_schedule(**options)
+            return
+        from repro.streaming.online import validate_schedule as validate_online
+
+        pipeline = ("publish_every", "batch_docs")
+        for key in pipeline:
+            if key in options:
+                validate_positive_int(key, options[key])
+        validate_online(**{k: v for k, v in options.items() if k not in pipeline})
 
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form; inverse of :meth:`from_dict`."""
-        return {
-            "num_topics": self.num_topics,
-            "algorithm": self.algorithm,
-            "alpha": list(self.alpha) if isinstance(self.alpha, list) else self.alpha,
-            "beta": self.beta,
-            "num_mh_steps": self.num_mh_steps,
-            "kernel": self.kernel,
-            "threads": self.threads,
-            "word_proposal": self.word_proposal,
-            "backend": self.backend,
-            "backend_options": dict(self.backend_options),
-            "seed": self.seed,
-            "telemetry": self.telemetry,
-        }
+        """JSON-compatible form (a copy, in field order); inverse of
+        :meth:`from_dict`."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ModelSpec":

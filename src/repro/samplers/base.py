@@ -12,9 +12,10 @@ it needs from ``Z`` (see :mod:`repro.core.warplda`).
 This module is also the one home of *what a sampler run is made of*: the
 kernel names (:data:`KERNELS`), the ``(K, α, β)`` check
 (:func:`validate_hyperparameters`), the ``(M, kernel, threads,
-word_proposal)`` check (:func:`validate_sampler_options`) and the kernel
-degradation rule (:func:`resolve_kernel`).  Every description of a run —
-``ModelSpec``, ``TrainerConfig``, ``OnlineTrainerConfig`` and the sampler
+word_proposal)`` check (:func:`validate_sampler_options`), the count-option
+check (:func:`validate_positive_int`) and the kernel degradation rule
+(:func:`resolve_kernel`).  Every entry point of a run — ``ModelSpec``, the
+``ParallelTrainer`` / ``OnlineTrainer`` keywords and the sampler
 constructors themselves — validates through these and nothing else;
 :func:`repro.samplers.registry.build_sampler` turns one into a sampler.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "resolve_kernel",
     "validate_hyperparameters",
     "validate_fit_arguments",
+    "validate_positive_int",
     "validate_sampler_options",
 ]
 
@@ -74,7 +76,7 @@ def validate_sampler_options(
     execution path, the kernel thread count and WarpLDA's word-proposal
     kind.  Every entry point checks the options it carries here (the rest
     keep their valid defaults), so ``kernel="fast"`` or ``threads=True``
-    raises the same text from a spec, a trainer config or a sampler.
+    raises the same text from a spec, a trainer or a sampler.
     """
     if num_mh_steps <= 0:
         raise ValueError(f"num_mh_steps must be positive, got {num_mh_steps}")
@@ -90,6 +92,18 @@ def validate_sampler_options(
             f"word_proposal must be {_one_of(_WORD_PROPOSALS)}, got "
             f"{word_proposal!r}"
         )
+
+
+def validate_positive_int(name: str, value: Any) -> None:
+    """Raise the shared ``ValueError`` unless ``value`` is a positive int.
+
+    The check of every count a run is scheduled by; a bool or float (even
+    ``2.0``) fails here instead of being truncated or failing mid-run.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def read_kernel(name: str) -> str:
@@ -109,9 +123,9 @@ def resolve_kernel(sampler_cls: type, kernel: str) -> str:
 
     A requested path the sampler implements is used as-is; anything else
     degrades to ``"scalar"``, which every sampler implements.  This keeps
-    one config (``TrainerConfig``/``ModelSpec``) valid across samplers with
-    different kernel support instead of erroring midway through
-    construction.  Called by
+    one run description (a ``ModelSpec``, a trainer's keywords) valid
+    across samplers with different kernel support instead of erroring midway
+    through construction.  Called by
     :func:`repro.samplers.registry.build_sampler` (what runs) and by
     :meth:`repro.api.LDA.export_snapshot` (what the provenance records).
     A name that is no kernel at all raises the shared text.
@@ -156,11 +170,11 @@ def validate_hyperparameters(
 ) -> None:
     """Raise the shared ``ValueError`` family for an invalid ``(K, α, β)``.
 
-    Every entry point — the sampler constructors, ``TrainerConfig``,
-    ``OnlineTrainerConfig`` and ``repro.api.ModelSpec`` — funnels through
-    this one check, so ``num_topics=0`` or a negative ``beta`` raises the
-    same error everywhere instead of only where a particular config
-    dataclass happened to validate it.
+    Every entry point — the sampler constructors, ``ParallelTrainer``,
+    ``OnlineTrainer`` and ``repro.api.ModelSpec`` — funnels through this one
+    check, so ``num_topics=0`` or a negative ``beta`` raises the same error
+    everywhere instead of only where a particular entry point happened to
+    validate it.
     """
     resolve_hyperparameters(num_topics, alpha, beta, vocabulary_size=1)
 

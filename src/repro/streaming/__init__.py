@@ -25,7 +25,7 @@ latency (``servable_p50_ms``) and sustained throughput (``docs_per_s``).
 """
 
 from repro.streaming.corpus import StreamingCorpus
-from repro.streaming.online import OnlineTrainer, OnlineTrainerConfig, OnlineUpdate
+from repro.streaming.online import OnlineTrainer, OnlineUpdate
 from repro.streaming.pipeline import IngestReport, StreamingPipeline
 from repro.streaming.registry import ModelRegistry, PublishedVersion, VersionIdentity
 from repro.streaming.stream import DocumentStream, MiniBatch, StreamStats
@@ -36,7 +36,6 @@ __all__ = [
     "MiniBatch",
     "ModelRegistry",
     "OnlineTrainer",
-    "OnlineTrainerConfig",
     "OnlineUpdate",
     "PublishedVersion",
     "StreamStats",

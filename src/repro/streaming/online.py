@@ -35,7 +35,7 @@ unchanged.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
     from repro.serving.snapshot import ModelSnapshot
@@ -45,90 +45,27 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
-from repro.samplers.base import (
-    resolve_hyperparameters,
-    validate_hyperparameters,
-    validate_sampler_options,
-)
-from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
+from repro.samplers.base import resolve_hyperparameters, validate_positive_int
+from repro.samplers.registry import build_sampler, validate_trainer_sampler
 from repro.sampling.rng import RngLike, ensure_rng
 from repro.streaming.corpus import StreamingCorpus
 from repro.streaming.stream import MiniBatch
 
-__all__ = ["OnlineTrainer", "OnlineTrainerConfig", "OnlineUpdate"]
+__all__ = ["OnlineTrainer", "OnlineUpdate", "validate_schedule"]
 
 
-@dataclass(frozen=True)
-class OnlineTrainerConfig:
-    """Knobs of the streaming update loop.
+def validate_schedule(
+    *, window_docs: int = 1024, sweeps_per_batch: int = 2, decay: float = 1.0
+) -> None:
+    """Raise ``ValueError`` for :class:`OnlineTrainer`'s own options.
 
-    Attributes
-    ----------
-    num_topics:
-        Number of topics ``K`` (fixed for the lifetime of the stream).
-    alpha, beta:
-        Dirichlet hyper-parameters; ``alpha=None`` resolves to 50/K.
-    sampler:
-        Key into the training registry (``"cgs"``, ``"warplda"``, ...).
-        Defaults to ``"cgs"`` — the exact-enumeration sampler mixes fastest
-        per sweep, which matters when each batch only gets a few sweeps.
-    kernel:
-        ``"slab"`` (vectorised kernels, default) or ``"scalar"``; samplers
-        without a slab path fall back to scalar automatically.
-    threads:
-        Worker threads for the slab kernels' bucket dispatch; ``None`` means
-        1.  Results are bit-identical for every thread count.
-    window_docs:
-        Sliding-window size in documents.  Documents beyond the window are
-        retired into the decayed external counts.
-    sweeps_per_batch:
-        Gibbs sweeps over the window per ingested mini-batch.
-    decay:
-        Exponential factor applied to the retired counts once per batch;
-        ``1.0`` disables ageing, smaller values forget old data faster.
-    num_mh_steps:
-        MH proposals per token (WarpLDA / LightLDA only).
+    Its constructor and :class:`repro.api.ModelSpec` both run this one check,
+    so a spec that constructs is a spec that runs.
     """
-
-    num_topics: int = 20
-    alpha: Optional[float] = None
-    beta: float = 0.01
-    sampler: str = "cgs"
-    kernel: str = "slab"
-    threads: Optional[int] = None
-    window_docs: int = 1024
-    sweeps_per_batch: int = 2
-    decay: float = 1.0
-    num_mh_steps: int = 2
-
-    def __post_init__(self) -> None:
-        if self.sampler not in SAMPLER_REGISTRY:
-            raise ValueError(
-                f"unknown sampler {self.sampler!r}; choose from "
-                f"{sorted(SAMPLER_REGISTRY)}"
-            )
-        if self.alpha is not None and not isinstance(self.alpha, (int, float)):
-            # The config is JSON-serialised into snapshot metadata; a
-            # length-K alpha vector would train fine and then crash the save.
-            raise ValueError(
-                f"alpha must be a scalar or None, got {type(self.alpha).__name__}"
-            )
-        validate_hyperparameters(self.num_topics, self.alpha, self.beta)
-        validate_sampler_options(
-            num_mh_steps=self.num_mh_steps, kernel=self.kernel, threads=self.threads
-        )
-        if self.window_docs <= 0:
-            raise ValueError(f"window_docs must be positive, got {self.window_docs}")
-        if self.sweeps_per_batch <= 0:
-            raise ValueError(
-                f"sweeps_per_batch must be positive, got {self.sweeps_per_batch}"
-            )
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form (snapshot metadata, bench records)."""
-        return asdict(self)
+    validate_positive_int("window_docs", window_docs)
+    validate_positive_int("sweeps_per_batch", sweeps_per_batch)
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must be in (0, 1], got {decay}")
 
 
 @dataclass(frozen=True)
@@ -164,9 +101,20 @@ class OnlineTrainer:
     seed:
         Seed or generator driving assignment initialisation and every
         window sweep; one seed makes the whole stream reproducible.
-    num_topics, alpha, beta, sampler, kernel, threads, window_docs, ...:
-        The fields of :class:`OnlineTrainerConfig`, which validates them
-        (:meth:`from_config` takes a ready config object instead).
+    num_topics, alpha, beta, sampler, kernel, threads, num_mh_steps:
+        Every window sweep's sampler, as
+        :func:`repro.samplers.registry.build_sampler` takes them; ``alpha``
+        must be a scalar or ``None`` (50/K).  ``sampler`` defaults to
+        ``"cgs"``: the exact sampler mixes fastest per sweep, which matters
+        when each batch only gets a few sweeps.
+    window_docs:
+        Sliding-window size in documents.  Documents beyond the window are
+        retired into the decayed external counts.
+    sweeps_per_batch:
+        Gibbs sweeps over the window per ingested mini-batch.
+    decay:
+        Exponential factor applied to the retired counts once per batch;
+        ``1.0`` disables ageing, smaller values forget old data faster.
 
     Examples
     --------
@@ -186,9 +134,31 @@ class OnlineTrainer:
         vocabulary: Optional[Vocabulary] = None,
         corpus: Optional[StreamingCorpus] = None,
         seed: RngLike = None,
-        **config_kwargs: Any,
+        num_topics: int = 20,
+        alpha: Optional[float] = None,
+        beta: float = 0.01,
+        sampler: str = "cgs",
+        kernel: str = "slab",
+        threads: Optional[int] = None,
+        window_docs: int = 1024,
+        sweeps_per_batch: int = 2,
+        decay: float = 1.0,
+        num_mh_steps: int = 2,
     ) -> None:
-        config = OnlineTrainerConfig(**config_kwargs)
+        #: Keywords of every window sweep's sampler (``build_sampler``'s).
+        self._sampler_keywords: Dict[str, Any] = {
+            "algorithm": sampler,
+            "num_topics": num_topics,
+            "alpha": alpha,
+            "beta": beta,
+            "num_mh_steps": num_mh_steps,
+            "kernel": kernel,
+            "threads": threads,
+        }
+        validate_trainer_sampler(**self._sampler_keywords)
+        validate_schedule(
+            window_docs=window_docs, sweeps_per_batch=sweeps_per_batch, decay=decay
+        )
         if corpus is None:
             corpus = StreamingCorpus(vocabulary)
         elif corpus.num_documents:
@@ -196,12 +166,14 @@ class OnlineTrainer:
                 "OnlineTrainer requires an empty StreamingCorpus; ingest "
                 "existing documents through ingest() so they are trained on"
             )
-        self.config = config
+        self.window_docs = window_docs
+        self.sweeps_per_batch = sweeps_per_batch
+        self.decay = decay
         self.corpus = corpus
         self.rng = ensure_rng(seed)
-        self.num_topics = config.num_topics
+        self.num_topics = num_topics
         self.alpha, self.alpha_sum, self.beta, _ = resolve_hyperparameters(
-            config.num_topics, config.alpha, config.beta, vocabulary_size=1
+            num_topics, alpha, beta, vocabulary_size=1
         )
         # Stream-aligned per-token assignments (capacity-doubling store).
         self._assignment_store = np.empty(1024, dtype=np.int64)
@@ -214,23 +186,6 @@ class OnlineTrainer:
         self.documents_ingested = 0
         self.tokens_ingested = 0
         self.train_seconds = 0.0
-
-    @classmethod
-    def from_config(
-        cls,
-        config: OnlineTrainerConfig,
-        vocabulary: Optional[Vocabulary] = None,
-        corpus: Optional[StreamingCorpus] = None,
-        seed: RngLike = None,
-    ) -> "OnlineTrainer":
-        """Build a trainer from an :class:`OnlineTrainerConfig` object.
-
-        The lowering target of :class:`repro.api.ModelSpec`; identical to
-        passing the config's fields as keywords.
-        """
-        return cls(
-            vocabulary=vocabulary, corpus=corpus, seed=seed, **config.to_dict()
-        )
 
     # ------------------------------------------------------------------ #
     # Internal state helpers
@@ -297,8 +252,8 @@ class OnlineTrainer:
         added_tokens = self.corpus.append(documents)
         self._grow_assignments(old_tokens)
         self._grow_retired()
-        if self.config.decay < 1.0 and self._retired.any():
-            self._retired *= self.config.decay
+        if self.decay < 1.0 and self._retired.any():
+            self._retired *= self.decay
 
         # Sweep over everything not yet retired — the previous window plus
         # the arriving batch — and only *then* retire down to the new window
@@ -323,7 +278,7 @@ class OnlineTrainer:
         if window.num_tokens:
             self._sweep_window(window, warm)
 
-        window_start = max(0, num_docs - self.config.window_docs)
+        window_start = max(0, num_docs - self.window_docs)
         retired_now = self._retire_documents(window_start)
 
         elapsed = time.perf_counter() - started
@@ -350,21 +305,10 @@ class OnlineTrainer:
         window playing the role of the local shard — and the refined
         assignments are written back into the stream-aligned buffer.
         """
-        config = self.config
-        sampler = build_sampler(
-            config.sampler,
-            window,
-            num_topics=config.num_topics,
-            alpha=config.alpha,
-            beta=config.beta,
-            num_mh_steps=config.num_mh_steps,
-            kernel=config.kernel,
-            threads=config.threads,
-            seed=self.rng,
-        )
+        sampler = build_sampler(corpus=window, seed=self.rng, **self._sampler_keywords)
         sampler.set_assignments(warm)
         sampler.set_external_counts(np.rint(self._retired).astype(np.int64))
-        sampler.fit(config.sweeps_per_batch)
+        sampler.fit(self.sweeps_per_batch)
         warm[:] = sampler.assignments
 
     # ------------------------------------------------------------------ #
@@ -417,12 +361,12 @@ class OnlineTrainer:
             raise ValueError("cannot export a snapshot before ingesting any tokens")
         words = self.corpus.vocabulary.words()
         metadata: Dict[str, Any] = {
-            "sampler": f"Online[{self.config.sampler}]",
+            "sampler": f"Online[{self._sampler_keywords['algorithm']}]",
             "batches_ingested": self.batches_ingested,
             "num_documents": int(self.corpus.num_documents),
             "num_tokens": int(self.corpus.num_tokens),
-            "window_docs": self.config.window_docs,
-            "decay": self.config.decay,
+            "window_docs": self.window_docs,
+            "decay": self.decay,
         }
         if extra_metadata:
             metadata.update(extra_metadata)
@@ -436,7 +380,7 @@ class OnlineTrainer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"OnlineTrainer(sampler={self.config.sampler!r}, "
+            f"OnlineTrainer(sampler={self._sampler_keywords['algorithm']!r}, "
             f"K={self.num_topics}, batches={self.batches_ingested}, "
             f"D={self.corpus.num_documents}, V={self.corpus.vocabulary_size})"
         )

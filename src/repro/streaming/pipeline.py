@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.corpus.corpus import Document
 from repro.obs import get_telemetry
+from repro.samplers.base import validate_positive_int
 from repro.serving.server import TopicServer
 from repro.streaming.online import OnlineTrainer, OnlineUpdate
 from repro.streaming.registry import ModelRegistry, VersionIdentity
@@ -99,8 +100,7 @@ class StreamingPipeline:
         publish_every: int = 1,
         report_history: int = 256,
     ) -> None:
-        if publish_every <= 0:
-            raise ValueError(f"publish_every must be positive, got {publish_every}")
+        validate_positive_int("publish_every", publish_every)
         if report_history < 0:
             raise ValueError(
                 f"report_history must be non-negative, got {report_history}"
@@ -108,7 +108,7 @@ class StreamingPipeline:
         self.trainer = trainer
         self.registry = registry if registry is not None else ModelRegistry()
         self.server = server
-        self.publish_every = int(publish_every)
+        self.publish_every = publish_every
         self.reports: Deque[IngestReport] = deque(maxlen=report_history)
         if server is not None:
             server.attach_registry(self.registry)

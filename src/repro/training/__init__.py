@@ -16,7 +16,6 @@ from repro.training.checkpoint import Checkpoint
 from repro.training.parallel import (
     SAMPLER_REGISTRY,
     ParallelTrainer,
-    TrainerConfig,
     contiguous_shards,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "Checkpoint",
     "ParallelTrainer",
     "SAMPLER_REGISTRY",
-    "TrainerConfig",
     "contiguous_shards",
 ]

@@ -9,14 +9,15 @@ A checkpoint directory written by :meth:`Checkpoint.save` contains
 * ``state.npz`` — the numeric worker state: per-shard topic assignments (and,
   for WarpLDA, the proposal buffers) concatenated in corpus token order, plus
   the shard boundaries;
-* ``checkpoint.json`` — everything else: format version, the
-  :class:`~repro.training.parallel.TrainerConfig`, per-worker RNG states and
-  iteration counters, the epoch counter, and a corpus fingerprint guarding
-  against resuming on the wrong corpus.
+* ``checkpoint.json`` — everything else: format version, the trainer's
+  keywords (:attr:`~repro.training.parallel.ParallelTrainer.config`),
+  per-worker RNG states and iteration counters, the epoch counter, and a
+  corpus fingerprint guarding against resuming on the wrong corpus.
 
 Resume (:meth:`Checkpoint.restore`) is **bit-exact**: the restored trainer
 continues the exact random streams and produces the same φ/θ as an
-uninterrupted run, which the determinism test suite checks.
+uninterrupted run, which the determinism test suite checks.  A malformed
+checkpoint fails :meth:`Checkpoint.load` with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from repro.corpus.corpus import Corpus
+from repro.samplers.base import read_kernel
 from repro.serving.snapshot import ModelSnapshot
-from repro.training.parallel import ParallelTrainer, TrainerConfig
+from repro.training.parallel import CONFIG_KEYS, ParallelTrainer
 
 __all__ = ["Checkpoint", "corpus_fingerprint"]
 
@@ -65,7 +67,7 @@ class Checkpoint:
     def __init__(
         self,
         snapshot: ModelSnapshot,
-        config: TrainerConfig,
+        config: Dict[str, Any],
         num_workers: int,
         boundaries: np.ndarray,
         worker_states: List[Dict[str, Any]],
@@ -95,7 +97,7 @@ class Checkpoint:
         )
         return cls(
             snapshot=snapshot,
-            config=trainer.config,
+            config=dict(trainer.config),
             num_workers=trainer.num_workers,
             boundaries=trainer.boundaries,
             worker_states=trainer.export_worker_states(),
@@ -159,7 +161,7 @@ class Checkpoint:
 
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
-            "config": self.config.to_dict(),
+            "config": self.config,
             "num_workers": self.num_workers,
             "epochs_completed": self.epochs_completed,
             "fingerprint": self.fingerprint,
@@ -190,34 +192,69 @@ class Checkpoint:
             else:
                 raise FileNotFoundError(f"no checkpoint metadata at {meta_path}")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError(f"checkpoint metadata {meta_path} is not a JSON object")
         version = meta.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint format version {version!r} "
                 f"(expected {CHECKPOINT_FORMAT_VERSION})"
             )
+
+        def field(key: str, kind: Any) -> Any:
+            try:
+                return kind(meta[key])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"checkpoint metadata {meta_path} has no valid {key!r}"
+                ) from None
+
+        config = field("config", dict)
+        unknown = sorted(set(config) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"checkpoint {meta_path} has unknown config keys {unknown}")
+        # A checkpoint from before the kernel layer resumes on the scalar path
+        # it was trained with; a retired kernel name reads as its successor.
+        config["kernel"] = read_kernel(config.get("kernel", "scalar"))
+        num_workers = field("num_workers", int)
+        per_worker = {
+            key: field(key, list)
+            for key in ("rng_states", "iterations_completed", "has_proposals")
+        }
+        for key, values in per_worker.items():
+            if len(values) != num_workers:
+                raise ValueError(
+                    f"checkpoint metadata {meta_path} lists {len(values)} "
+                    f"{key} for {num_workers} workers"
+                )
         snapshot = ModelSnapshot.load(directory / _SNAPSHOT_FILE)
-        num_workers = int(meta["num_workers"])
         worker_states: List[Dict[str, Any]] = []
-        with np.load(directory / _STATE_FILE) as arrays:
-            boundaries = arrays["boundaries"]
+        state_path = directory / _STATE_FILE
+        with np.load(state_path) as arrays:
+
+            def array(name: str) -> np.ndarray:
+                if name not in arrays.files:
+                    raise ValueError(f"checkpoint state {state_path} lacks {name!r}")
+                return arrays[name]
+
+            boundaries = array("boundaries")
             for index in range(num_workers):
                 state: Dict[str, Any] = {
-                    "assignments": arrays[f"assignments_{index}"],
-                    "rng_state": meta["rng_states"][index],
-                    "iterations_completed": meta["iterations_completed"][index],
+                    "assignments": array(f"assignments_{index}"),
+                    "rng_state": per_worker["rng_states"][index],
+                    "iterations_completed": per_worker["iterations_completed"][index],
                 }
-                if meta["has_proposals"][index]:
-                    state["proposals"] = arrays[f"proposals_{index}"]
+                if per_worker["has_proposals"][index]:
+                    state["proposals"] = array(f"proposals_{index}")
                 worker_states.append(state)
         checkpoint = cls(
             snapshot=snapshot,
-            config=TrainerConfig.from_dict(meta["config"]),
+            config=config,
             num_workers=num_workers,
             boundaries=boundaries,
             worker_states=worker_states,
-            epochs_completed=int(meta["epochs_completed"]),
-            fingerprint=dict(meta["fingerprint"]),
+            epochs_completed=field("epochs_completed", int),
+            fingerprint=field("fingerprint", dict),
         )
         checkpoint.source_path = directory
         return checkpoint
@@ -242,12 +279,8 @@ class Checkpoint:
                 f"corpus does not match the checkpoint: expected "
                 f"{self.fingerprint}, got {observed}"
             )
-        trainer = ParallelTrainer.from_config(
-            corpus,
-            self.config,
-            num_workers=self.num_workers,
-            seed=seed,
-            backend=backend,
+        trainer = ParallelTrainer(
+            corpus, self.num_workers, seed=seed, backend=backend, **self.config
         )
         try:
             if not np.array_equal(trainer.boundaries, self.boundaries):
@@ -268,6 +301,6 @@ class Checkpoint:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Checkpoint(sampler={self.config.sampler!r}, "
+            f"Checkpoint(sampler={self.config.get('sampler')!r}, "
             f"workers={self.num_workers}, epoch={self.epochs_completed})"
         )

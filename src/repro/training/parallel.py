@@ -35,7 +35,6 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -46,13 +45,12 @@ from repro.corpus.corpus import Corpus
 from repro.evaluation.convergence import ConvergenceTracker
 from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
 from repro.obs import Telemetry, get_telemetry, use_telemetry
-from repro.samplers.base import (
-    read_kernel,
-    resolve_hyperparameters,
-    validate_hyperparameters,
-    validate_sampler_options,
+from repro.samplers.base import resolve_hyperparameters, validate_positive_int
+from repro.samplers.registry import (
+    SAMPLER_REGISTRY,
+    build_sampler,
+    validate_trainer_sampler,
 )
-from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 from repro.sampling.rng import RngLike, spawn_rngs
 
 if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
@@ -62,10 +60,11 @@ if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
 
 __all__ = [
     "ParallelTrainer",
-    "TrainerConfig",
+    "CONFIG_KEYS",
     "ShardRunner",
     "SAMPLER_REGISTRY",
     "contiguous_shards",
+    "validate_schedule",
 ]
 
 BACKENDS = ("process", "inline")
@@ -106,82 +105,26 @@ def contiguous_shards(sizes: np.ndarray, num_partitions: int) -> np.ndarray:
     return boundaries
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Sampler configuration shared by every shard.
+def validate_schedule(
+    *, num_workers: int = 2, iterations_per_epoch: int = 1, backend: str = "process"
+) -> None:
+    """Raise ``ValueError`` for :class:`ParallelTrainer`'s own options.
 
-    Attributes
-    ----------
-    sampler:
-        Key into :data:`SAMPLER_REGISTRY` (``"warplda"``, ``"cgs"``, ...).
-    num_topics:
-        Number of topics ``K``.
-    alpha:
-        Symmetric document Dirichlet parameter; ``None`` resolves to 50/K.
-    beta:
-        Symmetric word Dirichlet parameter.
-    num_mh_steps:
-        Proposals per token per phase (WarpLDA/LightLDA only).
-    iterations_per_epoch:
-        Full sweeps every worker runs between two merge barriers.  1 keeps
-        the external counts at most one iteration stale (the serial sampler's
-        own delay); larger values trade staleness for fewer barriers.
-    kernel:
-        Execution path for every shard's sampler: ``"slab"`` (the vectorised
-        kernels of :mod:`repro.kernels`, the default) or ``"scalar"`` (the
-        legacy per-row loops).  Samplers without the slab path run the
-        scalar one (:func:`repro.samplers.base.resolve_kernel`).
-    threads:
-        Worker threads for each shard's slab kernels (``None`` means 1).
-        Thread count never changes the trajectory.
+    Its constructor and :class:`repro.api.ModelSpec` both run this one check,
+    so a spec that constructs is a spec that runs.
     """
-
-    sampler: str = "warplda"
-    num_topics: int = 10
-    alpha: Optional[float] = None
-    beta: float = 0.01
-    num_mh_steps: int = 2
-    iterations_per_epoch: int = 1
-    kernel: str = "slab"
-    threads: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.sampler not in SAMPLER_REGISTRY:
-            raise ValueError(
-                f"unknown sampler {self.sampler!r}; choose from "
-                f"{sorted(SAMPLER_REGISTRY)}"
-            )
-        if self.alpha is not None and not isinstance(self.alpha, (int, float)):
-            # The config is JSON-serialised into checkpoint sidecars; a
-            # length-K alpha vector would train fine and then crash the save.
-            raise ValueError(
-                f"alpha must be a scalar or None, got {type(self.alpha).__name__}"
-            )
-        validate_hyperparameters(self.num_topics, self.alpha, self.beta)
-        validate_sampler_options(
-            num_mh_steps=self.num_mh_steps, kernel=self.kernel, threads=self.threads
+    validate_positive_int("num_workers", num_workers)
+    validate_positive_int("iterations_per_epoch", iterations_per_epoch)
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"backend must be {BACKENDS[0]!r} or {BACKENDS[1]!r}, got {backend!r}"
         )
-        if self.iterations_per_epoch <= 0:
-            raise ValueError(
-                f"iterations_per_epoch must be positive, got {self.iterations_per_epoch}"
-            )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form (checkpoint sidecars)."""
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TrainerConfig":
-        """Inverse of :meth:`to_dict`.
-
-        Checkpoints written before the kernel layer existed carry no
-        ``kernel`` key; they must resume on the scalar path they were
-        trained with (the slab default would silently change the RNG
-        trajectory of a bit-exact resume).  A retired kernel name reads as
-        its successor (:func:`repro.samplers.base.read_kernel`).
-        """
-        kernel = read_kernel(data.get("kernel", "scalar"))
-        return cls(**{**data, "kernel": kernel})
+#: The keywords :attr:`ParallelTrainer.config` records (every shard's sampler
+#: keywords plus the epoch length): the keys of a checkpoint's ``config``.
+CONFIG_KEYS = ("sampler", "num_topics", "alpha", "beta", "num_mh_steps", "kernel",
+               "threads", "iterations_per_epoch")
 
 
 class ShardRunner:
@@ -190,28 +133,21 @@ class ShardRunner:
     The same object runs inside a worker process (``backend="process"``) or
     directly in the master (``backend="inline"``); the trainer only speaks
     the four-verb protocol below, so the backends are interchangeable.
+    ``config`` is the trainer's keyword dict (:attr:`ParallelTrainer.config`).
     """
 
     def __init__(
         self,
         shard: Corpus,
-        config: TrainerConfig,
+        config: Dict[str, Any],
         rng: np.random.Generator,
         index: int = 0,
     ) -> None:
-        self.config = config
+        options = dict(config)
+        algorithm = options.pop("sampler")
+        self.iterations_per_epoch = options.pop("iterations_per_epoch")
         self.index = int(index)
-        self.sampler: Any = build_sampler(
-            config.sampler,
-            shard,
-            num_topics=config.num_topics,
-            alpha=config.alpha,
-            beta=config.beta,
-            num_mh_steps=config.num_mh_steps,
-            kernel=config.kernel,
-            threads=config.threads,
-            seed=rng,
-        )
+        self.sampler: Any = build_sampler(algorithm, shard, seed=rng, **options)
         # The shard's contribution only changes while sampling, so it is
         # read once per barrier and reused for the next epoch's external
         # counts (V x K can be large on real corpora).
@@ -255,7 +191,7 @@ class ShardRunner:
     def _sample_epoch(self, global_word_topic: np.ndarray) -> None:
         self.sampler.set_external_counts(global_word_topic - self._contribution)
         try:
-            self.sampler.fit(self.config.iterations_per_epoch)
+            self.sampler.fit(self.iterations_per_epoch)
         finally:
             self.sampler.clear_external_counts()
         self._contribution = self.sampler.word_topic_counts()
@@ -277,7 +213,7 @@ class ShardRunner:
 def _worker_main(
     conn: Connection,
     shard: Corpus,
-    config: TrainerConfig,
+    config: Dict[str, Any],
     rng: np.random.Generator,
     index: int = 0,
 ) -> None:
@@ -323,7 +259,7 @@ class _ProcessWorker:
         self,
         context: multiprocessing.context.BaseContext,
         shard: Corpus,
-        config: TrainerConfig,
+        config: Dict[str, Any],
         rng: np.random.Generator,
         index: int = 0,
     ) -> None:
@@ -367,7 +303,7 @@ class _InlineWorker:
     """The same protocol executed synchronously in the master process."""
 
     def __init__(
-        self, shard: Corpus, config: TrainerConfig, rng: np.random.Generator, index: int = 0
+        self, shard: Corpus, config: Dict[str, Any], rng: np.random.Generator, index: int = 0
     ) -> None:
         self._runner = ShardRunner(shard, config, rng, index=index)
         self._pending: Any = self._runner.word_topic_counts()
@@ -416,9 +352,13 @@ class ParallelTrainer:
         ``"process"`` (real ``multiprocessing`` workers, the default) or
         ``"inline"`` (same protocol, master process only — for tests,
         debugging and single-core machines).
-    sampler, num_topics, alpha, beta, num_mh_steps, iterations_per_epoch, kernel, threads:
-        The fields of :class:`TrainerConfig`, which validates them
-        (:meth:`from_config` takes a ready config object instead).
+    sampler, num_topics, alpha, beta, num_mh_steps, kernel, threads:
+        Every shard's sampler, as :func:`repro.samplers.registry.build_sampler`
+        takes them; ``alpha`` must be a scalar or ``None`` (50/K).
+    iterations_per_epoch:
+        Full sweeps every worker runs between two merge barriers.  1 keeps
+        the external counts at most one iteration stale (the serial sampler's
+        own delay); larger values trade staleness for fewer barriers.
 
     Examples
     --------
@@ -439,21 +379,41 @@ class ParallelTrainer:
         *,
         seed: RngLike = None,
         backend: str = "process",
-        **config_kwargs: Any,
+        sampler: str = "warplda",
+        num_topics: int = 10,
+        alpha: Optional[float] = None,
+        beta: float = 0.01,
+        num_mh_steps: int = 2,
+        iterations_per_epoch: int = 1,
+        kernel: str = "slab",
+        threads: Optional[int] = None,
     ) -> None:
-        config = TrainerConfig(**config_kwargs)
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        sampler_keywords: Dict[str, Any] = {
+            "num_topics": num_topics,
+            "alpha": alpha,
+            "beta": beta,
+            "num_mh_steps": num_mh_steps,
+            "kernel": kernel,
+            "threads": threads,
+        }
+        validate_trainer_sampler(sampler, **sampler_keywords)
+        validate_schedule(
+            num_workers=num_workers, iterations_per_epoch=iterations_per_epoch, backend=backend
+        )
+        #: The run's :data:`CONFIG_KEYS` keywords, as the ``config`` block of
+        #: ``checkpoint.json`` records them.
+        self.config: Dict[str, Any] = {
+            "sampler": sampler,
+            **sampler_keywords,
+            "iterations_per_epoch": iterations_per_epoch,
+        }
         self.corpus = corpus
-        self.config = config
         self.num_workers = int(num_workers)
         self.backend = backend
         self.alpha, self.alpha_sum, self.beta, self.beta_sum = resolve_hyperparameters(
-            config.num_topics, config.alpha, config.beta, corpus.vocabulary_size
+            num_topics, alpha, beta, corpus.vocabulary_size
         )
-        self.num_topics = config.num_topics
+        self.num_topics = num_topics
 
         self.boundaries = contiguous_shards(corpus.document_lengths(), num_workers)
         shards = [
@@ -465,7 +425,7 @@ class ParallelTrainer:
         self._workers: List[Any]
         if backend == "inline":
             self._workers = [
-                _InlineWorker(shard, config, rng, index=i)
+                _InlineWorker(shard, self.config, rng, index=i)
                 for i, (shard, rng) in enumerate(zip(shards, rngs))
             ]
         else:
@@ -476,7 +436,7 @@ class ParallelTrainer:
             )
             context = multiprocessing.get_context(method)
             self._workers = [
-                _ProcessWorker(context, shard, config, rng, index=i)
+                _ProcessWorker(context, shard, self.config, rng, index=i)
                 for i, (shard, rng) in enumerate(zip(shards, rngs))
             ]
         # Barrier 0: collect the initial contributions into the global state.
@@ -494,24 +454,6 @@ class ParallelTrainer:
         #: Free-form resume provenance, merged into exported snapshot metadata
         #: (populated by Checkpoint.restore).
         self.provenance: Dict[str, Any] = {}
-
-    @classmethod
-    def from_config(
-        cls,
-        corpus: Corpus,
-        config: TrainerConfig,
-        num_workers: int = 2,
-        seed: RngLike = None,
-        backend: str = "process",
-    ) -> "ParallelTrainer":
-        """Build a trainer from a :class:`TrainerConfig` object.
-
-        The lowering target of :class:`repro.api.ModelSpec` and of checkpoint
-        restore; identical to passing the config's fields as keywords.
-        """
-        return cls(
-            corpus, num_workers, seed=seed, backend=backend, **config.to_dict()
-        )
 
     # ------------------------------------------------------------------ #
     # Training
@@ -607,7 +549,7 @@ class ParallelTrainer:
         for epoch in range(num_epochs):
             self.run_epoch()
             if tracker is not None and self.epochs_completed % evaluate_every == 0:
-                iterations = self.epochs_completed * self.config.iterations_per_epoch
+                iterations = self.epochs_completed * self.config["iterations_per_epoch"]
                 tracker.record(
                     iteration=iterations,
                     log_likelihood=self.log_likelihood(),
@@ -697,8 +639,8 @@ class ParallelTrainer:
         from repro.serving.snapshot import ModelSnapshot
 
         metadata = {
-            "sampler": f"Parallel[{self.config.sampler}]",
-            "iterations": self.epochs_completed * self.config.iterations_per_epoch,
+            "sampler": f"Parallel[{self.config['sampler']}]",
+            "iterations": self.epochs_completed * self.config["iterations_per_epoch"],
             "epochs": self.epochs_completed,
             "num_workers": self.num_workers,
             "num_documents": int(self.corpus.num_documents),
@@ -769,7 +711,7 @@ class ParallelTrainer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ParallelTrainer(sampler={self.config.sampler!r}, "
+            f"ParallelTrainer(sampler={self.config['sampler']!r}, "
             f"K={self.num_topics}, workers={self.num_workers}, "
             f"backend={self.backend!r}, epochs={self.epochs_completed})"
         )

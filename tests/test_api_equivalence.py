@@ -17,7 +17,7 @@ from repro.core.warplda import WarpLDA
 from repro.samplers.registry import SAMPLER_REGISTRY
 from repro.serving.infer import InferenceEngine
 from repro.streaming.online import OnlineTrainer
-from repro.training.parallel import ParallelTrainer, TrainerConfig
+from repro.training.parallel import ParallelTrainer
 
 
 def _npz_bytes(snapshot, tmp_path, name):
@@ -71,9 +71,8 @@ class TestParallelEquivalence:
             facade.fit(small_corpus, num_iterations=3)
             facade_assignments = facade.model.assignments()
             facade_bytes = _npz_bytes(facade.export_snapshot(), tmp_path, "facade")
-        config = TrainerConfig(sampler="warplda", num_topics=5)
-        with ParallelTrainer.from_config(
-            small_corpus, config, num_workers=2, seed=7, backend="inline"
+        with ParallelTrainer(
+            small_corpus, 2, seed=7, backend="inline", sampler="warplda", num_topics=5
         ) as direct:
             direct.train(3)
             np.testing.assert_array_equal(facade_assignments, direct.assignments())

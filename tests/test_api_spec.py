@@ -1,4 +1,4 @@
-"""ModelSpec: validation, JSON round-trips and lowering."""
+"""ModelSpec: validation, JSON round-trips and the engines it builds."""
 
 from __future__ import annotations
 
@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import ALGORITHMS, BACKEND_NAMES, ModelSpec, get_backend
-from repro.streaming.online import OnlineTrainerConfig
-from repro.training.parallel import TrainerConfig
+from repro.api import ALGORITHMS, BACKEND_NAMES, ModelSpec, build_engine
+from repro.api.spec import BACKEND_OPTIONS
+from repro.core.warplda import WarpLDA
+from repro.streaming.online import OnlineTrainer
+from repro.training.parallel import ParallelTrainer
 
 
 class TestValidation:
@@ -62,7 +64,7 @@ class TestValidation:
             ModelSpec(backend="serial", backend_options={"num_workers": 2})
 
     def test_backend_option_values_validated_at_construction(self):
-        # The lowering target's own __post_init__ runs during spec validation.
+        # The target trainer's own schedule check runs during spec validation.
         with pytest.raises(ValueError, match="decay"):
             ModelSpec(backend="online", backend_options={"decay": 1.5})
         with pytest.raises(ValueError, match="iterations_per_epoch"):
@@ -83,14 +85,15 @@ class TestValidation:
         assert spec.seed == 3 and type(spec.seed) is int
         assert ModelSpec.from_json(spec.to_json()) == spec
 
-    def test_configs_reject_vector_alpha(self):
-        # TrainerConfig/OnlineTrainerConfig are JSON-serialised (checkpoint
-        # sidecars, snapshot metadata): a vector alpha must fail at
-        # construction, not at save time.
+    def test_configs_reject_vector_alpha(self, tiny_corpus):
+        # The trainers' keywords are JSON-serialised (checkpoint sidecars,
+        # snapshot metadata): a vector alpha must fail at construction, not
+        # at save time.
+        alpha = np.array([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="scalar"):
-            TrainerConfig(num_topics=3, alpha=np.array([0.1, 0.2, 0.3]))
+            ParallelTrainer(tiny_corpus, backend="inline", num_topics=3, alpha=alpha)
         with pytest.raises(ValueError, match="scalar"):
-            OnlineTrainerConfig(num_topics=3, alpha=np.array([0.1, 0.2, 0.3]))
+            OnlineTrainer(num_topics=3, alpha=alpha)
 
     def test_nondefault_word_proposal_serial_only(self):
         assert ModelSpec(word_proposal="alias").word_proposal == "alias"
@@ -161,60 +164,57 @@ class TestSerialisation:
             assert ModelSpec.from_json(spec.to_json()) == spec
 
 
-class TestLowering:
-    def test_backend_names_cover_registry(self):
-        assert set(BACKEND_NAMES) == {"serial", "parallel", "online"}
-
-    def test_serial_lowers_to_build_sampler_keywords(self, tiny_corpus):
-        spec = ModelSpec(num_topics=7, num_mh_steps=3, beta=0.02, kernel="scalar", seed=4)
-        backend = get_backend("serial")
-        lowered = backend.lower(spec)
-        assert lowered == {
-            "algorithm": "warplda",
-            "num_topics": 7,
-            "alpha": None,
-            "beta": 0.02,
-            "num_mh_steps": 3,
-            "kernel": "scalar",
-            "threads": None,
-            "word_proposal": "mixture",
-            "seed": 4,
+class TestBuildEngine:
+    def test_backend_names_cover_option_table(self):
+        assert set(BACKEND_NAMES) == set(BACKEND_OPTIONS) == {
+            "serial",
+            "parallel",
+            "online",
         }
-        assert backend.build(spec, tiny_corpus).num_mh_steps == 3
 
-    def test_serial_baseline_lowers_to_kwargs(self, tiny_corpus):
+    def test_serial_builds_a_sampler(self, tiny_corpus):
+        spec = ModelSpec(num_topics=7, num_mh_steps=3, beta=0.02, kernel="scalar", seed=4)
+        sampler = build_engine(spec, tiny_corpus)
+        assert isinstance(sampler, WarpLDA)
+        assert (sampler.num_topics, sampler.num_mh_steps, sampler.kernel) == (
+            7,
+            3,
+            "scalar",
+        )
+
+    def test_serial_baseline_runs_its_best_kernel(self, tiny_corpus):
+        # SparseLDA has no slab path, so the requested slab kernel builds it
+        # on scalar, exactly like direct construction through build_sampler.
         spec = ModelSpec(num_topics=7, algorithm="sparselda")
-        backend = get_backend("serial")
-        assert backend.lower(spec)["num_topics"] == 7
-        # The lowered kernel is the *requested* one; SparseLDA has no slab
-        # path, so the factory builds it on scalar, exactly like direct
-        # construction through ``build_sampler``.
-        assert backend.lower(spec)["kernel"] == "slab"
-        assert backend.build(spec, tiny_corpus).kernel == "scalar"
+        assert build_engine(spec, tiny_corpus).kernel == "scalar"
 
-    def test_parallel_lowers_to_trainer_config(self):
+    def test_parallel_builds_a_trainer(self, small_corpus):
         spec = ModelSpec(
             num_topics=7,
             algorithm="cgs",
             backend="parallel",
-            backend_options={"iterations_per_epoch": 2, "num_workers": 3},
+            backend_options={
+                "iterations_per_epoch": 2,
+                "num_workers": 3,
+                "backend": "inline",
+            },
         )
-        lowered = get_backend("parallel").lower(spec)
-        assert lowered == TrainerConfig(
-            sampler="cgs", num_topics=7, iterations_per_epoch=2
-        )
+        with build_engine(spec, small_corpus) as trainer:
+            assert isinstance(trainer, ParallelTrainer)
+            assert trainer.num_workers == 3
+            assert trainer.config["sampler"] == "cgs"
+            assert trainer.config["iterations_per_epoch"] == 2
 
-    def test_online_lowers_to_online_config(self):
+    def test_online_builds_a_trainer(self):
         spec = ModelSpec(
             num_topics=7,
             algorithm="cgs",
             backend="online",
             backend_options={"window_docs": 32, "decay": 0.9, "publish_every": 2},
         )
-        lowered = get_backend("online").lower(spec)
-        assert lowered == OnlineTrainerConfig(
-            num_topics=7, sampler="cgs", window_docs=32, decay=0.9
-        )
+        trainer = build_engine(spec)
+        assert isinstance(trainer, OnlineTrainer)
+        assert (trainer.num_topics, trainer.window_docs, trainer.decay) == (7, 32, 0.9)
 
     def test_with_backend_and_options(self):
         spec = ModelSpec(num_topics=4, seed=0)

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 from repro.api import LDA, ModelSpec
+from repro.api.cli import main
+from repro.api.estimator import iter_token_batches
 from repro.core.warplda import WarpLDA
 from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
-from repro.streaming.online import OnlineTrainer, OnlineTrainerConfig
+from repro.streaming.online import OnlineTrainer
+from repro.streaming.pipeline import StreamingPipeline
 from repro.training.checkpoint import Checkpoint
-from repro.training.parallel import ParallelTrainer, TrainerConfig
+from repro.training.parallel import ParallelTrainer
 
-CONFIGS = {
-    "ModelSpec": ModelSpec,
-    "TrainerConfig": TrainerConfig,
-    "OnlineTrainerConfig": OnlineTrainerConfig,
-}
+#: The run descriptions that carry a whole run's hyper-parameters.
+RUNS = ("ModelSpec", "ParallelTrainer", "OnlineTrainer")
 
 
 def entry_points(corpus, num_mh_steps=False):
@@ -28,7 +28,7 @@ def entry_points(corpus, num_mh_steps=False):
     With ``num_mh_steps`` only the entry points that carry an MH step count
     (the exact samplers have no such knob).
     """
-    points = dict(CONFIGS)
+    points = {"ModelSpec": ModelSpec}
     points["ParallelTrainer"] = lambda **kw: ParallelTrainer(
         corpus, num_workers=2, backend="inline", **kw
     )
@@ -46,20 +46,20 @@ def entry_points(corpus, num_mh_steps=False):
 
 
 class TestValidationConsistency:
-    @pytest.mark.parametrize("make", CONFIGS.values(), ids=CONFIGS)
-    def test_zero_topics_rejected_everywhere(self, make):
+    @pytest.mark.parametrize("name", RUNS)
+    def test_zero_topics_rejected_everywhere(self, small_corpus, name):
         with pytest.raises(ValueError, match="num_topics must be positive"):
-            make(num_topics=0)
+            entry_points(small_corpus)[name](num_topics=0)
 
-    @pytest.mark.parametrize("make", CONFIGS.values(), ids=CONFIGS)
-    def test_negative_beta_rejected_everywhere(self, make):
+    @pytest.mark.parametrize("name", RUNS)
+    def test_negative_beta_rejected_everywhere(self, small_corpus, name):
         with pytest.raises(ValueError, match="beta must be positive"):
-            make(num_topics=5, beta=-0.01)
+            entry_points(small_corpus)[name](num_topics=5, beta=-0.01)
 
-    @pytest.mark.parametrize("make", CONFIGS.values(), ids=CONFIGS)
-    def test_negative_alpha_rejected_everywhere(self, make):
+    @pytest.mark.parametrize("name", RUNS)
+    def test_negative_alpha_rejected_everywhere(self, small_corpus, name):
         with pytest.raises(ValueError, match="alpha"):
-            make(num_topics=5, alpha=-1.0)
+            entry_points(small_corpus)[name](num_topics=5, alpha=-1.0)
 
     def test_samplers_reject_directly(self, small_corpus):
         for sampler_cls in SAMPLER_REGISTRY.values():
@@ -120,6 +120,64 @@ class TestValidationConsistency:
             assert str(raised.value) == message
 
 
+#: Every integer scheduling option: ``option -> (spec backend, CLI
+#: subcommand, direct construction with the value)``.
+INTEGER_OPTIONS = {
+    "num_workers": (
+        "parallel",
+        "train",
+        lambda corpus, value: ParallelTrainer(corpus, value, backend="inline"),
+    ),
+    "iterations_per_epoch": (
+        "parallel",
+        "train",
+        lambda corpus, value: ParallelTrainer(
+            corpus, backend="inline", iterations_per_epoch=value
+        ),
+    ),
+    "window_docs": ("online", "stream", lambda _, value: OnlineTrainer(window_docs=value)),
+    "sweeps_per_batch": (
+        "online",
+        "stream",
+        lambda _, value: OnlineTrainer(sweeps_per_batch=value),
+    ),
+    "publish_every": (
+        "online",
+        "stream",
+        lambda _, value: StreamingPipeline(OnlineTrainer(), publish_every=value),
+    ),
+    "batch_docs": (
+        "online",
+        "stream",
+        lambda corpus, value: list(iter_token_batches(corpus, value)),
+    ),
+}
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["float", "whole-float", "bool"])
+    @pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+    def test_non_int_rejected_at_construction(self, small_corpus, tmp_path, option, value):
+        """Spec, direct construction and CLI all reject a non-int count with
+        one text, before anything runs."""
+        backend, command, construct = INTEGER_OPTIONS[option]
+        message = f"{option} must be an int, got {value!r}"
+        with pytest.raises(ValueError) as raised:
+            ModelSpec(backend=backend, backend_options={option: value})
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            construct(small_corpus, value)
+        assert str(raised.value) == message
+        # The CLI's flags are typed int; a spec file is how a float reaches it.
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"backend": backend, "backend_options": {option: value}})
+        )
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--synthetic", "--spec", str(path)])
+        assert str(exited.value) == f"invalid model spec: {message}"
+
+
 def _rewrite_kernel(path, *keys):
     """Rewrite the ``kernel`` entry at ``keys`` of a JSON file to the retired name."""
     document = json.loads(path.read_text())
@@ -159,7 +217,7 @@ class TestRetiredKernelName:
         resumed = {}
         for name in ("slab", "retired"):
             checkpoint = Checkpoint.load(tmp_path / name)
-            assert checkpoint.config.kernel == "slab"
+            assert checkpoint.config["kernel"] == "slab"
             with checkpoint.restore(small_corpus, backend="inline") as trainer:
                 trainer.train(2)
                 blob = trainer.export_snapshot().save(tmp_path / f"{name}.npz")

@@ -99,12 +99,27 @@ class TestCountInvariants:
         sampler.clear_external_counts()
         assert sampler.state.check_consistency()
 
-    def test_pre_kernel_checkpoint_config_resumes_on_scalar(self):
-        from repro.training import TrainerConfig
+    def test_pre_kernel_checkpoint_config_resumes_on_scalar(
+        self, small_corpus, tmp_path
+    ):
+        import json
 
-        legacy = {"sampler": "cgs", "num_topics": 7}
-        assert TrainerConfig.from_dict(legacy).kernel == "scalar"
-        assert TrainerConfig.from_dict({**legacy, "kernel": "slab"}).kernel == "slab"
+        from repro.training import Checkpoint, ParallelTrainer
+
+        with ParallelTrainer(
+            small_corpus, 2, seed=0, backend="inline", sampler="cgs", num_topics=7
+        ) as trainer:
+            trainer.save_checkpoint(tmp_path / "ckpt")
+        assert Checkpoint.load(tmp_path / "ckpt").config["kernel"] == "slab"
+        # A checkpoint written before the kernel layer carries no kernel key.
+        meta_path = tmp_path / "ckpt" / "checkpoint.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["config"]["kernel"]
+        meta_path.write_text(json.dumps(meta))
+        checkpoint = Checkpoint.load(tmp_path / "ckpt")
+        assert checkpoint.config["kernel"] == "scalar"
+        with checkpoint.restore(small_corpus, backend="inline") as resumed:
+            assert resumed.config["kernel"] == "scalar"
 
 
 class TestCgsBlockConditionals:

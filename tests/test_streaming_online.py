@@ -9,7 +9,6 @@ from repro.serving import InferenceEngine
 from repro.streaming import (
     DocumentStream,
     OnlineTrainer,
-    OnlineTrainerConfig,
     StreamingCorpus,
 )
 
@@ -44,15 +43,15 @@ def replay(trainer, corpus, batch_docs=25):
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="decay"):
-            OnlineTrainerConfig(decay=0.0)
+            OnlineTrainer(decay=0.0)
         with pytest.raises(ValueError, match="decay"):
-            OnlineTrainerConfig(decay=1.5)
+            OnlineTrainer(decay=1.5)
         with pytest.raises(ValueError, match="window_docs"):
-            OnlineTrainerConfig(window_docs=0)
+            OnlineTrainer(window_docs=0)
         with pytest.raises(ValueError, match="sweeps_per_batch"):
-            OnlineTrainerConfig(sweeps_per_batch=0)
+            OnlineTrainer(sweeps_per_batch=0)
         with pytest.raises(ValueError, match="unknown sampler"):
-            OnlineTrainerConfig(sampler="nope")
+            OnlineTrainer(sampler="nope")
 
     def test_requires_empty_streaming_corpus(self):
         corpus = StreamingCorpus()

@@ -9,6 +9,7 @@ from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
 from repro.serving import InferenceEngine, ModelSnapshot
 from repro.training import Checkpoint, ParallelTrainer
 from repro.training.checkpoint import corpus_fingerprint
+from repro.training.parallel import CONFIG_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,7 @@ class TestCheckpointRoundTrip:
 
         assert loaded.snapshot == checkpoint.snapshot
         assert loaded.config == trained.config
+        assert tuple(trained.config) == CONFIG_KEYS
         assert loaded.num_workers == trained.num_workers
         assert loaded.epochs_completed == 3
         assert np.array_equal(loaded.boundaries, trained.boundaries)
@@ -106,6 +108,52 @@ class TestCheckpointRoundTrip:
         with pytest.raises(RuntimeError):
             checkpoint.restore(corpus, backend="process")
         assert len(multiprocessing.active_children()) <= before
+
+
+def _rewrite_meta(directory, edit):
+    path = directory / "checkpoint.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
+class TestMalformedCheckpoint:
+    """A malformed ``checkpoint.json`` or ``state.npz`` fails load with ValueError."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["config"].update(num_shards=4), r"unknown config keys \['num_shards'\]"),
+            (lambda m: m.update(config=[1, 2]), "no valid 'config'"),
+            (lambda m: m.pop("num_workers"), "no valid 'num_workers'"),
+            (lambda m: m["rng_states"].pop(), "lists 1 rng_states for 2 workers"),
+            (
+                lambda m: m["iterations_completed"].pop(),
+                "lists 1 iterations_completed for 2 workers",
+            ),
+        ],
+        ids=[
+            "unknown-config-key",
+            "config-not-object",
+            "missing-num-workers",
+            "short-rng-states",
+            "short-iterations",
+        ],
+    )
+    def test_malformed_metadata(self, trained, tmp_path, edit, message):
+        trained.save_checkpoint(tmp_path / "ckpt")
+        _rewrite_meta(tmp_path / "ckpt", edit)
+        with pytest.raises(ValueError, match=message):
+            Checkpoint.load(tmp_path / "ckpt")
+
+    def test_state_missing_worker_arrays(self, trained, tmp_path):
+        trained.save_checkpoint(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "state.npz"
+        with np.load(state_path) as arrays:
+            kept = {name: arrays[name] for name in arrays.files if not name.endswith("_1")}
+        np.savez(state_path, **kept)
+        with pytest.raises(ValueError, match="assignments_1"):
+            Checkpoint.load(tmp_path / "ckpt")
 
 
 class TestResume:

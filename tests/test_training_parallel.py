@@ -10,7 +10,6 @@ from repro.training import (
     SAMPLER_REGISTRY,
     Checkpoint,
     ParallelTrainer,
-    TrainerConfig,
     contiguous_shards,
 )
 
@@ -30,12 +29,12 @@ def global_counts_from_assignments(corpus, assignments, num_topics):
 
 
 # --------------------------------------------------------------------- #
-# Configuration
+# Keywords
 # --------------------------------------------------------------------- #
-class TestTrainerConfig:
-    def test_unknown_sampler_rejected(self):
+class TestTrainerKeywords:
+    def test_unknown_sampler_rejected(self, corpus):
         with pytest.raises(ValueError, match="unknown sampler"):
-            TrainerConfig(sampler="nope")
+            ParallelTrainer(corpus, backend="inline", sampler="nope")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -47,13 +46,9 @@ class TestTrainerConfig:
             {"iterations_per_epoch": 0},
         ],
     )
-    def test_invalid_parameters_rejected(self, kwargs):
+    def test_invalid_parameters_rejected(self, corpus, kwargs):
         with pytest.raises(ValueError):
-            TrainerConfig(**kwargs)
-
-    def test_dict_round_trip(self):
-        config = TrainerConfig(sampler="cgs", num_topics=7, beta=0.02)
-        assert TrainerConfig.from_dict(config.to_dict()) == config
+            ParallelTrainer(corpus, backend="inline", **kwargs)
 
 
 # --------------------------------------------------------------------- #
