@@ -13,6 +13,9 @@ every number is a clean per-task peak:
   RAM.  The store run must sit strictly below the RAM run; smoke asserts
   that too, plus that the two snapshots are byte-identical (same seed, same
   trajectory — out-of-core is a storage change, not a model change).
+* **store size** — a store holds the three int64 token arrays, the offsets,
+  the vocabulary and the manifest, nothing more; smoke asserts it, so no
+  second O(T) index can creep back into the format.
 * **the budget demonstration** — a memory budget is set *between* the two
   measured footprints and enforced with ``RLIMIT_DATA`` (Linux ≥ 4.7: brk +
   anonymous mmap; read-only file-backed maps exempt, which is exactly the
@@ -66,6 +69,9 @@ _SYNTH_BATCH_DOCS = 4096
 #: factor of the base store's peak (plus allocator noise already inside it).
 _FLAT_RSS_RATIO = 1.3
 
+#: Slack for one ``.npy`` header (numpy writes 128 bytes for a 1-D array).
+_NPY_HEADER_BYTES = 1024
+
 #: Minimum anonymous-memory gap (bytes) between the RAM and store training
 #: footprints before the rlimit demonstration is attempted — below this the
 #: midpoint budget sits inside allocator noise and the check would be flaky.
@@ -112,6 +118,19 @@ def synthesize_store(
 
 def _tree_bytes(directory: Path) -> int:
     return sum(p.stat().st_size for p in directory.rglob("*") if p.is_file())
+
+
+def _store_bytes_bound(directory: Path, shape: Dict[str, int]) -> int:
+    """What a store may hold: three int64 token arrays (``token_words``,
+    ``token_docs``, ``word_order``), the two offset arrays, the vocabulary
+    and the manifest.  Anything more is a second O(T) index."""
+    from repro.corpus.store import MANIFEST_NAME
+
+    arrays = 8 * (3 * shape["tokens"] + shape["documents"] + shape["vocabulary"] + 2)
+    metadata = sum(
+        (directory / name).stat().st_size for name in ("vocab.json", MANIFEST_NAME)
+    )
+    return arrays + metadata + 5 * _NPY_HEADER_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +407,13 @@ def run_outofcore_bench(
                 f"replay peak RSS not flat: {scale}x store costs "
                 f"{replay_ratio:.2f}x the base store (limit {_FLAT_RSS_RATIO})"
             )
+        for directory, shape in ((base_dir, base_shape), (scaled_dir, scaled_shape)):
+            stored, bound = _tree_bytes(directory), _store_bytes_bound(directory, shape)
+            if stored > bound:
+                failures.append(
+                    f"{directory.name} holds {stored} bytes, more than the "
+                    f"{bound} of its token arrays, offsets and metadata"
+                )
         if not snapshots_identical:
             failures.append(
                 "store-backed and in-RAM training snapshots differ "

@@ -4,20 +4,20 @@ A *corpus store* is a directory holding the exact arrays a
 :class:`~repro.corpus.corpus.Corpus` computes in RAM — the flat token-major
 ``token_words`` / ``token_docs`` arrays, the CSR ``doc_offsets``, the CSC view
 (``word_order`` permutation + ``word_offsets``) — each as a plain ``.npy``
-file, plus a JSON manifest, the vocabulary, and an optional slab-bucket
-sidecar (the padded index matrices of :mod:`repro.kernels.buckets`,
-precomputed so the kernels never materialise them in RAM).
+file, plus a JSON manifest and the vocabulary.  That is the whole of the
+paper's Sec. 5.2 layout: the slab bands of :mod:`repro.kernels.buckets` are
+``(rows, lengths)`` views over these offsets and ``word_order``, built in
+O(rows) memory at first use, so nothing else is stored.
 
 Layout of ``<store>/``::
 
-    store.json            manifest (format, version, D/T/V, bucket bands)
+    store.json            manifest (format, version, D/T/V)
     vocab.json            Vocabulary.to_serializable()
     token_words.npy       (T,) int64 — word id of every token, document order
     doc_offsets.npy       (D+1,) int64 — CSR offsets
     token_docs.npy        (T,) int64 — document index of every token
     word_order.npy        (T,) int64 — stable permutation grouping by word
     word_offsets.npy      (V+1,) int64 — CSC offsets into word_order
-    buckets/<axis>_<band>_{rows,tokens,mask,lengths}.npy   slab sidecar
 
 Two halves:
 
@@ -50,26 +50,13 @@ import os
 import shutil
 from array import array
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.format import open_memmap
 
 from repro.corpus.corpus import Corpus, Document
 from repro.corpus.vocabulary import Vocabulary
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernels.buckets import SlabBucket
 
 __all__ = [
     "MappedCorpus",
@@ -204,22 +191,12 @@ class StoreWriter:
         self._num_tokens += int(flat.size)
 
     # ------------------------------------------------------------------ #
-    def finalize(
-        self,
-        vocabulary: Optional[Vocabulary] = None,
-        *,
-        buckets: bool = True,
-    ) -> Path:
+    def finalize(self, vocabulary: Optional[Vocabulary] = None) -> Path:
         """Derive every store array in chunked passes and write the manifest.
 
-        Parameters
-        ----------
-        vocabulary:
-            The corpus vocabulary; omitted, synthetic names ``w0..w{V-1}``
-            cover the observed word ids (matching ``read_uci_bow``).
-        buckets:
-            Also write the slab-bucket sidecar (both axes), so mapped
-            training never builds bucket matrices in RAM.
+        ``vocabulary`` is the corpus vocabulary; omitted, synthetic names
+        ``w0..w{V-1}`` cover the observed word ids (matching
+        ``read_uci_bow``).
         """
         if self._finalized:
             raise RuntimeError("store already finalized")
@@ -253,17 +230,12 @@ class StoreWriter:
             json.dumps(vocabulary.to_serializable()), encoding="utf-8"
         )
 
-        bucket_bands: Optional[Dict[str, List[int]]] = None
-        if buckets:
-            bucket_bands = self._write_bucket_sidecar(doc_offsets, word_offsets)
-
         manifest = {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "num_documents": num_docs,
             "num_tokens": total,
             "vocabulary_size": vocabulary.size,
-            "buckets": bucket_bands,
         }
         tmp = self.directory / (MANIFEST_NAME + ".tmp")
         tmp.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
@@ -377,66 +349,6 @@ class StoreWriter:
         out.flush()
         del out
 
-    def _write_bucket_sidecar(
-        self, doc_offsets: np.ndarray, word_offsets: np.ndarray
-    ) -> Dict[str, List[int]]:
-        """Write per-band slab matrices, replicating ``build_buckets`` exactly
-        (same bands, same row order, same padding formula) in row chunks."""
-        bucket_dir = self.directory / "buckets"
-        bucket_dir.mkdir(exist_ok=True)
-        word_order = _mapped(self.directory / "word_order.npy")
-        bands_by_axis: Dict[str, List[int]] = {}
-        for axis, offsets, order in (
-            ("doc", doc_offsets, None),
-            ("word", word_offsets, word_order),
-        ):
-            bands_by_axis[axis] = []
-            lengths = np.diff(offsets)
-            nonempty = np.flatnonzero(lengths)
-            if nonempty.size == 0:
-                continue
-            bands = np.ceil(
-                np.log2(np.maximum(lengths[nonempty], 1))
-            ).astype(np.int64)
-            bands[lengths[nonempty] == 1] = 0
-            for band in np.unique(bands):
-                rows = nonempty[bands == band]
-                slab_len = 1 << int(band)
-                row_lengths = lengths[rows]
-                prefix = bucket_dir / f"{axis}_{int(band)}"
-                np.save(f"{prefix}_rows.npy", rows)
-                np.save(f"{prefix}_lengths.npy", row_lengths)
-                tokens = open_memmap(
-                    Path(f"{prefix}_tokens.npy"),
-                    mode="w+",
-                    dtype=np.int64,
-                    shape=(rows.size, slab_len),
-                )
-                mask = open_memmap(
-                    Path(f"{prefix}_mask.npy"),
-                    mode="w+",
-                    dtype=bool,
-                    shape=(rows.size, slab_len),
-                )
-                column = np.arange(slab_len, dtype=np.int64)[None, :]
-                rows_per_chunk = max(1, self.chunk_tokens // slab_len)
-                for start in range(0, rows.size, rows_per_chunk):
-                    stop = min(start + rows_per_chunk, rows.size)
-                    chunk_rows = rows[start:stop]
-                    chunk_lengths = row_lengths[start:stop]
-                    positions = offsets[chunk_rows][:, None] + np.minimum(
-                        column, (chunk_lengths - 1)[:, None]
-                    )
-                    tokens[start:stop] = (
-                        positions if order is None else order[positions]
-                    )
-                    mask[start:stop] = column < chunk_lengths[:, None]
-                tokens.flush()
-                mask.flush()
-                del tokens, mask
-                bands_by_axis[axis].append(int(band))
-        return bands_by_axis
-
 
 # --------------------------------------------------------------------- #
 # Lazy document sequence
@@ -504,10 +416,11 @@ class MappedCorpus(Corpus):
     O(tokens) is ever allocated on open — only the O(V) word-frequency
     vector.  Documents are materialised lazily, one at a time, on access.
 
-    When the store carries a bucket sidecar, the slab-bucket cache is
-    pre-planted with memory-mapped :class:`~repro.kernels.buckets.SlabBucket`
-    matrices, so kernel training reads bucket pages from disk instead of
-    building corpus-sized index matrices in RAM.
+    The slab bands of :func:`~repro.kernels.buckets.corpus_buckets` are
+    built from the mapped offsets in O(rows) memory and keep referencing the
+    mapped ``word_order``, so kernel training gathers tokens straight from
+    disk pages.  A ``buckets`` manifest key or ``buckets/`` directory left by
+    an older writer is ignored.
 
     Pickling round-trips as the store *path* (workers reopen their own
     maps); :meth:`slice` views pickle as ``(path, start, stop)``, which is
@@ -549,13 +462,6 @@ class MappedCorpus(Corpus):
             np.diff(self._word_offsets), dtype=np.int64
         )
         self._documents = _LazyDocuments(self._token_words, self._doc_offsets)
-
-        bands = manifest.get("buckets")
-        if bands:
-            self.__dict__["_slab_bucket_cache"] = {
-                axis: _load_bucket_axis(directory, axis, band_list)
-                for axis, band_list in bands.items()
-            }
 
     def _validate_shapes(self) -> None:
         m = self._manifest
@@ -657,25 +563,6 @@ def _open_store_slice(path: str, start: int, stop: int) -> Corpus:
     return open_store(path).slice(start, stop)
 
 
-def _load_bucket_axis(
-    directory: Path, axis: str, bands: Sequence[int]
-) -> List["SlabBucket"]:
-    from repro.kernels.buckets import SlabBucket
-
-    buckets: List[SlabBucket] = []
-    for band in bands:
-        prefix = directory / "buckets" / f"{axis}_{int(band)}"
-        buckets.append(
-            SlabBucket(
-                rows=_mapped(Path(f"{prefix}_rows.npy")),
-                tokens=_mapped(Path(f"{prefix}_tokens.npy")),
-                mask=_mapped(Path(f"{prefix}_mask.npy")),
-                lengths=_mapped(Path(f"{prefix}_lengths.npy")),
-            )
-        )
-    return buckets
-
-
 # --------------------------------------------------------------------- #
 # Module-level conveniences
 # --------------------------------------------------------------------- #
@@ -688,7 +575,6 @@ def write_store(
     corpus: Corpus,
     directory: PathLike,
     *,
-    buckets: bool = True,
     chunk_tokens: int = DEFAULT_CHUNK_TOKENS,
     overwrite: bool = False,
 ) -> Path:
@@ -709,7 +595,7 @@ def write_store(
                 np.diff(offsets[doc : stop + 1]),
             )
             doc = stop
-        return writer.finalize(corpus.vocabulary, buckets=buckets)
+        return writer.finalize(corpus.vocabulary)
 
 
 def iter_store_documents(

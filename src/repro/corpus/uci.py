@@ -225,7 +225,6 @@ def uci_to_store(
     max_documents: Optional[int] = None,
     *,
     chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
-    buckets: bool = True,
     overwrite: bool = False,
 ) -> Path:
     """Convert a UCI docword file straight to an on-disk corpus store.
@@ -289,7 +288,7 @@ def uci_to_store(
                     buffer.append(np.repeat(words[segment], counts[segment]))
             if current >= 0:
                 flush()
-            return writer.finalize(vocabulary, buckets=buckets)
+            return writer.finalize(vocabulary)
 
 
 def write_uci_bow(

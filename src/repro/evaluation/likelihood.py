@@ -15,25 +15,47 @@ cheap even for large sparse count matrices.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["log_joint_likelihood", "log_joint_likelihood_from_assignments"]
+__all__ = [
+    "check_priors",
+    "log_joint_likelihood",
+    "log_joint_likelihood_from_assignments",
+]
 
 
-def _as_alpha_vector(alpha: Union[float, np.ndarray], num_topics: int) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim == 0:
-        alpha = np.full(num_topics, float(alpha))
-    if alpha.shape != (num_topics,):
+def check_priors(
+    num_topics: int,
+    alpha: Union[float, np.ndarray],
+    beta: Optional[float] = None,
+) -> np.ndarray:
+    """The package's one α/β check: return α as a fresh length-``K`` vector.
+
+    A scalar ``alpha`` is the symmetric prior.  Every ``alpha`` entry and
+    ``beta`` (when given — fold-in has no β) must be finite and positive:
+    NaN, ±inf and values ``<= 0`` raise ``ValueError``.  The samplers, the
+    likelihood, perplexity, the serving snapshot and both fold-ins all call
+    this, so a bad prior fails the same way at every entry point.
+    """
+    alpha_vector = np.array(alpha, dtype=np.float64)
+    if alpha_vector.ndim == 0:
+        alpha_vector = np.full(num_topics, float(alpha_vector))
+    if alpha_vector.shape != (num_topics,):
         raise ValueError(
-            f"alpha must be a scalar or a vector of length {num_topics}, got shape {alpha.shape}"
+            f"alpha must be a scalar or length-{num_topics} vector, got shape "
+            f"{alpha_vector.shape}"
         )
-    if np.any(alpha <= 0):
-        raise ValueError("alpha entries must be positive")
-    return alpha
+    valid = np.isfinite(alpha_vector) & (alpha_vector > 0)
+    if not valid.all():
+        bad = alpha_vector[~valid][0]
+        raise ValueError(f"alpha entries must be positive and finite, got {bad}")
+    if beta is not None and not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    return alpha_vector
 
 
 def log_joint_likelihood(
@@ -68,10 +90,7 @@ def log_joint_likelihood(
         raise ValueError(
             "doc_topic and word_topic must contain the same total number of tokens"
         )
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-
-    alpha_vector = _as_alpha_vector(alpha, doc_topic.shape[1])
+    alpha_vector = check_priors(doc_topic.shape[1], alpha, beta)
     # gammaln(alpha_k + C_dk) - gammaln(alpha_k) is zero for zero counts, so
     # only the non-zero entries (in row-major order) enter the sums.
     doc_rows, doc_cols = np.nonzero(doc_topic)
@@ -142,10 +161,7 @@ def log_joint_likelihood_from_assignments(
         raise ValueError("token_documents, token_words and assignments must align")
     if assignments.size and (assignments.min() < 0 or assignments.max() >= num_topics):
         raise ValueError("assignments contain out-of-range topics")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-
-    alpha_vector = _as_alpha_vector(alpha, num_topics)
+    alpha_vector = check_priors(num_topics, alpha, beta)
     doc_keys, doc_counts = np.unique(
         token_documents * num_topics + assignments, return_counts=True
     )

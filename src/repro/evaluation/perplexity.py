@@ -18,21 +18,6 @@ from repro.serving.infer import em_fold_in, perplexity_from_theta
 __all__ = ["held_out_perplexity", "document_topic_inference"]
 
 
-def _resolve_alpha(alpha: Union[float, np.ndarray], num_topics: int) -> np.ndarray:
-    """Normalise a scalar or per-topic ``alpha`` to a length-``K`` vector."""
-    alpha_vector = np.asarray(alpha, dtype=np.float64)
-    if alpha_vector.ndim == 0:
-        alpha_vector = np.full(num_topics, float(alpha_vector))
-    if alpha_vector.shape != (num_topics,):
-        raise ValueError(
-            f"alpha must be a scalar or length-{num_topics} vector, got shape "
-            f"{alpha_vector.shape}"
-        )
-    if np.any(alpha_vector <= 0):
-        raise ValueError("alpha entries must be positive")
-    return alpha_vector
-
-
 def document_topic_inference(
     corpus: Corpus,
     phi: np.ndarray,
@@ -50,10 +35,10 @@ def document_topic_inference(
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim != 2:
         raise ValueError("phi must be a K x V matrix")
-    alpha_vector = _resolve_alpha(alpha, phi.shape[0])
     documents = [corpus.document_words(d) for d in range(corpus.num_documents)]
-    # Empty documents keep the prior mean α / ᾱ (uniform for symmetric α).
-    return em_fold_in(documents, phi, alpha_vector, num_iterations)
+    # Empty documents keep the prior mean α / ᾱ (uniform for symmetric α);
+    # em_fold_in checks α.
+    return em_fold_in(documents, phi, alpha, num_iterations)
 
 
 def held_out_perplexity(

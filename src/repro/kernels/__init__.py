@@ -12,8 +12,9 @@ Layout
 ------
 :mod:`~repro.kernels.buckets`
     Groups the rows of one corpus axis (words or documents) into power-of-two
-    length buckets and pads each bucket into an ``(n_slabs, slab_len)`` token
-    index matrix, built once per corpus and cached on it.
+    length buckets, each a ``(rows, lengths)`` view over the axis offsets and
+    order whose flat token indices come from one ragged gather, built once
+    per corpus and cached on it.
 :mod:`~repro.kernels.draws`
     Batched inverse-CDF categorical draws: one draw per row of a weight
     matrix, and per-token draws from a shared ``V x K`` weight table (one

@@ -1,16 +1,21 @@
-"""Length-bucketed slab index matrices over one corpus axis.
+"""Length-bucketed bands of rows over one corpus axis.
 
 The samplers visit tokens either word-by-word or document-by-document (the two
-orders of the paper's Sec. 5.2 layout).  A :class:`SlabBucket` packs all rows
-(words or documents) whose length falls in the same power-of-two band into one
-rectangular ``(n_slabs, slab_len)`` matrix of *flat token indices*, so the
-rows of a whole bucket are processed together with single NumPy operations —
-the per-row Python loop disappears from the hot path.
+orders of the paper's Sec. 5.2 layout): the token-major CSR order with
+``doc_offsets``, and the CSC order ``word_order`` with ``word_offsets``.  A
+:class:`SlabBucket` groups the rows (words or documents) whose length falls in
+the same power-of-two band, so the rows of a whole band are processed together
+with single NumPy operations — the per-row Python loop disappears from the hot
+path.
 
-A boolean mask marks the real cells (padding positions repeat the row's
-**last** token, so they are valid indices), and the one consumer,
-:mod:`repro.kernels.warp`, reads a chunk only as ``tokens[mask]``: no padded
-cell is ever gathered, drawn for or scattered.
+A band is a view over that layout, never a copy of it: the row ids, their
+lengths, where each row starts in the axis order (``offsets[rows]``) and, on
+the word axis, a reference to the ``word_order`` permutation.  The kernels
+read a chunk's flat token indices through one ragged gather,
+:meth:`SlabBucket.token_indices`, so only real tokens are ever gathered,
+drawn for or scattered, and the memory of a band is O(rows) whatever the
+corpus size — a memory-mapped corpus trains straight from its mapped
+``word_order``.
 
 Buckets depend only on the corpus structure (offsets and visiting order), so
 they are built once and cached on the corpus instance via
@@ -21,10 +26,12 @@ changes" policy the training layer needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.kernels.proposals import token_layout
 
 __all__ = ["SlabBucket", "build_buckets", "corpus_buckets"]
 
@@ -41,35 +48,58 @@ MIN_SLOT_WIDTH = 64
 
 @dataclass(frozen=True)
 class SlabBucket:
-    """One padded bucket of equal-band rows over a corpus axis.
+    """One band of rows over a corpus axis whose lengths share a power of two.
 
     Attributes
     ----------
     rows:
-        Row ids (word ids or document indices) of the slabs, shape ``(R,)``.
-    tokens:
-        Flat token indices, shape ``(R, L)``; padding cells repeat the row's
-        last token (always a valid index).
-    mask:
-        ``True`` for real cells, shape ``(R, L)``.
+        Row ids (word ids or document indices), shape ``(R,)``.
     lengths:
         True row lengths, shape ``(R,)``; every entry is ``>= 1``.
+    starts:
+        Where each row starts in the axis order, ``offsets[rows]``, shape
+        ``(R,)``.
+    slab_len:
+        The band's length ``L``: the smallest power of two ``>= lengths``.
+    order:
+        The axis permutation from positions to flat token indices — the
+        corpus ``word_order`` on the word axis, ``None`` on the document axis
+        (positions *are* token indices there).
     """
 
     rows: np.ndarray
-    tokens: np.ndarray
-    mask: np.ndarray
     lengths: np.ndarray
+    starts: np.ndarray
+    slab_len: int
+    order: Optional[np.ndarray] = None
 
     @property
     def num_rows(self) -> int:
-        """Number of slabs ``R`` in the bucket."""
+        """Number of rows ``R`` in the bucket."""
         return int(self.rows.size)
 
     @property
-    def slab_len(self) -> int:
-        """Padded row length ``L`` (a power of two)."""
-        return int(self.tokens.shape[1])
+    def mask(self) -> np.ndarray:
+        """``(R, L)`` bool, ``True`` where a padded ``L``-cell row holds a real
+        token — derived on each read; the kernels never use it."""
+        return np.arange(self.slab_len)[None, :] < self.lengths[:, None]
+
+    def token_indices(
+        self, layout: Optional[Tuple[np.ndarray, ...]] = None
+    ) -> np.ndarray:
+        """Flat token indices of every row, row after row, each in axis order.
+
+        ``layout`` is :func:`~repro.kernels.proposals.token_layout` of
+        ``lengths`` when the caller has already computed it: token ``i``
+        sits at axis position ``starts[row] + (i - row offset)``, one ragged
+        gather through ``order`` on the word axis.
+        """
+        if layout is None:
+            layout = token_layout(self.lengths)
+        _, token_row, token_offset, _ = layout
+        positions = np.arange(token_row.size, dtype=np.int64)
+        positions += self.starts.take(token_row) - token_offset
+        return positions if self.order is None else self.order.take(positions)
 
     def chunks(
         self, max_cells: int = MAX_SLAB_CELLS, max_rows: Optional[int] = None
@@ -88,13 +118,16 @@ class SlabBucket:
             yield self
             return
         for start in range(0, self.num_rows, rows_per_chunk):
-            stop = start + rows_per_chunk
-            yield SlabBucket(
-                rows=self.rows[start:stop],
-                tokens=self.tokens[start:stop],
-                mask=self.mask[start:stop],
-                lengths=self.lengths[start:stop],
-            )
+            yield self.select(slice(start, start + rows_per_chunk))
+
+    def select(self, which) -> "SlabBucket":
+        """The bucket restricted to ``rows[which]`` (a slice or a mask)."""
+        return replace(
+            self,
+            rows=self.rows[which],
+            lengths=self.lengths[which],
+            starts=self.starts[which],
+        )
 
 
 def build_buckets(
@@ -102,7 +135,7 @@ def build_buckets(
     order: Optional[np.ndarray] = None,
     rows: Optional[np.ndarray] = None,
 ) -> List[SlabBucket]:
-    """Bucket the rows described by CSR/CSC ``offsets`` into padded slabs.
+    """Bucket the rows described by CSR/CSC ``offsets`` into power-of-two bands.
 
     Parameters
     ----------
@@ -112,7 +145,7 @@ def build_buckets(
     order:
         Optional permutation mapping positions to flat token indices (the
         corpus ``word_order`` for the word axis); ``None`` means positions
-        *are* token indices (the document axis).
+        *are* token indices (the document axis).  Referenced, never copied.
     rows:
         Optional subset of row ids to bucket; ``None`` buckets every row.
         The streaming corpus uses this to rebuild only the rows an append
@@ -139,22 +172,14 @@ def build_buckets(
     bands = np.ceil(np.log2(np.maximum(lengths[nonempty], 1))).astype(np.int64)
     bands[lengths[nonempty] == 1] = 0
     for band in np.unique(bands):
-        rows = nonempty[bands == band]
-        slab_len = 1 << int(band)
-        row_lengths = lengths[rows]
-        # Column c of row r holds token offsets[r] + min(c, length - 1): real
-        # cells in order, padding saturated at the last token (valid index).
-        positions = offsets[rows][:, None] + np.minimum(
-            np.arange(slab_len)[None, :], (row_lengths - 1)[:, None]
-        )
-        tokens = positions if order is None else order[positions]
-        mask = np.arange(slab_len)[None, :] < row_lengths[:, None]
+        band_rows = nonempty[bands == band]
         buckets.append(
             SlabBucket(
-                rows=rows,
-                tokens=np.ascontiguousarray(tokens),
-                mask=mask,
-                lengths=row_lengths,
+                rows=band_rows,
+                lengths=lengths[band_rows],
+                starts=offsets[band_rows],
+                slab_len=1 << int(band),
+                order=order,
             )
         )
     return buckets
@@ -164,8 +189,8 @@ def corpus_buckets(corpus, axis: str) -> List[SlabBucket]:
     """Bucket ``corpus`` along ``axis`` (``"word"`` or ``"doc"``), cached.
 
     The bucket list is memoised on the corpus instance, so repeated
-    iterations — and every sampler sharing the corpus — reuse the same index
-    matrices; a new corpus object (e.g. a shard view) rebuilds its own.
+    iterations — and every sampler sharing the corpus — reuse the same
+    bands; a new corpus object (e.g. a shard view) rebuilds its own.
     """
     if axis not in ("word", "doc"):
         raise ValueError(f"axis must be 'word' or 'doc', got {axis!r}")

@@ -4,10 +4,12 @@ The scalar implementation in :mod:`repro.core.warplda` vectorises the tokens
 *of one word* (or document) but still pays a Python-loop iteration per row —
 O(V) + O(D) interpreter steps per iteration.  The kernel here runs the same
 computation for a whole chunk of rows at once, over **the chunk's real tokens
-only**: a chunk is flattened to ``tokens[mask]`` plus a per-token local row id
+only**: a chunk is flattened to its flat token indices
+(:meth:`repro.kernels.buckets.SlabBucket.token_indices`, one ragged gather
+through the axis order) plus a per-token local row id
 (:func:`repro.kernels.proposals.token_layout`), and every array below
 :func:`word_phase` / :func:`document_phase` is one-dimensional over those
-tokens.  No padded cell is ever gathered, drawn for or scattered.  Per chunk:
+tokens.  No padding exists to be gathered, drawn for or scattered.  Per chunk:
 
 * gather the current assignments of the real tokens,
 * rebuild every row's delayed counts ``c_w`` / ``c_d`` on the fly (Sec. 4.2)
@@ -104,7 +106,7 @@ CountLookup = Callable[[np.ndarray], np.ndarray]
 
 
 def slot_table_width(num_topics: int, slab_len: int) -> int:
-    """Width ``W`` of the per-row count table for rows padded to ``slab_len``.
+    """Width ``W`` of the per-row count table for rows of the ``slab_len`` band.
 
     A row of at most ``slab_len`` tokens holds at most ``slab_len`` distinct
     topics, so ``2 * slab_len`` slots (never fewer than
@@ -126,7 +128,7 @@ def _phase_chunks(
 ) -> List[SlabBucket]:
     """The phase's task list: every bucket chunk, in bucket order.
 
-    ``max_cells`` bounds both the ``R x L`` token matrix and (via the row
+    ``max_cells`` bounds both the ``R x L`` band cells and (via the row
     cap) the ``R x W`` per-row count table — the slab working-set knob the
     cache-analysis bench turns.  ``W`` is :func:`slot_table_width` of the
     bucket, or ``K`` when ``dense`` (the exact word proposal needs the whole
@@ -300,8 +302,9 @@ def _chunk_body(
     on every call rather than cached: it is cheap next to the chain and a
     cache would hold a second copy of the corpus index.
     """
-    flat = chunk.tokens[chunk.mask]
-    _, row, token_offset, token_length = token_layout(chunk.lengths)
+    layout = token_layout(chunk.lengths)
+    _, row, token_offset, token_length = layout
+    flat = chunk.token_indices(layout)
     current = assignments.take(flat)
     width = num_topics if exact else slot_table_width(num_topics, chunk.slab_len)
     count_at, count_current = _slot_counts(

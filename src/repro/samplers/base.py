@@ -31,7 +31,10 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.evaluation.convergence import ConvergenceTracker
-from repro.evaluation.likelihood import log_joint_likelihood_from_assignments
+from repro.evaluation.likelihood import (
+    check_priors,
+    log_joint_likelihood_from_assignments,
+)
 from repro.obs import get_telemetry
 from repro.sampling.rng import RngLike, ensure_rng, export_rng_state, restore_rng_state
 
@@ -148,18 +151,7 @@ def resolve_hyperparameters(
         raise ValueError(f"num_topics must be positive, got {num_topics}")
     if alpha is None:
         alpha = 50.0 / num_topics
-    alpha_vector = np.asarray(alpha, dtype=np.float64)
-    if alpha_vector.ndim == 0:
-        alpha_vector = np.full(num_topics, float(alpha_vector))
-    if alpha_vector.shape != (num_topics,):
-        raise ValueError(
-            f"alpha must be a scalar or length-{num_topics} vector, got shape "
-            f"{alpha_vector.shape}"
-        )
-    if np.any(alpha_vector <= 0):
-        raise ValueError("alpha entries must be positive")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    alpha_vector = check_priors(num_topics, alpha, beta)
     return alpha_vector, float(alpha_vector.sum()), float(beta), float(beta * vocabulary_size)
 
 

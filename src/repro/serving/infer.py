@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.evaluation.likelihood import check_priors
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.sampling.alias import AliasTable
 from repro.sampling.rng import RngLike, ensure_rng
@@ -93,7 +94,7 @@ def _as_id_arrays(documents: Sequence[Union[np.ndarray, Sequence[int]]]) -> List
 def em_fold_in(
     documents: Sequence[np.ndarray],
     phi: np.ndarray,
-    alpha: np.ndarray,
+    alpha: Union[float, np.ndarray],
     num_iterations: int = 30,
 ) -> np.ndarray:
     """Vectorised EM fold-in of θ for a batch of documents with Φ fixed.
@@ -105,7 +106,8 @@ def em_fold_in(
     phi:
         The frozen ``K x V`` topic-word distributions.
     alpha:
-        The length-``K`` document Dirichlet parameter.
+        The document Dirichlet parameter: a scalar (symmetric) or a
+        length-``K`` vector, every entry finite and positive.
     num_iterations:
         Number of fixed-point updates per document.
 
@@ -120,9 +122,7 @@ def em_fold_in(
     if num_iterations <= 0:
         raise ValueError("num_iterations must be positive")
     num_topics = phi.shape[0]
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (num_topics,):
-        raise ValueError(f"alpha must have shape ({num_topics},), got {alpha.shape}")
+    alpha = check_priors(num_topics, alpha)
 
     documents = _as_id_arrays(documents)
     theta = np.tile(_prior_mean(alpha), (len(documents), 1))
@@ -188,7 +188,7 @@ def _em_bucket(
 def mh_fold_in(
     documents: Sequence[np.ndarray],
     phi: np.ndarray,
-    alpha: np.ndarray,
+    alpha: Union[float, np.ndarray],
     num_sweeps: int = 30,
     num_mh_steps: int = 2,
     rng: RngLike = None,
@@ -210,9 +210,7 @@ def mh_fold_in(
     if num_mh_steps <= 0:
         raise ValueError("num_mh_steps must be positive")
     num_topics = phi.shape[0]
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (num_topics,):
-        raise ValueError(f"alpha must have shape ({num_topics},), got {alpha.shape}")
+    alpha = check_priors(num_topics, alpha)
     rng = ensure_rng(rng)
 
     documents = _as_id_arrays(documents)

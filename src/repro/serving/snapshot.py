@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from repro.corpus.vocabulary import Vocabulary
+from repro.evaluation.likelihood import check_priors
 
 __all__ = ["ModelSnapshot"]
 
@@ -83,18 +84,7 @@ class ModelSnapshot:
         if not np.allclose(row_sums, 1.0, atol=1e-6):
             raise ValueError("phi rows must each sum to one")
 
-        alpha_vector = np.array(alpha, dtype=np.float64, copy=True)
-        if alpha_vector.ndim == 0:
-            alpha_vector = np.full(num_topics, float(alpha_vector))
-        if alpha_vector.shape != (num_topics,):
-            raise ValueError(
-                f"alpha must be a scalar or length-{num_topics} vector, got "
-                f"shape {alpha_vector.shape}"
-            )
-        if np.any(alpha_vector <= 0):
-            raise ValueError("alpha entries must be positive")
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        alpha_vector = check_priors(num_topics, alpha, beta)
 
         phi.flags.writeable = False
         alpha_vector.flags.writeable = False
@@ -216,8 +206,7 @@ class ModelSnapshot:
                 f"phi has {vocab_size} columns but the vocabulary has "
                 f"{vocabulary.size} words"
             )
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        check_priors(num_topics, alpha, beta)
         snapshot = object.__new__(cls)
         snapshot._phi = phi
         snapshot._alpha = alpha

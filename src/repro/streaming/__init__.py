@@ -9,7 +9,8 @@ paper's cheap O(1) sampler makes affordable in the first place:
   (``encode(on_oov="add")``).
 * :class:`~repro.streaming.corpus.StreamingCorpus` — a growable token-major
   corpus whose kernel slab-bucket cache is maintained incrementally: an
-  append rebuilds only the buckets it touched.
+  append re-bands only the rows it touched and rebinds the rest to the
+  merged word order.
 * :class:`~repro.streaming.online.OnlineTrainer` — warm-started slab-kernel
   Gibbs sweeps over a sliding window of recent documents, with retired
   documents' counts kept as exponentially-decayed external mass.

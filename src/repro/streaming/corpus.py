@@ -10,12 +10,15 @@ token-major layout without rebuilding it from scratch:
   inserted at the end of their word's region (``O(T)`` memmove + ``O(B log
   B)`` batch sort instead of ``O(T log T)``), preserving the stable
   document-order-within-word layout of Sec. 5.2;
-* the slab-bucket cache of :mod:`repro.kernels.buckets` is maintained
-  **incrementally**: on the document axis the new documents' rows are
-  appended to their power-of-two band buckets, and on the word axis only the
-  buckets containing words that actually received tokens are rebuilt — every
-  untouched bucket is reused as the *same object*, so a sampler running over
-  the stream between appends pays only for the rows the append dirtied.
+* the slab-bucket cache of :mod:`repro.kernels.buckets` (``(rows,
+  lengths)`` bands over the offsets) is maintained **incrementally**: on the
+  document axis the new documents' rows are appended to their power-of-two
+  bands and every untouched band is reused as the *same object*; on the word
+  axis only the bands containing words that actually received tokens are
+  re-banded, and every untouched band keeps its rows and lengths and is
+  rebound in O(rows) to the merged ``word_order`` (new row starts), so no
+  superseded permutation stays alive.  A sampler running over the stream
+  between appends pays only for the rows the append dirtied.
 
 Any contiguous window of the stream is served by the inherited
 :meth:`~repro.corpus.corpus.Corpus.slice` (a zero-copy view);
@@ -27,6 +30,7 @@ stream is still shorter than the training window.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -54,14 +58,14 @@ def _as_documents(
 
 
 def _merge_band(existing: Optional[SlabBucket], new: SlabBucket) -> SlabBucket:
-    """Append ``new``'s rows to ``existing`` (same power-of-two band)."""
+    """Append ``new``'s rows to ``existing`` (same band, same axis order)."""
     if existing is None:
         return new
-    return SlabBucket(
+    return replace(
+        new,
         rows=np.concatenate([existing.rows, new.rows]),
-        tokens=np.concatenate([existing.tokens, new.tokens]),
-        mask=np.concatenate([existing.mask, new.mask]),
         lengths=np.concatenate([existing.lengths, new.lengths]),
+        starts=np.concatenate([existing.starts, new.starts]),
     )
 
 
@@ -251,12 +255,7 @@ class StreamingCorpus(Corpus):
         # of the first new document, so positions are absolute token indices.
         for fresh in build_buckets(self._doc_offsets[old_docs:]):
             band = fresh.slab_len
-            shifted = SlabBucket(
-                rows=fresh.rows + old_docs,
-                tokens=fresh.tokens,
-                mask=fresh.mask,
-                lengths=fresh.lengths,
-            )
+            shifted = replace(fresh, rows=fresh.rows + old_docs)
             by_len[band] = _merge_band(by_len.get(band), shifted)
             touched.add(band)
         self.bucket_rebuilds["doc"] += len(touched)
@@ -268,29 +267,32 @@ class StreamingCorpus(Corpus):
     def _rebuild_word_buckets(
         self, buckets: List[SlabBucket], affected_words: np.ndarray
     ) -> List[SlabBucket]:
-        """Rebuild only the rows of words that received new tokens.
+        """Re-band only the rows of words that received new tokens.
 
         A word with new tokens may change band (its frequency grew), so its
         row is removed from wherever it lived and re-bucketed from the merged
-        CSC view; every bucket containing none of the affected words is
-        reused untouched.
+        CSC view.  Every other row keeps its band and length but starts
+        elsewhere in the merged ``word_order``, so each kept band is rebound
+        to the merged view in O(rows); a band containing none of the
+        affected words counts as reused.
         """
+
+        def rebind(bucket: SlabBucket) -> SlabBucket:
+            return replace(
+                bucket, starts=self._word_offsets[bucket.rows], order=self._word_order
+            )
+
         by_len: Dict[int, SlabBucket] = {}
         untouched = set()
         for bucket in buckets:
             keep = ~np.isin(bucket.rows, affected_words, assume_unique=False)
             if keep.all():
-                by_len[bucket.slab_len] = bucket
+                by_len[bucket.slab_len] = rebind(bucket)
                 untouched.add(bucket.slab_len)
                 continue
             self.bucket_rebuilds["word"] += 1
             if keep.any():
-                by_len[bucket.slab_len] = SlabBucket(
-                    rows=bucket.rows[keep],
-                    tokens=bucket.tokens[keep],
-                    mask=bucket.mask[keep],
-                    lengths=bucket.lengths[keep],
-                )
+                by_len[bucket.slab_len] = rebind(bucket.select(keep))
         for fresh in build_buckets(
             self._word_offsets, self._word_order, rows=affected_words
         ):

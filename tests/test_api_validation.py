@@ -12,6 +12,9 @@ from repro.api import LDA, ModelSpec
 from repro.api.cli import main
 from repro.api.estimator import iter_token_batches
 from repro.core.warplda import WarpLDA
+from repro.evaluation.likelihood import log_joint_likelihood
+from repro.evaluation.perplexity import held_out_perplexity
+from repro.serving import ModelSnapshot, em_fold_in, mh_fold_in
 from repro.samplers.registry import SAMPLER_REGISTRY, build_sampler
 from repro.streaming.online import OnlineTrainer
 from repro.streaming.pipeline import StreamingPipeline
@@ -176,6 +179,61 @@ class TestIntegerOptions:
         with pytest.raises(SystemExit) as exited:
             main([command, "--synthetic", "--spec", str(path)])
         assert str(exited.value) == f"invalid model spec: {message}"
+
+
+#: Where a prior enters; the last three take α only.
+PRIOR_ENTRY_POINTS = (
+    "ModelSpec",
+    "WarpLDA",
+    "log_joint_likelihood",
+    "ModelSnapshot",
+    "held_out_perplexity",
+    "em_fold_in",
+    "mh_fold_in",
+)
+
+
+def prior_entry_points(corpus):
+    """Every place a Dirichlet prior enters, as ``name -> callable(alpha, beta)``.
+
+    The fold-ins and perplexity take no β; each gets a batch with an empty
+    document, the case a zero α turns into NaN.
+    """
+    num_topics, vocab = 3, corpus.vocabulary_size
+    phi = np.full((num_topics, vocab), 1.0 / vocab)
+    docs = [corpus.document_words(0), np.empty(0, dtype=np.int64)]
+    counts = np.array([[1, 0, 0]])
+    return {
+        "ModelSpec": lambda a, b: ModelSpec(num_topics=num_topics, alpha=a, beta=b),
+        "WarpLDA": lambda a, b: WarpLDA(corpus, num_topics=num_topics, alpha=a, beta=b),
+        "log_joint_likelihood": lambda a, b: log_joint_likelihood(counts, counts, a, b),
+        "ModelSnapshot": lambda a, b: ModelSnapshot(phi, a, b, corpus.vocabulary),
+        "held_out_perplexity": lambda a, b: held_out_perplexity(corpus, phi, a),
+        "em_fold_in": lambda a, b: em_fold_in(docs, phi, a),
+        "mh_fold_in": lambda a, b: mh_fold_in(docs, phi, a, rng=0),
+    }
+
+
+class TestPriorValues:
+    """One α/β check: NaN, ±inf and values <= 0 fail at every entry point."""
+
+    ALPHA, BETA = [0.5, 0.5, 0.5], 0.01
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "prior, name",
+        [("alpha", name) for name in PRIOR_ENTRY_POINTS]
+        + [("beta", name) for name in PRIOR_ENTRY_POINTS[:4]],
+    )
+    def test_rejected(self, small_corpus, prior, name, value):
+        build = prior_entry_points(small_corpus)[name]
+        build(self.ALPHA, self.BETA)  # the valid priors construct
+        if prior == "alpha":
+            with pytest.raises(ValueError, match="alpha entries must be positive"):
+                build([value, 0.5, 0.5], self.BETA)
+        else:
+            with pytest.raises(ValueError, match="beta must be positive"):
+                build(self.ALPHA, value)
 
 
 def _rewrite_kernel(path, *keys):

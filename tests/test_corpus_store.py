@@ -2,12 +2,13 @@
 
 The store's contract is *element identity*: a :class:`MappedCorpus` opened
 from disk must be indistinguishable from the in-RAM :class:`Corpus` it was
-written from — same flat arrays, same CSR/CSC views, same slab buckets,
-same slices — with only the residency differing.  Every test here compares
+written from — same flat arrays, same CSR/CSC views, same slab bands (and
+so the same token order), same slices — with only the residency differing.  Every test here compares
 against the RAM original, with small ``chunk_tokens`` forcing the writer
 through many chunks so the chunked sort/copy paths are genuinely exercised.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.corpus import (
     open_store,
     write_store,
 )
+from repro.core import WarpLDA
 from repro.corpus.store import FORMAT_VERSION, MANIFEST_NAME
 from repro.kernels.buckets import corpus_buckets
 from repro.training import contiguous_shards
@@ -96,23 +98,28 @@ class TestElementIdentity:
         )
 
     @pytest.mark.parametrize("axis", ["doc", "word"])
-    def test_bucket_sidecar_matches_built_buckets(self, ram_corpus, mapped, axis):
+    def test_mapped_buckets_match_ram_buckets(self, ram_corpus, mapped, axis):
         built = corpus_buckets(ram_corpus, axis)
         loaded = corpus_buckets(mapped, axis)
         assert len(loaded) == len(built)
         for ours, theirs in zip(loaded, built):
+            assert ours.slab_len == theirs.slab_len
             np.testing.assert_array_equal(ours.rows, theirs.rows)
-            np.testing.assert_array_equal(ours.tokens, theirs.tokens)
-            np.testing.assert_array_equal(ours.mask, theirs.mask)
             np.testing.assert_array_equal(ours.lengths, theirs.lengths)
+            np.testing.assert_array_equal(ours.token_indices(), theirs.token_indices())
 
-    def test_bucket_sidecar_preloaded(self, store_dir):
-        # The sidecar is planted at open time: corpus_buckets must consume
-        # it rather than rebuilding (rebuilding would be O(T) RAM).
+    def test_word_bands_read_the_mapped_word_order(self, store_dir):
+        # Bands are O(rows) views: the word axis gathers through the mapped
+        # permutation instead of holding an O(T) index of its own.
         corpus = open_store(store_dir)
-        cache = corpus.__dict__["_slab_bucket_cache"]
-        assert set(cache) == {"doc", "word"}
-        assert corpus_buckets(corpus, "doc") is cache["doc"]
+        for bucket in corpus_buckets(corpus, "word"):
+            assert bucket.order is corpus.word_order
+            assert isinstance(bucket.order, np.memmap)
+
+    def test_store_holds_only_the_corpus_arrays(self, store_dir):
+        manifest = json.loads((store_dir / MANIFEST_NAME).read_text())
+        assert "buckets" not in manifest
+        assert not (store_dir / "buckets").exists()
 
 
 class TestViews:
@@ -247,14 +254,86 @@ class TestWriter:
         assert corpus.documents[1].word_ids.size == 0
 
 
+def write_legacy_sidecar(directory, corpus):
+    """Add the padded bucket sidecar older writers stored next to the arrays.
+
+    Per axis and power-of-two band: ``rows``, ``lengths`` and the padded
+    ``(R, L)`` ``tokens`` / ``mask`` matrices (padding repeats a row's last
+    token), listed under the manifest's ``buckets`` key.
+    """
+    (directory / "buckets").mkdir(exist_ok=True)
+    bands_by_axis = {}
+    for axis, offsets, order in (
+        ("doc", corpus.doc_offsets, None),
+        ("word", corpus.word_offsets, corpus.word_order),
+    ):
+        lengths = np.diff(offsets)
+        nonempty = np.flatnonzero(lengths)
+        bands = np.ceil(np.log2(lengths[nonempty])).astype(np.int64)
+        bands_by_axis[axis] = [int(band) for band in np.unique(bands)]
+        for band in bands_by_axis[axis]:
+            rows = nonempty[bands == band]
+            column = np.arange(1 << band)[None, :]
+            positions = offsets[rows][:, None] + np.minimum(
+                column, (lengths[rows] - 1)[:, None]
+            )
+            prefix = directory / "buckets" / f"{axis}_{band}"
+            np.save(f"{prefix}_rows.npy", rows)
+            np.save(f"{prefix}_lengths.npy", lengths[rows])
+            np.save(
+                f"{prefix}_tokens.npy", positions if order is None else order[positions]
+            )
+            np.save(f"{prefix}_mask.npy", column < lengths[rows][:, None])
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    manifest["buckets"] = bands_by_axis
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return bands_by_axis
+
+
+def _trained_assignments(corpus):
+    return WarpLDA(corpus, num_topics=8, seed=3).fit(3).assignments.copy()
+
+
+class TestLegacySidecar:
+    """A ``buckets/`` sidecar from an older writer is never read."""
+
+    @pytest.fixture
+    def legacy_store(self, ram_corpus, tmp_path):
+        directory = tmp_path / "legacy"
+        write_store(ram_corpus, directory)
+        bands = write_legacy_sidecar(directory, ram_corpus)
+        # A stale copy of the most populated word band moves tokens between
+        # words.
+        rows = {
+            band: np.load(directory / "buckets" / f"word_{band}_rows.npy").size
+            for band in bands["word"]
+        }
+        return directory, max(rows, key=rows.get)
+
+    def test_stale_sidecar_trains_like_ram(self, ram_corpus, legacy_store):
+        directory, band = legacy_store
+        path = directory / "buckets" / f"word_{band}_tokens.npy"
+        np.save(path, np.load(path)[::-1])
+        np.testing.assert_array_equal(
+            _trained_assignments(open_store(directory)),
+            _trained_assignments(ram_corpus),
+        )
+
+    def test_partial_sidecar_trains_like_ram(self, ram_corpus, legacy_store):
+        directory, band = legacy_store
+        (directory / "buckets" / f"word_{band}_mask.npy").unlink()
+        np.testing.assert_array_equal(
+            _trained_assignments(open_store(directory)),
+            _trained_assignments(ram_corpus),
+        )
+
+
 class TestErrors:
     def test_open_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing store.json"):
             open_store(tmp_path / "nope")
 
     def test_open_future_format_version(self, ram_corpus, tmp_path):
-        import json
-
         directory = tmp_path / "future"
         write_store(ram_corpus, directory)
         manifest = json.loads((directory / MANIFEST_NAME).read_text())

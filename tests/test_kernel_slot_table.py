@@ -290,7 +290,7 @@ class TestKScalingGuard:
         cells = self.table_cells(corpus, self.SMALL)
         assert cells == self.table_cells(corpus, self.LARGE)
         padded = sum(
-            bucket.mask.size
+            bucket.num_rows * bucket.slab_len
             for axis in ("word", "doc")
             for bucket in corpus_buckets(corpus, axis)
         )

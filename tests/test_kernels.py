@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import Corpus, SyntheticCorpusSpec, generate_lda_corpus
 from repro.kernels import (
@@ -27,7 +29,7 @@ class TestBuckets:
     @pytest.mark.parametrize("axis", ["word", "doc"])
     def test_every_token_covered_exactly_once(self, corpus, axis):
         buckets = corpus_buckets(corpus, axis)
-        covered = np.concatenate([b.tokens[b.mask] for b in buckets])
+        covered = np.concatenate([b.token_indices() for b in buckets])
         assert covered.size == corpus.num_tokens
         np.testing.assert_array_equal(np.sort(covered), np.arange(corpus.num_tokens))
 
@@ -41,12 +43,9 @@ class TestBuckets:
 
     def test_rows_group_their_own_tokens(self, corpus):
         for bucket in corpus_buckets(corpus, "word"):
-            words_of_tokens = corpus.token_words[bucket.tokens]
-            expected = np.broadcast_to(
-                bucket.rows[:, None], words_of_tokens.shape
-            )
             np.testing.assert_array_equal(
-                words_of_tokens[bucket.mask], expected[bucket.mask]
+                corpus.token_words[bucket.token_indices()],
+                np.repeat(bucket.rows, bucket.lengths),
             )
 
     def test_padding_is_power_of_two_and_masked(self, corpus):
@@ -75,8 +74,89 @@ class TestBuckets:
         buckets = build_buckets(corpus.doc_offsets)
         rows = np.concatenate([b.rows for b in buckets])
         assert 1 not in rows
-        covered = np.concatenate([b.tokens[b.mask] for b in buckets])
+        covered = np.concatenate([b.token_indices() for b in buckets])
         np.testing.assert_array_equal(np.sort(covered), np.arange(corpus.num_tokens))
+
+
+@st.composite
+def axis_layouts(draw):
+    """CSR offsets, an axis order (``None`` or a permutation) and a row subset.
+
+    Row lengths mix empty rows, length-1 rows and exact powers of two with
+    arbitrary lengths, so every band edge is exercised.
+    """
+    lengths = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 2, 4, 8, 16, 32, 64]),
+                st.integers(0, 70),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    order = None
+    if draw(st.booleans()):  # word axis: positions go through a permutation
+        order = np.random.default_rng(draw(st.integers(0, 2**16))).permutation(
+            int(offsets[-1])
+        )
+    rows = None
+    if draw(st.booleans()):
+        rows = np.array(
+            sorted(draw(st.sets(st.integers(0, len(lengths) - 1)))), dtype=np.int64
+        )
+    return offsets, order, rows
+
+
+def reference_chunk_rows(rows, slab_len, max_cells, max_rows):
+    """The chunk cut: ``R * L <= max_cells`` capped at ``max_rows`` rows."""
+    per_chunk = max(1, max_cells // slab_len)
+    if max_rows is not None:
+        per_chunk = max(1, min(per_chunk, max_rows))
+    return [rows[start : start + per_chunk] for start in range(0, rows.size, per_chunk)]
+
+
+class TestBucketLayoutProperties:
+    @given(
+        layout=axis_layouts(),
+        max_cells=st.integers(1, 300),
+        max_rows=st.one_of(st.none(), st.integers(1, 12)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bands_are_views_of_the_axis_order(self, layout, max_cells, max_rows):
+        offsets, order, rows = layout
+        lengths = np.diff(offsets)
+        wanted = np.arange(lengths.size) if rows is None else rows
+        positions = np.arange(offsets[-1]) if order is None else order
+        buckets = build_buckets(offsets, order, rows=rows)
+
+        banded = np.concatenate([b.rows for b in buckets] or [np.empty(0, int)])
+        # Every non-empty row lands in exactly one band, no empty row does.
+        np.testing.assert_array_equal(
+            np.sort(banded), np.sort(wanted[lengths[wanted] > 0])
+        )
+        for bucket in buckets:
+            slab_len = bucket.slab_len
+            assert slab_len & (slab_len - 1) == 0
+            # The smallest power of two holding the row: L/2 < length <= L.
+            assert (bucket.lengths <= slab_len).all()
+            assert (2 * bucket.lengths > slab_len).all()
+            np.testing.assert_array_equal(bucket.lengths, lengths[bucket.rows])
+            # token_indices() is each row's tokens in axis order, row after row.
+            expected = [positions[offsets[r] : offsets[r + 1]] for r in bucket.rows]
+            np.testing.assert_array_equal(bucket.token_indices(), np.concatenate(expected))
+            # The chunk list is the cut rule, and chunks read their own tokens.
+            chunks = list(bucket.chunks(max_cells=max_cells, max_rows=max_rows))
+            cut = reference_chunk_rows(bucket.rows, slab_len, max_cells, max_rows)
+            assert len(chunks) == len(cut)
+            for chunk, chunk_rows in zip(chunks, cut):
+                np.testing.assert_array_equal(chunk.rows, chunk_rows)
+                assert chunk.slab_len == slab_len
+                np.testing.assert_array_equal(
+                    chunk.token_indices(),
+                    np.concatenate([positions[offsets[r] : offsets[r + 1]] for r in chunk_rows]),
+                )
 
 
 class TestDraws:

@@ -1,5 +1,8 @@
 """StreamingCorpus: append equivalence and incremental bucket maintenance."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,14 +21,13 @@ def random_token_lists(rng, num_docs, vocab_words=40, max_len=24, allow_empty=Tr
 
 
 def bucket_contents(buckets):
-    """Normalise a bucket list to {row: (band, real_tokens, length)}."""
+    """Normalise a bucket list to {row: (band, tokens in axis order, length)}."""
     contents = {}
     for bucket in buckets:
-        for row, tokens, mask, length in zip(
-            bucket.rows, bucket.tokens, bucket.mask, bucket.lengths
-        ):
+        row_tokens = np.split(bucket.token_indices(), np.cumsum(bucket.lengths)[:-1])
+        for row, tokens, length in zip(bucket.rows, row_tokens, bucket.lengths):
             assert int(row) not in contents, "row appears in two buckets"
-            contents[int(row)] = (bucket.slab_len, tokens[mask].tolist(), int(length))
+            contents[int(row)] = (bucket.slab_len, tokens.tolist(), int(length))
     return contents
 
 
@@ -110,12 +112,28 @@ class TestIncrementalBuckets:
         # Word "a" is high-frequency (band 4+), "b"/"c" low (band 1).
         streaming.append([np.array([0] * 6 + [1]), np.array([2])])
         before = {b.slab_len: b for b in corpus_buckets(streaming, "word")}
-        # Append touching only word "d": buckets without "d" must be the
-        # exact same objects afterwards.
+        # Append touching only word "d": bands without "d" keep their rows
+        # and lengths and are only rebound to the merged word order.
         streaming.append([np.array([3])])
         after = {b.slab_len: b for b in corpus_buckets(streaming, "word")}
-        assert after[8] is before[8]  # the band holding only "a"
+        assert after[8].rows is before[8].rows  # the band holding only "a"
+        assert after[8].lengths is before[8].lengths
+        assert after[8].order is streaming.word_order
         assert streaming.bucket_reuses["word"] >= 1
+
+    def test_appends_release_the_superseded_word_order(self):
+        streaming = StreamingCorpus(Vocabulary(["a", "b", "c", "d"]))
+        streaming.append([np.array([0] * 6 + [1]), np.array([2, 1])])
+        corpus_buckets(streaming, "doc")
+        corpus_buckets(streaming, "word")
+        for batch in ([np.array([3])], [np.array([1, 0])]):
+            superseded = weakref.ref(streaming.word_order)
+            streaming.append(batch)
+            gc.collect()
+            assert superseded() is None, "a band kept the old word_order alive"
+            bands = corpus_buckets(streaming, "word")
+            assert all(bucket.order is streaming.word_order for bucket in bands)
+            del bands
 
     def test_doc_bands_untouched_by_append_are_reused(self):
         vocab = Vocabulary(["a"])
