@@ -172,6 +172,7 @@ class TestUciToStore:
         )
         np.testing.assert_array_equal(corpus.word_order, reference.word_order)
         assert corpus.vocabulary == reference.vocabulary
+        assert not (store_dir / "buckets").exists()  # the arrays are the store
 
     def test_gap_documents_preserved(self, tmp_path):
         from repro.corpus import open_store, uci_to_store
