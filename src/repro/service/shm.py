@@ -9,6 +9,13 @@ every worker process then maps the same segment read-only through
 read-only — the segment is filled before any worker sees its name and never
 written again — so N workers cost one phi, not N.
 
+The segment keeps the snapshot's word-major layout: a C-order ``V x K`` Φ
+block (row ``w`` is word ``w``'s ``K`` topic probabilities) followed by α,
+and a worker adopts the block's ``K x V`` transposed view.  A fold-in gathers
+the words of a document, so each gathered word is one contiguous row; a
+topic-major segment would turn every gathered word into ``K`` cache lines
+``8·V`` bytes apart.
+
 **Invariant SVC001** (enforced by ``repro.analysis``, see
 ``docs/invariants.md``): ``SharedMemory`` segments may only be created or
 unlinked here.  Shared memory outlives the process that created it — a
@@ -100,8 +107,8 @@ class AttachedSnapshot:
         self._segment: Optional[SharedMemory] = _attach_segment(descriptor["segment"])
         num_topics = int(descriptor["num_topics"])
         vocab_size = int(descriptor["vocabulary_size"])
-        phi = np.ndarray(
-            (num_topics, vocab_size), dtype=_FLOAT, buffer=self._segment.buf
+        word_major = np.ndarray(
+            (vocab_size, num_topics), dtype=_FLOAT, buffer=self._segment.buf
         )
         alpha = np.ndarray(
             (num_topics,),
@@ -109,8 +116,9 @@ class AttachedSnapshot:
             buffer=self._segment.buf,
             offset=_phi_nbytes(num_topics, vocab_size),
         )
-        phi.flags.writeable = False
+        word_major.flags.writeable = False
         alpha.flags.writeable = False
+        phi = word_major.T
         self.phi_view = phi
         vocabulary = Vocabulary.from_serializable(descriptor["vocabulary"]).freeze()
         self._snapshot: Optional[ModelSnapshot] = ModelSnapshot.adopt(
@@ -166,13 +174,20 @@ class SharedSnapshot:
 
     @classmethod
     def create(cls, snapshot: ModelSnapshot, version: int = 0) -> "SharedSnapshot":
-        """Materialise ``snapshot`` into a fresh shared segment (the ONE copy)."""
+        """Materialise ``snapshot`` into a fresh shared segment (the ONE copy).
+
+        The segment holds Φ word-major — a C-order ``V x K`` block, the
+        snapshot's own layout, so the fill is a straight copy — followed by
+        the length-``K`` α.
+        """
         num_topics = snapshot.num_topics
         vocab_size = snapshot.vocabulary_size
         nbytes = _phi_nbytes(num_topics, vocab_size) + num_topics * _FLOAT.itemsize
         segment = SharedMemory(create=True, size=nbytes)
-        phi = np.ndarray((num_topics, vocab_size), dtype=_FLOAT, buffer=segment.buf)
-        phi[:] = snapshot.phi
+        word_major = np.ndarray(
+            (vocab_size, num_topics), dtype=_FLOAT, buffer=segment.buf
+        )
+        word_major[:] = snapshot.phi.T
         alpha = np.ndarray(
             (num_topics,),
             dtype=_FLOAT,
@@ -180,7 +195,7 @@ class SharedSnapshot:
             offset=_phi_nbytes(num_topics, vocab_size),
         )
         alpha[:] = snapshot.alpha
-        del phi, alpha
+        del word_major, alpha
         descriptor: Dict[str, Any] = {
             "segment": segment.name,
             "version": int(version),

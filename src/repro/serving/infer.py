@@ -21,6 +21,15 @@ Two fold-in strategies are offered, both operating on a
   is processed as one flat token array, exactly the corpus layout the
   training passes use.
 
+Both strategies, and :func:`perplexity_from_theta`, read Φ only at the
+``(topic, word)`` pairs of the batch's words: ``phi[:, words]`` /
+``phi.T[words]``.  They take any ``K x V`` float array, but a snapshot's Φ is
+word-major (:attr:`~repro.serving.snapshot.ModelSnapshot.phi` is the
+transposed view of a C-order ``V x K`` buffer), so each gathered word is one
+contiguous ``K``-row rather than ``K`` cache lines ``8·V`` bytes apart.  Word
+ids are checked against ``[0, V)`` first: NumPy would silently wrap a
+negative id to the end of the vocabulary.
+
 Out-of-vocabulary tokens are dropped at encode time via the snapshot's frozen
 :class:`~repro.corpus.vocabulary.Vocabulary`; documents that end up empty
 receive the prior mean ``α / ᾱ``.
@@ -42,8 +51,11 @@ __all__ = ["InferenceEngine", "em_fold_in", "mh_fold_in", "perplexity_from_theta
 
 #: Cap on ``K * batch * padded_length`` float64 elements materialised at once
 #: by the EM kernel.  Kept small (~1 MB) so the per-chunk working set stays
-#: cache-resident across the iteration loop — measured fastest among 1-64 MB
-#: caps; batching is for amortising call overheads, not for huge tensors.
+#: cache-resident across the iteration loop; batching is for amortising call
+#: overheads, not for huge tensors.  Re-measured with word-major Φ at the
+#: ``serve_cold`` shapes (K = 256, V = 20 000, 16 documents of ~120 tokens, a
+#: 2-core VM): 2^15-2^17 tie at ~14.6 ms per request, 2^18-2^21 are 12-39%
+#: slower.
 _MAX_EM_ELEMENTS = 1 << 17
 
 
@@ -69,8 +81,10 @@ def perplexity_from_theta(
     Raises
     ------
     ValueError
-        If no document contributes any token (there is nothing to score).
+        If a word id is outside ``[0, V)``, or if no document contributes any
+        token (there is nothing to score).
     """
+    _check_word_ids(documents, phi.shape[1])
     log_likelihood = 0.0
     total_tokens = 0
     for row, words in enumerate(documents):
@@ -91,6 +105,25 @@ def _as_id_arrays(documents: Sequence[Union[np.ndarray, Sequence[int]]]) -> List
     return [np.asarray(doc, dtype=np.int64) for doc in documents]
 
 
+def _check_word_ids(documents: Sequence[np.ndarray], vocab_size: int) -> None:
+    """Reject any word id outside ``[0, V)`` (one min/max pass per document).
+
+    Fancy indexing would wrap a negative id to word ``V + id`` and score the
+    document against the wrong word, so every fold-in path checks first.
+    """
+    for doc in documents:
+        if doc.size and (doc.min() < 0 or doc.max() >= vocab_size):
+            raise ValueError(
+                f"word ids must be in [0, {vocab_size}), got range "
+                f"[{doc.min()}, {doc.max()}]"
+            )
+
+
+def _log_phi_at(phi: np.ndarray, topics: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``log φ[topic, word]`` per token, clamped at 1e-300 (O(tokens), not O(KV))."""
+    return np.log(np.maximum(phi[topics, words], 1e-300))
+
+
 def em_fold_in(
     documents: Sequence[np.ndarray],
     phi: np.ndarray,
@@ -102,9 +135,10 @@ def em_fold_in(
     Parameters
     ----------
     documents:
-        Per-document word-id arrays (may be empty; ids must be < ``V``).
+        Per-document word-id arrays (may be empty; ids must be in ``[0, V)``).
     phi:
-        The frozen ``K x V`` topic-word distributions.
+        The frozen ``K x V`` topic-word distributions (word-major for
+        contiguous row gathers, see the module docstring).
     alpha:
         The document Dirichlet parameter: a scalar (symmetric) or a
         length-``K`` vector, every entry finite and positive.
@@ -125,6 +159,7 @@ def em_fold_in(
     alpha = check_priors(num_topics, alpha)
 
     documents = _as_id_arrays(documents)
+    _check_word_ids(documents, phi.shape[1])
     theta = np.tile(_prior_mean(alpha), (len(documents), 1))
 
     # The fixed-point update only sees each document through its word counts,
@@ -173,6 +208,7 @@ def _em_bucket(
     #   norm_u   = Σ_k φ_k,u θ_k
     #   scores_k = Σ_u (count_u / norm_u) φ_k,u
     #   θ'_k     ∝ θ_k · scores_k + α_k
+    # With a word-major Φ each gathered word is one contiguous K-row.
     word_probs = phi.T[words]
     proportions = np.full((batch, num_topics), 1.0 / num_topics)
     for _ in range(num_iterations):
@@ -214,6 +250,7 @@ def mh_fold_in(
     rng = ensure_rng(rng)
 
     documents = _as_id_arrays(documents)
+    _check_word_ids(documents, phi.shape[1])
     batch = len(documents)
     alpha_sum = float(alpha.sum())
     theta = np.tile(_prior_mean(alpha), (batch, 1))
@@ -234,10 +271,10 @@ def mh_fold_in(
     alpha_alias = None if alpha_symmetric else AliasTable(alpha)
 
     # log φ of the current assignment, kept incrementally; acceptance compares
-    # log φ to avoid 0/0 when both proposals have zero mass.
-    log_phi = np.log(np.maximum(phi, 1e-300))
+    # log φ to avoid 0/0 when both proposals have zero mass.  The log is taken
+    # only at the gathered (topic, word) pairs, never over all of Φ.
     assignments = rng.integers(num_topics, size=num_flat_tokens)
-    current_logp = log_phi[assignments, flat_words]
+    current_logp = _log_phi_at(phi, assignments, flat_words)
 
     for _ in range(num_sweeps):
         for _ in range(num_mh_steps):
@@ -250,7 +287,7 @@ def mh_fold_in(
                 rng,
                 alpha_alias=alpha_alias,
             )
-            proposed_logp = log_phi[proposed, flat_words]
+            proposed_logp = _log_phi_at(phi, proposed, flat_words)
             accept = np.log(rng.random(num_flat_tokens)) < proposed_logp - current_logp
             assignments = np.where(accept, proposed, assignments)
             current_logp = np.where(accept, proposed_logp, current_logp)
@@ -352,13 +389,6 @@ class InferenceEngine:
         documents = _as_id_arrays(documents)
         if not documents:
             return np.zeros((0, self.num_topics))
-        vocab_size = self.snapshot.vocabulary_size
-        for doc in documents:
-            if doc.size and (doc.min() < 0 or doc.max() >= vocab_size):
-                raise ValueError(
-                    f"word ids must be in [0, {vocab_size}), got range "
-                    f"[{doc.min()}, {doc.max()}]"
-                )
         if self.strategy == "em":
             return em_fold_in(
                 documents, self.snapshot.phi, self.snapshot.alpha, self.num_iterations

@@ -8,6 +8,13 @@ in the training trajectory.  A snapshot is
 
 * **immutable** — the arrays are marked read-only, so a server holding a
   snapshot can never be corrupted by a concurrently training sampler;
+* **word-major** — Φ lives in one C-contiguous ``V x K`` buffer and
+  :attr:`ModelSnapshot.phi` is its ``K x V`` transposed view, so a fold-in
+  gathering the words of a document reads each word's ``K`` probabilities as
+  one contiguous row (the paper's small-scope random access) instead of
+  ``K`` cache lines ``8·V`` bytes apart.  Every sampler's ``phi()`` is
+  already this transpose of a ``V x K`` count matrix, so a trained snapshot
+  needs no relayout;
 * **self-contained** — the vocabulary travels with Φ, so unseen documents can
   be encoded (with OOV handling) without access to the training corpus;
 * **persistent** — :meth:`ModelSnapshot.save` writes a ``.npz`` with the
@@ -48,6 +55,8 @@ class ModelSnapshot:
     ----------
     phi:
         The ``K x V`` topic-word distributions; every row must sum to one.
+        Copied once into word-major order (``order="F"``), whatever the
+        input's order.
     alpha:
         Scalar or length-``K`` document Dirichlet parameter.
     beta:
@@ -69,7 +78,7 @@ class ModelSnapshot:
         vocabulary: Vocabulary,
         metadata: Optional[Dict[str, Any]] = None,
     ) -> None:
-        phi = np.array(phi, dtype=np.float64, copy=True)
+        phi = np.array(phi, dtype=np.float64, copy=True, order="F")
         if phi.ndim != 2:
             raise ValueError(f"phi must be a K x V matrix, got shape {phi.shape}")
         num_topics, vocab_size = phi.shape
@@ -99,7 +108,11 @@ class ModelSnapshot:
     # ------------------------------------------------------------------ #
     @property
     def phi(self) -> np.ndarray:
-        """The frozen ``K x V`` topic-word distributions (read-only view)."""
+        """The frozen ``K x V`` topic-word distributions (read-only view).
+
+        A transposed view of the word-major ``V x K`` buffer:
+        ``phi.T`` is C-contiguous, so ``phi[:, words]`` reads whole rows.
+        """
         return self._phi
 
     @property
@@ -183,7 +196,8 @@ class ModelSnapshot:
         still enforces the *structural* contract so an adopted snapshot is
         indistinguishable from a constructed one:
 
-        * ``phi`` is a read-only float64 ``K x V`` matrix;
+        * ``phi`` is a read-only float64 ``K x V`` matrix whose ``phi.T`` is
+          C-contiguous (word-major, see :attr:`phi`);
         * ``alpha`` is a read-only float64 length-``K`` vector;
         * ``beta`` is positive and ``V`` matches the vocabulary.
         """
@@ -201,6 +215,11 @@ class ModelSnapshot:
             )
         if phi.flags.writeable or alpha.flags.writeable:
             raise ValueError("adopt requires read-only arrays (writeable=False)")
+        if not phi.T.flags.c_contiguous:
+            raise ValueError(
+                "adopt requires a word-major phi (phi.T C-contiguous), got a "
+                "topic-major or strided K x V array"
+            )
         if vocab_size != vocabulary.size:
             raise ValueError(
                 f"phi has {vocab_size} columns but the vocabulary has "
@@ -239,7 +258,9 @@ class ModelSnapshot:
 
         Returns the array-file path actually written.  The sidecar lands next
         to it as ``<path>.json`` and holds everything non-numeric: format
-        version, β, the vocabulary and the metadata.
+        version, β, the vocabulary and the metadata.  Φ is written in its
+        word-major memory order (``fortran_order`` in the ``.npy`` header),
+        so :meth:`load` gets it back without a transposing copy.
         """
         path = Path(path)
         if path.suffix != ".npz":

@@ -58,6 +58,19 @@ class TestSharedSnapshot:
         finally:
             shared.unlink()
 
+    def test_attached_phi_is_word_major(self, snapshot):
+        shared = SharedSnapshot.create(snapshot, version=0)
+        try:
+            attached = attach(shared.descriptor())
+            try:
+                adopted = attached.snapshot
+                assert adopted.phi.T.flags.c_contiguous
+                assert adopted.phi is attached.phi_view
+            finally:
+                attached.close()
+        finally:
+            shared.unlink()
+
     def test_descriptor_is_json_serializable(self, snapshot):
         shared = SharedSnapshot.create(snapshot, version=1)
         try:
@@ -118,6 +131,12 @@ class TestAdopt:
         alpha.flags.writeable = False
         with pytest.raises(ValueError):
             ModelSnapshot.adopt(phi, alpha, snapshot.beta, snapshot.vocabulary)
+
+    def test_adopt_rejects_topic_major_phi(self, snapshot):
+        phi = np.ascontiguousarray(snapshot.phi)  # K x V rows contiguous
+        phi.flags.writeable = False
+        with pytest.raises(ValueError, match="word-major"):
+            ModelSnapshot.adopt(phi, snapshot.alpha, snapshot.beta, snapshot.vocabulary)
 
     def test_adopt_does_not_copy(self, snapshot):
         phi = np.array(snapshot.phi)

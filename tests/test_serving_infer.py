@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import WarpLDA
 from repro.corpus import Vocabulary
 from repro.serving import InferenceEngine, ModelSnapshot, em_fold_in, mh_fold_in
+from repro.serving import infer as infer_module
+from repro.serving.infer import perplexity_from_theta
 
 
 def reference_em_fold_in(documents, phi, alpha, num_iterations=30):
@@ -107,6 +111,25 @@ class TestMhFoldIn:
         theta = mh_fold_in(documents, trained_snapshot.phi, trained_snapshot.alpha, rng=3)
         np.testing.assert_allclose(theta.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.1, np.array([0.05, 0.1, 0.2, 0.4, 0.8])])
+    def test_gathered_log_matches_whole_matrix_log(
+        self, trained_snapshot, rng, alpha, monkeypatch
+    ):
+        # log φ is taken only at the gathered (topic, word) pairs; θ must be
+        # bit-identical to taking log(max(Φ, 1e-300)) over the whole matrix
+        # first.  Zeroed entries exercise the clamp.
+        phi = np.array(trained_snapshot.phi)
+        phi[:, ::7] = 0.0
+        documents = [rng.integers(phi.shape[1], size=n) for n in [5, 0, 40, 17]]
+        gathered = mh_fold_in(documents, phi, alpha, rng=3)
+        monkeypatch.setattr(
+            infer_module,
+            "_log_phi_at",
+            lambda phi, topics, words: np.log(np.maximum(phi, 1e-300))[topics, words],
+        )
+        whole_matrix = mh_fold_in(documents, phi, alpha, rng=3)
+        np.testing.assert_array_equal(gathered, whole_matrix)
+
 
 class TestInferenceEngine:
     def test_em_agrees_with_kernel(self, trained_snapshot, rng):
@@ -151,3 +174,58 @@ class TestInferenceEngine:
             InferenceEngine(snapshot, num_iterations=0)
         with pytest.raises(ValueError):
             InferenceEngine(snapshot, num_mh_steps=0)
+
+
+FOLD_IN_PATHS = {
+    "em_fold_in": lambda docs, phi, alpha: em_fold_in(docs, phi, alpha),
+    "mh_fold_in": lambda docs, phi, alpha: mh_fold_in(docs, phi, alpha, rng=0),
+    "perplexity_from_theta": lambda docs, phi, alpha: perplexity_from_theta(
+        docs, np.full((len(docs), phi.shape[0]), 1.0 / phi.shape[0]), phi
+    ),
+}
+
+
+@pytest.mark.parametrize("bad_id", ["negative", "vocab_size"])
+@pytest.mark.parametrize("path", sorted(FOLD_IN_PATHS))
+def test_out_of_range_word_ids_rejected_by_every_path(trained_snapshot, path, bad_id):
+    # Fancy indexing would wrap -1 to word V - 1 and raise a bare IndexError
+    # for V; every path checks the range first.
+    vocab_size = trained_snapshot.vocabulary_size
+    word = -1 if bad_id == "negative" else vocab_size
+    documents = [np.array([0, 1]), np.array([0, word])]
+    with pytest.raises(ValueError, match=rf"word ids must be in \[0, {vocab_size}\)"):
+        FOLD_IN_PATHS[path](documents, trained_snapshot.phi, trained_snapshot.alpha)
+
+
+class TestPhiLayoutIndependence:
+    """θ and perplexity do not depend on Φ's memory order, only on its values."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        num_topics=st.integers(1, 6),
+        vocab_size=st.integers(1, 40),
+        lengths=st.lists(st.integers(0, 30), min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_c_and_f_order_phi_give_identical_results(
+        self, seed, num_topics, vocab_size, lengths
+    ):
+        rng = np.random.default_rng(seed)
+        phi = rng.random((num_topics, vocab_size)) ** 3
+        phi /= phi.sum(axis=1, keepdims=True)
+        c_order = np.ascontiguousarray(phi)
+        f_order = np.asfortranarray(phi)
+        alpha = rng.uniform(0.05, 1.0, size=num_topics)
+        documents = [rng.integers(vocab_size, size=n) for n in lengths]
+
+        em_c = em_fold_in(documents, c_order, alpha, num_iterations=10)
+        em_f = em_fold_in(documents, f_order, alpha, num_iterations=10)
+        np.testing.assert_array_equal(em_c, em_f)
+        np.testing.assert_array_equal(
+            mh_fold_in(documents, c_order, alpha, num_sweeps=5, rng=seed),
+            mh_fold_in(documents, f_order, alpha, num_sweeps=5, rng=seed),
+        )
+        if any(lengths):
+            assert perplexity_from_theta(documents, em_c, c_order) == (
+                perplexity_from_theta(documents, em_c, f_order)
+            )

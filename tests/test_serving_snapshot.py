@@ -133,3 +133,41 @@ class TestExportSnapshot:
         snapshot = model.export_snapshot()
         restored = ModelSnapshot.load(snapshot.save(tmp_path / "warp"))
         assert restored == snapshot
+
+
+class TestWordMajorLayout:
+    """Φ is one C-contiguous ``V x K`` buffer; ``.phi`` is its ``K x V`` view."""
+
+    @staticmethod
+    def make_phi(order):
+        phi = np.random.default_rng(0).random((4, 7), dtype=np.float64)
+        phi /= phi.sum(axis=1, keepdims=True)
+        return np.asarray(phi, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_constructor_copies_into_word_major(self, order):
+        phi = self.make_phi(order)
+        snapshot = ModelSnapshot(phi, 0.1, 0.01, Vocabulary([f"w{i}" for i in range(7)]))
+        assert snapshot.phi.T.flags.c_contiguous
+        assert not np.shares_memory(snapshot.phi, phi)
+        np.testing.assert_array_equal(snapshot.phi, phi)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_save_load_and_with_metadata_stay_word_major(self, order, tmp_path):
+        snapshot = ModelSnapshot(
+            self.make_phi(order), 0.1, 0.01, Vocabulary([f"w{i}" for i in range(7)])
+        )
+        path = snapshot.save(tmp_path / "model")
+        with np.load(path) as arrays:
+            assert arrays["phi"].flags.f_contiguous  # written word-major
+        restored = ModelSnapshot.load(path)
+        assert restored.phi.T.flags.c_contiguous
+        assert restored == snapshot
+        tagged = restored.with_metadata(origin="test")
+        assert tagged.phi is restored.phi  # shared, not re-laid-out
+        assert tagged.phi.T.flags.c_contiguous
+
+    def test_trained_phi_is_already_word_major(self, small_corpus):
+        model = WarpLDA(small_corpus, num_topics=4, seed=1).fit(1)
+        assert model.phi().T.flags.c_contiguous
+        assert model.export_snapshot().phi.T.flags.c_contiguous
