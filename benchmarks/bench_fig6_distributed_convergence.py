@@ -50,15 +50,10 @@ def run_figure6():
     warp_tracker = train_parallel(
         corpus, "WarpLDA (M=4)", 60, sampler="warplda", num_mh_steps=4
     )
-    # The scalar kernel is the paper's instant-update LightLDA; the slab kernel
-    # is the delayed-count sweep, i.e. Fig. 7's LightLDA+DW+DD ablation point.
+    # The paper's instant-update LightLDA; its delayed-count form is Fig. 7's
+    # LightLDA+DW+DD ablation point (repro.core.variants).
     light_tracker = train_parallel(
-        corpus,
-        "LightLDA (M=2)",
-        8,
-        sampler="lightlda",
-        num_mh_steps=2,
-        kernel="scalar",
+        corpus, "LightLDA (M=2)", 8, sampler="lightlda", num_mh_steps=2
     )
     return corpus, warp_tracker, light_tracker
 

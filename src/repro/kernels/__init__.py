@@ -21,8 +21,8 @@ Layout
     ``cumsum``/``searchsorted`` pass each).
 :mod:`~repro.kernels.proposals`
     The one Sec. 4.3 proposal draw of the package, shared by WarpLDA's two
-    phases, the delayed LightLDA sweep and the serving MH fold-in: the CSR
-    layout of a flat token batch and the positioning-mixture draw over it.
+    phases and the serving MH fold-in: the CSR layout of a flat token batch
+    and the positioning-mixture draw over it.
 :mod:`~repro.kernels.warp`
     WarpLDA's word and document phases (Alg. 2), token-major over bucket
     chunks: the MH accept/reject chains of Eq. (7) and the proposal draws
@@ -31,9 +31,6 @@ Layout
     The blocked dense collapsed-Gibbs kernel: the full conditional of Eq. (1)
     enumerated for a whole document block, sampled with one cumulative-sum
     pass.
-:mod:`~repro.kernels.light`
-    LightLDA's cycle proposals executed as a delayed-count token-parallel
-    sweep (the WarpLDA Sec. 4.2 reordering applied to LightLDA's chain).
 :mod:`~repro.kernels.pool`
     The multi-core execution tier: the shared thread pool every kernel
     dispatches its independent work units through, plus the per-task RNG
@@ -46,10 +43,9 @@ Exactness
 WarpLDA freezes all counts for the duration of a phase (the MCEM E-step keeps
 Θ and Φ fixed), so processing the words of a phase slab-parallel instead of
 one-by-one is *exact*: no word's chain reads another word's in-phase updates.
-The blocked CGS and delayed LightLDA kernels freeze counts per block / per
-sweep, which is the same delayed-count device — a statistically equivalent
-chain targeting the same stationary distribution, not a bit-identical replay
-of the scalar path.  Every consumer therefore keeps the scalar implementation
+The blocked CGS kernel freezes counts per block, which is the same
+delayed-count device — a statistically equivalent chain targeting the same
+stationary distribution, not a bit-identical replay of the scalar path.  Every consumer therefore keeps the scalar implementation
 behind ``kernel="scalar"`` as the correctness oracle.
 """
 
@@ -59,7 +55,6 @@ from repro.kernels.draws import (
     row_categorical_draw,
     table_categorical_draws,
 )
-from repro.kernels.light import delayed_cycle_sweep
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.kernels.warp import document_phase, word_phase
 
@@ -69,7 +64,6 @@ __all__ = [
     "blocked_gibbs_sweep",
     "build_buckets",
     "corpus_buckets",
-    "delayed_cycle_sweep",
     "document_phase",
     "positioning_mixture_proposal",
     "row_categorical_draw",

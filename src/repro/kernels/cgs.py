@@ -18,15 +18,6 @@ WarpLDA's Sec. 4.2): the chain is statistically equivalent and targets the
 same stationary distribution, but is not a bit-identical replay of the
 sequential scan — the scalar path remains the oracle.
 
-With ``stale_word_counts=True`` the word/topic factor is additionally frozen
-across the *inner refresh passes of a block* while the document factor stays
-pass-fresh.  That is the AliasLDA decomposition (fresh sparse document part,
-stale word part; the scalar sampler refreshes a word's alias table only
-every ~K draws) under delayed counts — and with the proposal equal to the
-stale conditional, AliasLDA's Metropolis-Hastings staleness correction
-cancels identically, so the kernel draws from the stale conditional
-directly.
-
 Threaded execution
 ------------------
 Blocks are grouped into fixed **waves** (:func:`_wave_size` — a pure
@@ -167,7 +158,6 @@ def _run_block(
     beta: float,
     beta_sum: float,
     rng: np.random.Generator,
-    stale_word_counts: bool,
     inner_passes: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample one block against wave-frozen word/topic counts (one pool task).
@@ -187,21 +177,13 @@ def _run_block(
     words = corpus.token_words[token_start:token_stop]
     unique_words, inverse = np.unique(words, return_inverse=True)
 
-    base_word = state.word_topic[unique_words]
-    base_topic = state.topic_counts.copy()
-    local_word = base_word.astype(np.float64)
-    local_topic = base_topic.astype(np.float64)
+    local_word = state.word_topic[unique_words].astype(np.float64)
+    local_topic = state.topic_counts.astype(np.float64)
     initial = state.assignments[token_start:token_stop].copy()
 
     for _ in range(inner_passes):
-        # The stale (AliasLDA) decomposition freezes the word/topic factor at
-        # wave entry; the fresh path folds this block's own earlier passes in.
-        word_rows = (
-            base_word[inverse].astype(np.float64)
-            if stale_word_counts
-            else local_word[inverse]
-        )
-        topic_source = base_topic if stale_word_counts else local_topic
+        # Each pass folds this block's own earlier passes into the
+        # wave-frozen word/topic counts.
         weights = block_conditionals(
             state,
             token_start,
@@ -209,8 +191,8 @@ def _run_block(
             alpha,
             beta,
             beta_sum,
-            word_rows=word_rows,
-            topic_counts=topic_source,
+            word_rows=local_word[inverse],
+            topic_counts=local_topic,
         )
         new_topics = row_categorical_draw(weights, rng)
 
@@ -218,12 +200,11 @@ def _run_block(
         state.assignments[token_start:token_stop] = new_topics
         np.subtract.at(state.doc_topic, (docs, old_topics), 1)
         np.add.at(state.doc_topic, (docs, new_topics), 1)
-        if not stale_word_counts:
-            np.subtract.at(local_word, (inverse, old_topics), 1.0)
-            np.add.at(local_word, (inverse, new_topics), 1.0)
-            local_topic += np.bincount(
-                new_topics, minlength=num_topics
-            ) - np.bincount(old_topics, minlength=num_topics)
+        np.subtract.at(local_word, (inverse, old_topics), 1.0)
+        np.add.at(local_word, (inverse, new_topics), 1.0)
+        local_topic += np.bincount(
+            new_topics, minlength=num_topics
+        ) - np.bincount(old_topics, minlength=num_topics)
 
     final = state.assignments[token_start:token_stop]
     word_delta = np.zeros((unique_words.size, num_topics), dtype=np.int64)
@@ -242,7 +223,6 @@ def blocked_gibbs_sweep(
     beta_sum: float,
     rng: np.random.Generator,
     max_block_tokens: Optional[int] = None,
-    stale_word_counts: bool = False,
     inner_passes: int = 2,
     threads: Optional[int] = None,
 ) -> None:
@@ -258,9 +238,7 @@ def blocked_gibbs_sweep(
     feedback the sequential scan gets for free (a document's tokens
     coordinating onto a topic within one sweep costs sequential CGS nothing,
     but a frozen block cannot see it) at a small constant-factor cost — the
-    per-iteration mixing then matches or beats the scalar scan.  With
-    ``stale_word_counts=True`` only the document factor refreshes between
-    passes; the word/topic factor stays frozen at block entry.
+    per-iteration mixing then matches or beats the scalar scan.
 
     ``threads`` (per :func:`repro.kernels.pool.resolve_threads`) runs each
     wave's blocks concurrently; the wave structure and per-block RNG streams
@@ -294,7 +272,6 @@ def blocked_gibbs_sweep(
                 beta,
                 beta_sum,
                 block_rngs[wave_start + offset],
-                stale_word_counts,
                 inner_passes,
             )
             for offset, (token_start, token_stop) in enumerate(wave_blocks)

@@ -9,8 +9,8 @@ shape:
 * :func:`row_categorical_draw` — one draw per row of an ``(R, K)`` matrix
   (the blocked CGS kernel's "one token, one conditional" case);
 * :func:`table_categorical_draws` — one draw per token from a shared
-  ``(V, K)`` weight table indexed by a per-token row id (LightLDA's stale
-  word proposal, WarpLDA's external-count and exact word proposals).
+  ``(V, K)`` weight table indexed by a per-token row id (WarpLDA's
+  external-count and exact word proposals).
 
 The per-token variant uses the offset-flattening trick: each row's CDF is
 normalised into ``(0, 1]`` and shifted by its row index, giving one globally

@@ -1,8 +1,8 @@
 """The paper's Sec. 4.3 proposal draw, shared by training and serving.
 
-WarpLDA's two phases, the delayed LightLDA kernel and the serving layer's MH
-fold-in (:func:`repro.serving.infer.mh_fold_in`) all draw from ``q(k) ∝
-C_rk + prior_k`` over a flat token batch without ever forming ``C_r``:
+WarpLDA's two phases and the serving layer's MH fold-in
+(:func:`repro.serving.infer.mh_fold_in`) both draw from ``q(k) ∝ C_rk +
+prior_k`` over a flat token batch without ever forming ``C_r``:
 
     with probability ``L_r / (L_r + prior mass)`` pick the assignment of a
     uniformly random token of the same row (random positioning), otherwise

@@ -60,9 +60,8 @@ dense ``(R, K)`` histogram is never needed for it:
   and the ``R * K <= max_cells`` row cap.
 
 Elsewhere in the package ``repro.kernels.cgs`` (the blocked full conditional
-is a ``(T, K)`` matrix by construction), ``repro.kernels.light`` (a frozen
-``(V, K)`` word-proposal table) and the scalar oracle (a ``bincount`` of length ``K`` per
-row) are O(K) by design; :func:`repro.evaluation.likelihood
+is a ``(T, K)`` matrix by construction) and the scalar oracle (a ``bincount``
+of length ``K`` per row) are O(K) by design; :func:`repro.evaluation.likelihood
 .log_joint_likelihood_from_assignments` is K-free.
 
 Threaded execution

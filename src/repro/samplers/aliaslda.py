@@ -14,25 +14,14 @@ table has entries, which amortises the O(K) construction cost.
 As in the original algorithm, tokens are visited document-by-document, so the
 random accesses to ``C_w`` spread over the whole O(KV) matrix — this is the
 behaviour the paper's Table 2 records.
-
-The default ``kernel="slab"`` path runs the same decomposition under delayed
-counts via :func:`repro.kernels.cgs.blocked_gibbs_sweep` with
-``stale_word_counts=True``: the word/topic factor is frozen at block entry
-(the role the stale alias tables play — the scalar sampler likewise refreshes
-a word's table only every ~K draws), the document factor is fresh per inner
-pass, and — because the proposal then *equals* the stale conditional — the
-Metropolis-Hastings staleness correction cancels identically, leaving an
-exact blocked draw.  ``kernel="scalar"`` keeps the original per-token
-MH loop with amortised alias-table rebuilds as the correctness oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
-from repro.kernels.cgs import blocked_gibbs_sweep
 from repro.samplers.base import LDASampler
 from repro.sampling.alias import AliasTable
 
@@ -64,8 +53,6 @@ class AliasLDASampler(LDASampler):
     """Sparsity-aware + MH sampler with stale per-word alias tables."""
 
     name = "AliasLDA"
-    KERNELS = ("slab", "scalar")
-    DEFAULT_KERNEL = "slab"
 
     def __init__(self, *args, num_mh_steps: int = 2, **kwargs):
         super().__init__(*args, num_mh_steps=num_mh_steps, **kwargs)
@@ -116,20 +103,6 @@ class AliasLDASampler(LDASampler):
         return doc_part + table.density(topic)
 
     def _sample_iteration(self) -> None:
-        if self.kernel == "slab":
-            blocked_gibbs_sweep(
-                self.state,
-                self.alpha,
-                self.beta,
-                self.beta_sum,
-                self.rng,
-                stale_word_counts=True,
-                threads=self.threads,
-            )
-            return
-        self._sample_iteration_scalar()
-
-    def _sample_iteration_scalar(self) -> None:
         state = self.state
         rng = self.rng
         beta = self.beta

@@ -16,22 +16,14 @@ accesses to ``C_w`` spread over the whole O(KV) matrix (paper, Table 2).
 
 ``num_mh_steps`` is the paper's ``M``: the number of proposal/acceptance steps
 per token (alternating doc / word), matching the knob swept in Fig. 5.
-
-The default ``kernel="slab"`` path runs the cycle under WarpLDA's delayed
-counts via :func:`repro.kernels.light.delayed_cycle_sweep`: all counts are
-frozen for a sweep, every token's chain becomes independent, and the whole
-corpus executes as a flat vectorised MH chain whose acceptance rates collapse
-to the two factors of Eq. (7).  ``kernel="scalar"`` keeps the original
-instant-update per-token loop as the correctness oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.kernels.light import delayed_cycle_sweep
 from repro.samplers.base import LDASampler
 from repro.sampling.alias import AliasTable
 
@@ -60,19 +52,14 @@ class LightLDASampler(LDASampler):
     """MH-based O(1) sampler with instant count updates."""
 
     name = "LightLDA"
-    KERNELS = ("slab", "scalar")
-    DEFAULT_KERNEL = "slab"
 
     def __init__(self, *args, num_mh_steps: int = 2, **kwargs):
         super().__init__(*args, num_mh_steps=num_mh_steps, **kwargs)
         self.num_mh_steps = int(num_mh_steps)
         self._word_proposals: Dict[int, _StaleWordProposal] = {}
         # Alias table over the (fixed) prior α used by the doc proposal's
-        # second mixture component.  The slab kernel draws the prior
-        # component uniformly when α is symmetric (same distribution, one
-        # RNG call) and from this table otherwise.
+        # second mixture component.
         self._alpha_alias = AliasTable(self.alpha)
-        self._alpha_is_symmetric = bool(np.allclose(self.alpha, self.alpha[0]))
 
     def invalidate_caches(self) -> None:
         """Drop the stale per-word proposal tables (counts changed underneath)."""
@@ -101,22 +88,6 @@ class LightLDASampler(LDASampler):
 
     # ------------------------------------------------------------------ #
     def _sample_iteration(self) -> None:
-        if self.kernel == "slab":
-            delayed_cycle_sweep(
-                self.state,
-                self.alpha,
-                self.alpha_sum,
-                self.beta,
-                self.beta_sum,
-                self.num_mh_steps,
-                self.rng,
-                alpha_alias=None if self._alpha_is_symmetric else self._alpha_alias,
-                threads=self.threads,
-            )
-            return
-        self._sample_iteration_scalar()
-
-    def _sample_iteration_scalar(self) -> None:
         state = self.state
         rng = self.rng
         alpha = self.alpha

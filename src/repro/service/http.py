@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -74,6 +75,10 @@ def parse_http_address(address: Any) -> Tuple[str, int]:
         host, _, port_text = text.rpartition(":")
         return host or "127.0.0.1", int(port_text)
     return "127.0.0.1", int(text)
+
+
+def _interrupt(signum: int, frame: Any) -> None:
+    raise KeyboardInterrupt
 
 
 @dataclass
@@ -734,16 +739,27 @@ class TopicService:
         return self._pool.worker_infos()
 
     def serve_forever(self) -> None:
-        """Block the calling thread until interrupted (CLI foreground mode)."""
+        """Block the calling thread until interrupted (CLI foreground mode).
+
+        SIGTERM ends it the way Ctrl-C does, through :meth:`close`, so the
+        pool workers and the shared segment never outlive the host.  The
+        handler can only be installed on the main thread, and is restored
+        before closing.
+        """
         if self._thread is None:
             self.start()
         assert self._thread is not None
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            previous = signal.signal(signal.SIGTERM, _interrupt)
         try:
             while self._thread.is_alive():
                 self._thread.join(timeout=0.5)
-        except KeyboardInterrupt:  # pragma: no cover - interactive path
+        except KeyboardInterrupt:
             pass
         finally:
+            if on_main:
+                signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
             self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

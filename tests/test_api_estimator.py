@@ -162,8 +162,8 @@ class TestModelAccess:
         "algorithm, ran",
         [
             ("cgs", "slab"),
-            ("aliaslda", "slab"),
-            ("lightlda", "slab"),
+            ("aliaslda", "scalar"),
+            ("lightlda", "scalar"),
             ("sparselda", "scalar"),
             ("fpluslda", "scalar"),
         ],

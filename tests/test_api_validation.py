@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.api import LDA, ModelSpec
+from repro.api import LDA, SPEC_METADATA_KEY, ModelSpec
 from repro.api.cli import main
 from repro.api.estimator import iter_token_batches
 from repro.core.warplda import WarpLDA
@@ -282,3 +282,42 @@ class TestRetiredKernelName:
                 resumed[name] = (trainer.assignments(), blob.read_bytes())
         np.testing.assert_array_equal(resumed["retired"][0], resumed["slab"][0])
         assert resumed["retired"][1] == resumed["slab"][1]
+
+
+@pytest.mark.parametrize("algorithm", ["aliaslda", "lightlda"])
+class TestSlabNamedForScalarOnlySampler:
+    """AliasLDA and LightLDA had a slab path once; artefacts naming it run scalar."""
+
+    def test_spec_file_builds_and_exports_scalar(self, small_corpus, tmp_path, algorithm):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"algorithm": algorithm, "kernel": "slab", "num_topics": 4, "seed": 0})
+        )
+        model = LDA(ModelSpec.load(path)).fit(small_corpus, num_iterations=1)
+        assert model.spec.kernel == "slab"
+        assert model.model.kernel == "scalar"
+        assert model.export_snapshot().metadata[SPEC_METADATA_KEY]["kernel"] == "scalar"
+
+    def test_checkpoint_resumes_and_exports_scalar(self, small_corpus, tmp_path, algorithm):
+        with ParallelTrainer(
+            small_corpus, num_workers=2, num_topics=4, seed=3, backend="inline",
+            sampler=algorithm, kernel="slab",
+        ) as trainer:
+            trainer.train(1)
+            trainer.save_checkpoint(tmp_path / "ckpt")
+        config = json.loads((tmp_path / "ckpt" / "checkpoint.json").read_text())["config"]
+        assert (config["sampler"], config["kernel"]) == (algorithm, "slab")
+        with Checkpoint.load(tmp_path / "ckpt").restore(
+            small_corpus, backend="inline"
+        ) as resumed:
+            assert {w._runner.sampler.kernel for w in resumed._workers} == {"scalar"}
+            resumed.train(1)
+            assert resumed.epochs_completed == 2
+        options = {"num_workers": 2, "backend": "inline"}
+        with LDA(ModelSpec(backend="parallel", backend_options=options)) as model:
+            model.fit(
+                small_corpus, num_iterations=1, checkpoint_dir=tmp_path / "ckpt", resume=True
+            )
+            assert model.spec.algorithm == algorithm
+            embedded = model.export_snapshot().metadata[SPEC_METADATA_KEY]
+            assert embedded["kernel"] == "scalar"

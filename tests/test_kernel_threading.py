@@ -5,8 +5,8 @@ The contract under test (``repro.kernels.pool`` module docstring, README
 **bit-identical for every thread count** — the task decomposition never
 depends on the worker count, per-task RNG streams are spawned from a single
 main-stream draw, and results are applied in task order.  These tests pin
-that matrix for all three slab kernels (warp, cgs, light), from the
-constructor argument down to the exported snapshot bytes.
+that matrix for both slab kernels (warp, cgs), from the constructor
+argument down to the exported snapshot bytes.
 """
 
 import numpy as np
@@ -15,12 +15,7 @@ import pytest
 from repro.core.warplda import WarpLDA
 from repro.kernels import pool
 from repro.kernels.cgs import blocked_gibbs_sweep
-from repro.kernels.light import delayed_cycle_sweep
-from repro.samplers import (
-    AliasLDASampler,
-    CollapsedGibbsSampler,
-    LightLDASampler,
-)
+from repro.samplers import CollapsedGibbsSampler
 
 THREAD_MATRIX = (1, 2, 4)
 
@@ -36,18 +31,6 @@ SLAB_SAMPLERS = [
             corpus, num_topics=5, seed=3, threads=threads
         ),
         id="cgs",
-    ),
-    pytest.param(
-        lambda corpus, threads: AliasLDASampler(
-            corpus, num_topics=5, seed=3, threads=threads
-        ),
-        id="aliaslda",
-    ),
-    pytest.param(
-        lambda corpus, threads: LightLDASampler(
-            corpus, num_topics=5, seed=3, threads=threads
-        ),
-        id="lightlda",
     ),
 ]
 
@@ -158,30 +141,6 @@ class TestThreadCountDeterminism:
                     rng,
                     max_block_tokens=16,
                     threads=threads,
-                )
-            assert sampler.state.check_consistency()
-            states[threads] = sampler.state.assignments.copy()
-        np.testing.assert_array_equal(states[2], states[1])
-        np.testing.assert_array_equal(states[4], states[1])
-
-    def test_light_chunked_sweep_is_thread_invariant(self, small_corpus):
-        states = {}
-        for threads in THREAD_MATRIX:
-            sampler = LightLDASampler(
-                small_corpus, num_topics=5, seed=3, kernel="scalar"
-            )
-            rng = np.random.default_rng(17)
-            for _ in range(3):
-                delayed_cycle_sweep(
-                    sampler.state,
-                    sampler.alpha,
-                    sampler.alpha_sum,
-                    sampler.beta,
-                    sampler.beta_sum,
-                    sampler.num_mh_steps,
-                    rng,
-                    threads=threads,
-                    chunk_tokens=64,
                 )
             assert sampler.state.check_consistency()
             states[threads] = sampler.state.assignments.copy()

@@ -116,6 +116,8 @@ class TestBuildSampler:
             ("warplda", "slab", "slab"),
             ("cgs", "slab", "slab"),
             ("sparselda", "slab", "scalar"),
+            ("aliaslda", "slab", "scalar"),
+            ("lightlda", "slab", "scalar"),
             ("lightlda", "scalar", "scalar"),
         ],
     )

@@ -1,14 +1,21 @@
 """Tests for the asyncio HTTP serving tier (`repro.service.http`)."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import LDA
 from repro.serving.infer import InferenceEngine
 from repro.serving.server import TopicServer
@@ -275,3 +282,75 @@ class TestLifecycle:
             service.start()
         service.close()
         service.close()
+
+
+def _children(pid):
+    """PIDs whose parent is ``pid`` (from ``/proc``)."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _alive(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+def _shm_segments():
+    return {entry.name for entry in Path("/dev/shm").glob("psm_*")}
+
+
+@pytest.mark.skipif(
+    not (Path("/proc").is_dir() and Path("/dev/shm").is_dir()),
+    reason="needs /proc and /dev/shm",
+)
+class TestSigterm:
+    def test_sigterm_stops_workers_and_unlinks_the_segment(self, tmp_path):
+        model = make_snapshot(0).save(tmp_path / "model.npz")
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        before = _shm_segments()
+        host = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--model", str(model),
+             "--http", "127.0.0.1:0", "--http-workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        children = []
+        try:
+            banner = host.stdout.readline()
+            url = re.search(r"on (http://\S+)", banner)
+            assert url, banner
+            assert http_get(url.group(1) + "/healthz")[0] == 200
+            children = _children(host.pid)
+            # Two pool workers plus the multiprocessing resource tracker.
+            assert len(children) >= 2, children
+            assert _shm_segments() - before, "the pool shares no segment"
+            host.send_signal(signal.SIGTERM)
+            returncode = host.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in children if _alive(pid)]
+            assert not _shm_segments() - before
+            assert returncode == 0
+        finally:
+            # Never leak a failed run's processes or segment into the suite.
+            for pid in [host.pid, *children]:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            host.wait(timeout=30)
+            host.stdout.close()
+            for name in _shm_segments() - before:
+                (Path("/dev/shm") / name).unlink(missing_ok=True)
+
