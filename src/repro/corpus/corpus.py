@@ -8,13 +8,17 @@ orders the paper analyses:
 * **word-by-word** — iterate ``corpus.word_token_indices(w)`` (the CSC view).
 
 Both views index into the *same* flat per-token arrays, mirroring the paper's
-data layout where only one copy of the token data is stored (Sec. 5.2).
+data layout where only one copy of the token data is stored (Sec. 5.2).  The
+flat arrays are that copy: a corpus keeps no per-document objects, and
+``corpus.documents``, ``corpus[d]`` and iteration hand out :class:`Document`
+views over ``token_words[doc_offsets[d]:doc_offsets[d + 1]]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+import collections.abc
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,12 +36,9 @@ class Document:
     ----------
     word_ids:
         The tokens of the document in order, as vocabulary ids.
-    doc_id:
-        Optional external identifier (e.g. a filename).
     """
 
     word_ids: np.ndarray
-    doc_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         word_ids = np.asarray(self.word_ids, dtype=np.int64)
@@ -64,53 +65,143 @@ class Document:
         return iter(self.word_ids.tolist())
 
 
+DocumentLike = Union[Document, np.ndarray, Sequence[int]]
+
+
+def _flatten(documents: Sequence[DocumentLike]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lengths, flat word ids)`` of ``documents`` (``Document``s or 1-D arrays).
+
+    Word ids are checked against the vocabulary separately, by
+    :func:`_check_word_ids` on the flat array.
+    """
+    arrays = []
+    for doc in documents:
+        words = np.asarray(
+            doc.word_ids if isinstance(doc, Document) else doc, dtype=np.int64
+        )
+        if words.ndim != 1:
+            raise ValueError(f"word_ids must be 1-D, got shape {words.shape}")
+        arrays.append(words)
+    lengths = np.array([words.size for words in arrays], dtype=np.int64)
+    flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    return lengths, flat
+
+
+def _check_word_ids(token_words: np.ndarray, vocabulary_size: int) -> None:
+    """Reject negative ids and ids outside a vocabulary of ``vocabulary_size``."""
+    if not token_words.size:
+        return
+    if int(token_words.min()) < 0:
+        raise ValueError("word ids must be non-negative")
+    max_word = int(token_words.max())
+    if max_word >= vocabulary_size:
+        raise ValueError(
+            f"word id {max_word} out of range for vocabulary of size "
+            f"{vocabulary_size}"
+        )
+
+
+class _DocumentViews(collections.abc.Sequence):
+    """A read-only document sequence over flat ``(token_words, doc_offsets)``.
+
+    Supports ``len``, integer indexing (negative too; builds a read-only
+    :class:`Document` view on demand), step-1 slicing (the same arrays under
+    a narrower run of offsets) and iteration.  Nothing is copied, so a
+    corpus holds its tokens once however its documents are visited.
+    """
+
+    __slots__ = ("_token_words", "_doc_offsets")
+
+    def __init__(self, token_words: np.ndarray, doc_offsets: np.ndarray) -> None:
+        self._token_words = token_words
+        self._doc_offsets = doc_offsets
+
+    def __len__(self) -> int:
+        return int(self._doc_offsets.size) - 1
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("document views support step-1 slices only")
+            stop = max(start, stop)
+            return _DocumentViews(
+                self._token_words, self._doc_offsets[start : stop + 1]
+            )
+        index = int(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(
+                f"document index {index} out of range [0, {len(self)})"
+            )
+        words = np.asarray(
+            self._token_words[self._doc_offsets[index] : self._doc_offsets[index + 1]]
+        )
+        words.flags.writeable = False
+        return Document(words)
+
+    def __iter__(self) -> Iterator[Document]:
+        for index in range(len(self)):
+            yield self[index]
+
+
 class Corpus:
     """A collection of documents over one vocabulary, stored token-major.
 
     Parameters
     ----------
     documents:
-        The documents, each a :class:`Document` whose word ids are valid for
-        ``vocabulary``.
+        The documents, each a :class:`Document` (or a 1-D word-id array)
+        whose word ids are valid for ``vocabulary``.  Their tokens are copied
+        into the flat arrays once; the corpus keeps no reference to them.
     vocabulary:
         The shared vocabulary.  Its size bounds every word id.
     """
 
-    def __init__(self, documents: Sequence[Document], vocabulary: Vocabulary):
-        if not documents:
+    def __init__(self, documents: Sequence[DocumentLike], vocabulary: Vocabulary):
+        lengths, token_words = _flatten(documents)
+        self._adopt(vocabulary, np.concatenate(([0], np.cumsum(lengths))), token_words)
+
+    @staticmethod
+    def _from_flat(
+        vocabulary: Vocabulary, doc_offsets: np.ndarray, token_words: np.ndarray
+    ) -> "Corpus":
+        """A plain corpus over already-flat CSR arrays (validated, not copied)."""
+        corpus = Corpus.__new__(Corpus)
+        corpus._adopt(vocabulary, doc_offsets, token_words)
+        return corpus
+
+    def _adopt(
+        self, vocabulary: Vocabulary, doc_offsets: np.ndarray, token_words: np.ndarray
+    ) -> None:
+        """Validate flat CSR arrays and make them this corpus' token store."""
+        if doc_offsets.size < 2:
             raise ValueError("a corpus must contain at least one document")
-        self._vocabulary = vocabulary
-        self._documents = list(documents)
-
-        lengths = np.array([doc.length for doc in self._documents], dtype=np.int64)
-        if lengths.sum() == 0:
+        token_words = np.asarray(token_words, dtype=np.int64)
+        if not token_words.size:
             raise ValueError("a corpus must contain at least one token")
-
-        # Flat, token-major representation (document order).
-        self._doc_offsets = np.zeros(len(self._documents) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self._doc_offsets[1:])
-        self._token_words = np.concatenate(
-            [doc.word_ids for doc in self._documents]
-        ).astype(np.int64)
-        max_word = int(self._token_words.max()) if self._token_words.size else -1
-        if max_word >= vocabulary.size:
-            raise ValueError(
-                f"word id {max_word} out of range for vocabulary of size "
-                f"{vocabulary.size}"
-            )
+        _check_word_ids(token_words, vocabulary.size)
+        self._vocabulary = vocabulary
+        self._doc_offsets = doc_offsets
+        self._token_words = token_words
         self._init_derived()
 
     def _init_derived(self) -> None:
         """Compute the per-token document ids and the word-major (CSC) view.
 
-        Requires ``_vocabulary``, ``_documents``, ``_doc_offsets`` and
-        ``_token_words`` to be set; shared between ``__init__`` and the cheap
-        document-range views of :meth:`slice`.
+        Requires ``_vocabulary``, ``_doc_offsets`` and ``_token_words`` to be
+        set; shared between ``__init__`` and the cheap document-range views
+        of :meth:`slice`.
         """
         self._token_docs = np.repeat(
-            np.arange(len(self._documents), dtype=np.int64),
+            np.arange(self.num_documents, dtype=np.int64),
             np.diff(self._doc_offsets),
         )
+        self._init_word_major()
+
+    def _init_word_major(self) -> None:
+        """(Re)build the CSC view from ``_token_words`` and the vocabulary."""
         # Word-major (CSC) view: a permutation of token indices sorted by word
         # id, stable so that within a word the tokens stay in document order —
         # exactly the "entries sorted by row id" layout of Sec. 5.2.  Sorted
@@ -139,7 +230,7 @@ class Corpus:
     @property
     def num_documents(self) -> int:
         """Number of documents ``D``."""
-        return len(self._documents)
+        return int(self._doc_offsets.size) - 1
 
     @property
     def num_tokens(self) -> int:
@@ -152,9 +243,9 @@ class Corpus:
         return self._vocabulary.size
 
     @property
-    def documents(self) -> List[Document]:
-        """The documents (the internal list; treat as read-only)."""
-        return self._documents
+    def documents(self) -> Sequence[Document]:
+        """The documents, as read-only views over the flat token array."""
+        return _DocumentViews(self._token_words, self._doc_offsets)
 
     def document_lengths(self) -> np.ndarray:
         """Return ``L_d`` for every document."""
@@ -226,12 +317,27 @@ class Corpus:
         return matrix
 
     def subset(self, doc_indices: Sequence[int]) -> "Corpus":
-        """Return a new corpus containing only the given documents."""
-        doc_indices = list(doc_indices)
-        if not doc_indices:
+        """Return a new corpus containing only the given documents (copied)."""
+        indices = np.asarray(list(doc_indices), dtype=np.int64)
+        if not indices.size:
             raise ValueError("subset requires at least one document index")
-        documents = [self._documents[i] for i in doc_indices]
-        return Corpus(documents, self._vocabulary)
+        num_docs = self.num_documents
+        if indices.min() < -num_docs or indices.max() >= num_docs:
+            raise IndexError(
+                f"document index out of range [{-num_docs}, {num_docs})"
+            )
+        indices %= num_docs
+        offsets = np.asarray(self._doc_offsets)
+        starts = offsets[indices]
+        doc_offsets = np.concatenate(([0], np.cumsum(offsets[indices + 1] - starts)))
+        # Flat source index of every kept token: each document's run of
+        # positions, shifted from its new start back to its old one.
+        source = np.repeat(
+            starts - doc_offsets[:-1], np.diff(doc_offsets)
+        ) + np.arange(doc_offsets[-1])
+        return Corpus._from_flat(
+            self._vocabulary, doc_offsets, np.asarray(self._token_words[source])
+        )
 
     def slice(self, start: int, stop: int) -> "Corpus":
         """Return a cheap view of documents ``[start, stop)``.
@@ -245,17 +351,19 @@ class Corpus:
         samplers must tolerate the former, and nothing may be trained on the
         latter.
         """
+        return self._fill_view(Corpus.__new__(Corpus), start, stop)
+
+    def _fill_view(self, view: "Corpus", start: int, stop: int) -> "Corpus":
+        """Point ``view`` at documents ``[start, stop)`` and derive its indices."""
         if not 0 <= start <= stop <= self.num_documents:
             raise IndexError(
                 f"invalid document range [{start}, {stop}) for corpus with "
                 f"{self.num_documents} documents"
             )
-        view = Corpus.__new__(Corpus)
         view._vocabulary = self._vocabulary
-        view._documents = self._documents[start:stop]
-        base = self._doc_offsets[start]
-        view._doc_offsets = self._doc_offsets[start : stop + 1] - base
-        view._token_words = self._token_words[base : self._doc_offsets[stop]]
+        base = int(self._doc_offsets[start])
+        view._doc_offsets = np.asarray(self._doc_offsets[start : stop + 1]) - base
+        view._token_words = self._token_words[base : int(self._doc_offsets[stop])]
         view._init_derived()
         return view
 
@@ -351,11 +459,10 @@ class Corpus:
         return self.num_documents
 
     def __getitem__(self, doc_index: int) -> Document:
-        self._check_doc(doc_index)
-        return self._documents[doc_index]
+        return self.documents[doc_index]
 
     def __iter__(self) -> Iterator[Document]:
-        return iter(self._documents)
+        return iter(self.documents)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -44,7 +44,6 @@ but holds only O(T_shard) heap for the per-shard derived indices.
 
 from __future__ import annotations
 
-import collections.abc
 import json
 import os
 import shutil
@@ -55,7 +54,7 @@ from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.lib.format import open_memmap
 
-from repro.corpus.corpus import Corpus, Document
+from repro.corpus.corpus import Corpus
 from repro.corpus.vocabulary import Vocabulary
 
 __all__ = [
@@ -351,61 +350,6 @@ class StoreWriter:
 
 
 # --------------------------------------------------------------------- #
-# Lazy document sequence
-# --------------------------------------------------------------------- #
-class _LazyDocuments(collections.abc.Sequence):
-    """A read-only document sequence over mapped token arrays.
-
-    Supports ``len``, integer indexing (builds a :class:`Document` view on
-    demand), step-1 slicing (returns a range-restricted lazy view — the form
-    ``Corpus.slice`` uses), and iteration, so every inherited ``Corpus``
-    method works without a resident document list.
-    """
-
-    __slots__ = ("_token_words", "_doc_offsets", "_start", "_stop")
-
-    def __init__(
-        self,
-        token_words: np.ndarray,
-        doc_offsets: np.ndarray,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> None:
-        self._token_words = token_words
-        self._doc_offsets = doc_offsets
-        self._start = start
-        self._stop = doc_offsets.size - 1 if stop is None else stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step != 1:
-                raise ValueError("lazy document views support step-1 slices only")
-            return _LazyDocuments(
-                self._token_words,
-                self._doc_offsets,
-                self._start + start,
-                self._start + stop,
-            )
-        index = int(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"document index {index} out of range [0, {len(self)})")
-        doc = self._start + index
-        lo = int(self._doc_offsets[doc])
-        hi = int(self._doc_offsets[doc + 1])
-        return Document(np.asarray(self._token_words[lo:hi], dtype=np.int64))
-
-    def __iter__(self) -> Iterator[Document]:
-        for index in range(len(self)):
-            yield self[index]
-
-
-# --------------------------------------------------------------------- #
 # Mapped corpus
 # --------------------------------------------------------------------- #
 class MappedCorpus(Corpus):
@@ -414,7 +358,8 @@ class MappedCorpus(Corpus):
     Every array the in-RAM constructor derives is read straight from the
     store (element-identical by the writer's construction), so nothing
     O(tokens) is ever allocated on open — only the O(V) word-frequency
-    vector.  Documents are materialised lazily, one at a time, on access.
+    vector.  Documents are the inherited views over the mapped token array,
+    materialised one at a time on access.
 
     The slab bands of :func:`~repro.kernels.buckets.corpus_buckets` are
     built from the mapped offsets in O(rows) memory and keep referencing the
@@ -461,7 +406,6 @@ class MappedCorpus(Corpus):
         self._word_frequencies = np.asarray(
             np.diff(self._word_offsets), dtype=np.int64
         )
-        self._documents = _LazyDocuments(self._token_words, self._doc_offsets)
 
     def _validate_shapes(self) -> None:
         m = self._manifest
@@ -500,12 +444,9 @@ class MappedCorpus(Corpus):
     def materialize(self) -> Corpus:
         """Copy the store into a plain in-RAM :class:`Corpus` (small stores
         and equivalence tests only — O(tokens) heap by definition)."""
-        offsets = np.asarray(self._doc_offsets)
-        documents = [
-            Document(np.array(self._token_words[offsets[d] : offsets[d + 1]]))
-            for d in range(self.num_documents)
-        ]
-        return Corpus(documents, self._vocabulary)
+        return Corpus._from_flat(
+            self._vocabulary, np.array(self._doc_offsets), np.array(self._token_words)
+        )
 
     def slice(self, start: int, stop: int) -> Corpus:
         """A shard view over documents ``[start, stop)``.
@@ -515,21 +456,10 @@ class MappedCorpus(Corpus):
         O(tokens in the shard), the working set a shard's worker needs
         anyway.  The view pickles as ``(store path, start, stop)``.
         """
-        if not 0 <= start <= stop <= self.num_documents:
-            raise IndexError(
-                f"invalid document range [{start}, {stop}) for corpus with "
-                f"{self.num_documents} documents"
-            )
         view = _MappedSlice.__new__(_MappedSlice)
         view._store_path = self._store_path
         view._slice_range = (start, stop)
-        view._vocabulary = self._vocabulary
-        view._documents = self._documents[start:stop]
-        base = int(self._doc_offsets[start])
-        view._doc_offsets = np.asarray(self._doc_offsets[start : stop + 1]) - base
-        view._token_words = self._token_words[base : int(self._doc_offsets[stop])]
-        view._init_derived()
-        return view
+        return self._fill_view(view, start, stop)
 
     def __reduce__(self) -> Tuple[Any, ...]:
         return (open_store, (str(self._store_path),))

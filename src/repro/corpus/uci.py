@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
-from repro.corpus.corpus import Corpus, Document
+from repro.corpus.corpus import Corpus
 from repro.corpus.vocabulary import Vocabulary
 
 __all__ = [
@@ -211,11 +211,7 @@ def read_uci_bow(
     token_words = np.repeat(words, counts)
     doc_offsets = np.zeros(kept_docs + 1, dtype=np.int64)
     np.cumsum(lengths[:kept_docs], out=doc_offsets[1:])
-    documents = [
-        Document(token_words[doc_offsets[d] : doc_offsets[d + 1]])
-        for d in range(kept_docs)
-    ]
-    return Corpus(documents, vocabulary)
+    return Corpus._from_flat(vocabulary, doc_offsets, token_words)
 
 
 def uci_to_store(

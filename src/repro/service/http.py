@@ -126,6 +126,14 @@ class ServiceStats:
     recycled_workers: int = 0
 
 
+class _BadRequest(ValueError):
+    """A request the front end answers with ``status`` and then hangs up on."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _Request:
     """One parsed HTTP/1.1 request."""
 
@@ -434,6 +442,15 @@ class TopicService:
                 await self._dispatch(request, writer)
                 if not request.keep_alive:
                     break
+        except _BadRequest as error:
+            # Answer, unread body and all, then close: the stream position
+            # is unknown, so the connection cannot carry another request.
+            try:
+                await self._respond_json(
+                    writer, None, error.status, {"error": str(error)}
+                )
+            except ConnectionError:
+                pass
         except (asyncio.IncompleteReadError, ConnectionError, ValueError):
             pass
         finally:
@@ -452,7 +469,7 @@ class TopicService:
                 request_line.decode("latin-1").strip().split(" ", 2)
             )
         except ValueError:
-            raise ValueError("malformed request line") from None
+            raise _BadRequest(400, "malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
             line = await reader.readline()
@@ -460,9 +477,21 @@ class TopicService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > self.config.max_body_bytes:
-            raise ValueError(f"content-length {length} out of bounds")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise _BadRequest(
+                400, f"content-length {raw_length!r} is not an integer"
+            ) from None
+        if length < 0:
+            raise _BadRequest(400, f"content-length {length} is negative")
+        if length > self.config.max_body_bytes:
+            raise _BadRequest(
+                413,
+                f"content-length {length} exceeds the "
+                f"{self.config.max_body_bytes}-byte limit",
+            )
         body = await reader.readexactly(length) if length else b""
         connection = headers.get("connection", "").lower()
         keep_alive = (
@@ -475,21 +504,25 @@ class TopicService:
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
-        request: _Request,
+        request: Optional[_Request],
         status: int,
         body: bytes,
         content_type: str = "application/json",
     ) -> None:
+        """Write one response; ``request=None`` answers an unparsed request
+        and always closes."""
         reason = {
             200: "OK",
             400: "Bad Request",
             404: "Not Found",
             405: "Method Not Allowed",
+            413: "Content Too Large",
             500: "Internal Server Error",
             503: "Service Unavailable",
             504: "Gateway Timeout",
         }.get(status, "OK")
-        connection = "keep-alive" if request.keep_alive else "close"
+        keep_alive = request is not None and request.keep_alive
+        connection = "keep-alive" if keep_alive else "close"
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -503,7 +536,7 @@ class TopicService:
     async def _respond_json(
         self,
         writer: asyncio.StreamWriter,
-        request: _Request,
+        request: Optional[_Request],
         status: int,
         payload: Dict[str, Any],
     ) -> None:

@@ -8,9 +8,8 @@ paper's cheap O(1) sampler makes affordable in the first place:
   raw documents, growing the shared vocabulary online
   (``encode(on_oov="add")``).
 * :class:`~repro.streaming.corpus.StreamingCorpus` — a growable token-major
-  corpus whose kernel slab-bucket cache is maintained incrementally: an
-  append re-bands only the rows it touched and rebinds the rest to the
-  merged word order.
+  corpus: appends extend its flat arrays, and each training window is a
+  slice snapshot with its own CSC view and slab bands.
 * :class:`~repro.streaming.online.OnlineTrainer` — warm-started slab-kernel
   Gibbs sweeps over a sliding window of recent documents, with retired
   documents' counts kept as exponentially-decayed external mass.

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # serving imports stay lazy at runtime (PR 5 guarantee)
 
 import numpy as np
 
-from repro.corpus.corpus import Corpus, Document
+from repro.corpus.corpus import Corpus, DocumentLike
 from repro.corpus.vocabulary import Vocabulary
 from repro.samplers.base import resolve_hyperparameters, validate_positive_int
 from repro.samplers.registry import build_sampler, validate_trainer_sampler
@@ -237,7 +237,7 @@ class OnlineTrainer:
     # ------------------------------------------------------------------ #
     def ingest(
         self,
-        batch: Union[MiniBatch, Sequence[Union[Document, np.ndarray, Sequence[int]]]],
+        batch: Union[MiniBatch, Sequence[DocumentLike]],
     ) -> OnlineUpdate:
         """Append one mini-batch and run the window sweeps.
 
@@ -262,17 +262,7 @@ class OnlineTrainer:
         # larger than the window (pure noise, never corrected).
         num_docs = self.corpus.num_documents
         sweep_start = self._retired_docs
-        window = (
-            self.corpus
-            if sweep_start == 0
-            else self.corpus.slice(sweep_start, num_docs)
-        )
-        if sweep_start > 0:
-            # The training window has detached from the stream for good
-            # (sweep_start only grows): sweeps now run over slice views with
-            # their own bucket caches and CSC permutations, so stop paying
-            # to maintain — and stop retaining — the full-stream versions.
-            self.corpus.stop_incremental_maintenance()
+        window = self.corpus.slice(sweep_start, num_docs)
         window_token_start = int(self.corpus.doc_offsets[sweep_start])
         warm = self.assignments[window_token_start:]
         if window.num_tokens:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -11,6 +12,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -132,6 +134,47 @@ class TestEndpoints:
         assert len(infos) == 2
         assert len({info["segment"] for info in infos}) == 1
         assert all(info["zero_copy"] for info in infos)
+
+
+def raw_exchange(url, request, timeout=30.0):
+    """Send raw request bytes; return everything read until the server closes."""
+    parts = urlsplit(url)
+    address = (parts.hostname, parts.port)
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestMalformedRequests:
+    """Requests the parser rejects get a JSON error and a close, never b''."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"POST /infer HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n", 413),
+            (b"POST /infer HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /infer HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+        ids=[
+            "body-too-large",
+            "negative-length",
+            "non-integer-length",
+            "malformed-request-line",
+        ],
+    )
+    def test_rejected_with_status_and_close(self, service, request_bytes, status):
+        response = raw_exchange(service.url, request_bytes)
+        head, _, body = response.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} "), response
+        assert "Connection: close" in lines[1:]
+        assert "error" in json.loads(body)
 
 
 class TestMetrics:

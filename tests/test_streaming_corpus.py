@@ -1,4 +1,4 @@
-"""StreamingCorpus: append equivalence and incremental bucket maintenance."""
+"""StreamingCorpus: append equivalence, lazy CSC rebuilds and window snapshots."""
 
 import gc
 import weakref
@@ -85,90 +85,8 @@ class TestAppendEquivalence:
         assert np.array_equal(view.token_words, before)
 
 
-class TestIncrementalBuckets:
-    def _assert_buckets_match_fresh(self, streaming):
-        for axis, offsets, order in (
-            ("doc", streaming.doc_offsets, None),
-            ("word", streaming.word_offsets, streaming.word_order),
-        ):
-            incremental = bucket_contents(corpus_buckets(streaming, axis))
-            fresh = bucket_contents(build_buckets(offsets, order))
-            assert incremental == fresh, f"{axis} buckets diverged"
-
-    def test_incremental_equals_fresh_build(self):
-        rng = np.random.default_rng(2)
-        streaming = StreamingCorpus()
-        stream = DocumentStream(streaming.vocabulary, batch_docs=5)
-        for batch in stream.batches(random_token_lists(rng, 35)):
-            streaming.append(batch.documents)
-            # Force the caches to exist so the next append maintains them.
-            corpus_buckets(streaming, "doc")
-            corpus_buckets(streaming, "word")
-            self._assert_buckets_match_fresh(streaming)
-
-    def test_untouched_word_buckets_are_reused(self):
-        vocab = Vocabulary(["a", "b", "c", "d"])
-        streaming = StreamingCorpus(vocab)
-        # Word "a" is high-frequency (band 4+), "b"/"c" low (band 1).
-        streaming.append([np.array([0] * 6 + [1]), np.array([2])])
-        before = {b.slab_len: b for b in corpus_buckets(streaming, "word")}
-        # Append touching only word "d": bands without "d" keep their rows
-        # and lengths and are only rebound to the merged word order.
-        streaming.append([np.array([3])])
-        after = {b.slab_len: b for b in corpus_buckets(streaming, "word")}
-        assert after[8].rows is before[8].rows  # the band holding only "a"
-        assert after[8].lengths is before[8].lengths
-        assert after[8].order is streaming.word_order
-        assert streaming.bucket_reuses["word"] >= 1
-
-    def test_appends_release_the_superseded_word_order(self):
-        streaming = StreamingCorpus(Vocabulary(["a", "b", "c", "d"]))
-        streaming.append([np.array([0] * 6 + [1]), np.array([2, 1])])
-        corpus_buckets(streaming, "doc")
-        corpus_buckets(streaming, "word")
-        for batch in ([np.array([3])], [np.array([1, 0])]):
-            superseded = weakref.ref(streaming.word_order)
-            streaming.append(batch)
-            gc.collect()
-            assert superseded() is None, "a band kept the old word_order alive"
-            bands = corpus_buckets(streaming, "word")
-            assert all(bucket.order is streaming.word_order for bucket in bands)
-            del bands
-
-    def test_doc_bands_untouched_by_append_are_reused(self):
-        vocab = Vocabulary(["a"])
-        streaming = StreamingCorpus(vocab)
-        streaming.append([np.zeros(6, dtype=np.int64)])  # band 8
-        before = {b.slab_len: b for b in corpus_buckets(streaming, "doc")}
-        streaming.append([np.zeros(2, dtype=np.int64)])  # band 2
-        after = {b.slab_len: b for b in corpus_buckets(streaming, "doc")}
-        assert after[8] is before[8]
-        assert set(after) == {2, 8}
-
-    def test_band_migration_rebuilds_word_row(self):
-        vocab = Vocabulary(["a", "b"])
-        streaming = StreamingCorpus(vocab)
-        streaming.append([np.array([0, 0, 1])])  # "a": band 2, "b": band 1
-        corpus_buckets(streaming, "word")
-        streaming.append([np.array([0, 0, 0])])  # "a" grows to 5 -> band 8
-        contents = bucket_contents(corpus_buckets(streaming, "word"))
-        assert contents[0][0] == 8  # "a" migrated to the 8-band
-        assert contents[0][2] == 5
-        self_check = bucket_contents(
-            build_buckets(streaming.word_offsets, streaming.word_order)
-        )
-        assert contents == self_check
-
-    def test_unbuilt_caches_are_not_materialised_by_append(self):
-        streaming = StreamingCorpus(Vocabulary(["a"]))
-        streaming.append([np.array([0, 0])])
-        assert "_slab_bucket_cache" not in streaming.__dict__
-        streaming.append([np.array([0])])
-        assert "_slab_bucket_cache" not in streaming.__dict__
-
-
 class TestLazyMaintenance:
-    def test_detached_appends_rebuild_csc_lazily_and_correctly(self):
+    def test_appends_rebuild_csc_lazily_and_correctly(self):
         rng = np.random.default_rng(5)
         streaming = StreamingCorpus()
         stream = DocumentStream(streaming.vocabulary, batch_docs=6)
@@ -176,10 +94,9 @@ class TestLazyMaintenance:
         for batch in batches[:2]:
             streaming.append(batch.documents)
         corpus_buckets(streaming, "word")
-        streaming.stop_incremental_maintenance()
-        assert "_slab_bucket_cache" not in streaming.__dict__
         for batch in batches[2:]:
             streaming.append(batch.documents)
+        assert "_slab_bucket_cache" not in streaming.__dict__
         # The word-major view refreshes on demand and is exact.
         assert np.array_equal(
             streaming.word_order,
@@ -194,27 +111,58 @@ class TestLazyMaintenance:
             np.concatenate([[0], np.cumsum(expected)]),
         )
 
-    def test_buckets_built_after_detach_are_invalidated_by_appends(self):
+    def test_buckets_built_on_the_stream_are_invalidated_by_appends(self):
         streaming = StreamingCorpus(Vocabulary(["a", "b"]))
         streaming.append([np.array([0, 1])])
-        streaming.stop_incremental_maintenance()
-        corpus_buckets(streaming, "word")  # rebuilt from the refreshed CSC
+        corpus_buckets(streaming, "word")  # built from the refreshed CSC
         assert "_slab_bucket_cache" in streaming.__dict__
         streaming.append([np.array([1, 1])])  # stale now: must be dropped
         assert "_slab_bucket_cache" not in streaming.__dict__
-        contents = bucket_contents(corpus_buckets(streaming, "word"))
-        fresh = bucket_contents(
-            build_buckets(streaming.word_offsets, streaming.word_order)
-        )
-        assert contents == fresh
+        for axis, offsets, order in (
+            ("doc", streaming.doc_offsets, None),
+            ("word", streaming.word_offsets, streaming.word_order),
+        ):
+            rebuilt = bucket_contents(corpus_buckets(streaming, axis))
+            assert rebuilt == bucket_contents(build_buckets(offsets, order)), axis
+
+    def test_unbuilt_caches_are_not_materialised_by_append(self):
+        streaming = StreamingCorpus(Vocabulary(["a"]))
+        streaming.append([np.array([0, 0])])
+        assert "_slab_bucket_cache" not in streaming.__dict__
+        streaming.append([np.array([0])])
+        assert "_slab_bucket_cache" not in streaming.__dict__
+
+    def test_appends_release_the_superseded_word_order(self):
+        streaming = StreamingCorpus(Vocabulary(["a", "b", "c", "d"]))
+        streaming.append([np.array([0] * 6 + [1]), np.array([2, 1])])
+        corpus_buckets(streaming, "word")
+        for batch in ([np.array([3])], [np.array([1, 0])]):
+            superseded = weakref.ref(streaming.word_order)
+            streaming.append(batch)
+            streaming.word_order  # the refresh replaces the permutation
+            gc.collect()
+            assert superseded() is None, "the old word_order is still alive"
+
+    def test_bucket_counters_stay_zero(self):
+        streaming = StreamingCorpus(Vocabulary(["a", "b"]))
+        for _ in range(3):
+            corpus_buckets(streaming, "doc")
+            streaming.append([np.array([0, 1]), np.array([1])])
+        assert streaming.bucket_reuses == {"doc": 0, "word": 0}
+        assert streaming.bucket_rebuilds == {"doc": 0, "word": 0}
 
 
 class TestWindow:
-    def test_full_window_returns_streaming_corpus_itself(self):
+    def test_full_window_is_a_snapshot(self):
         streaming = StreamingCorpus(Vocabulary(["a"]))
         streaming.append([np.array([0]), np.array([0, 0])])
-        assert streaming.window(5) is streaming
-        assert streaming.window() is streaming
+        for view in (streaming.window(5), streaming.window()):
+            assert type(view) is Corpus
+            assert view.num_documents == 2
+            assert np.array_equal(view.token_words, [0, 0, 0])
+        view = streaming.window()
+        streaming.append([np.array([0])])
+        assert view.num_documents == 2 and view.num_tokens == 3
 
     def test_partial_window_is_tail_view(self):
         streaming = StreamingCorpus(Vocabulary(["a", "b"]))

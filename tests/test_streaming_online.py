@@ -1,9 +1,12 @@
 """OnlineTrainer: state invariants, decay, vocabulary growth, batch parity."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.corpus import SyntheticCorpusSpec, generate_lda_corpus
+from repro.corpus import Corpus, SyntheticCorpusSpec, Vocabulary, generate_lda_corpus
+from repro.samplers.registry import build_sampler
 from repro.samplers.cgs import CollapsedGibbsSampler
 from repro.serving import InferenceEngine
 from repro.streaming import (
@@ -116,27 +119,18 @@ class TestStateInvariants:
         counts = trainer.word_topic_counts()
         assert counts.sum() == pytest.approx(trainer.corpus.num_tokens)
 
-    def test_bucket_cache_dropped_once_window_detaches(self):
-        from repro.kernels.buckets import corpus_buckets
-
+    def test_window_sweeps_build_no_buckets_on_the_stream(self):
         trainer = OnlineTrainer(
             num_topics=2, sampler="warplda", window_docs=3,
             sweeps_per_batch=1, seed=0,
         )
         vocab = trainer.corpus.vocabulary
         doc = lambda i: vocab.encode([f"w{i}", "x", "x"], on_oov="add")
-        trainer.ingest([doc(0), doc(1)])
-        # Window covers the stream: the WarpLDA sweep built the caches here.
-        assert "_slab_bucket_cache" in trainer.corpus.__dict__
-        # 4 docs > window 3: this sweep still covers the whole stream (the
-        # overflow retires *after* it), so the cache survives one more batch.
-        trainer.ingest([doc(2), doc(3)])
-        assert "_slab_bucket_cache" in trainer.corpus.__dict__
-        # Now the sweep starts past document 0: detached for good, dropped.
-        trainer.ingest([doc(4)])
-        assert "_slab_bucket_cache" not in trainer.corpus.__dict__
-        trainer.ingest([doc(5)])
-        assert "_slab_bucket_cache" not in trainer.corpus.__dict__
+        # Every sweep runs over a slice snapshot, which carries its own
+        # bands; the stream itself never holds any.
+        for batch in ([doc(0), doc(1)], [doc(2), doc(3)], [doc(4)]):
+            trainer.ingest(batch)
+            assert "_slab_bucket_cache" not in trainer.corpus.__dict__
 
     def test_decay_shrinks_retired_mass(self):
         trainer = OnlineTrainer(
@@ -237,3 +231,41 @@ class TestEndToEndParity:
         batch_ppl = batch_engine.held_out_perplexity(held_docs)
 
         assert abs(online_ppl - batch_ppl) / batch_ppl < 0.05
+
+
+def test_warplda_window_sweep_is_a_pure_function_of_the_window(synthetic_split):
+    """A window sweep equals the same sampler run over a plain Corpus of the
+    window's documents, from the same warm assignments, external counts and
+    RNG state — whatever appends built the stream."""
+    train, _ = synthetic_split
+    trainer = OnlineTrainer(
+        num_topics=4, sampler="warplda", window_docs=60,
+        sweeps_per_batch=2, seed=3,
+    )
+    sweep = trainer._sweep_window
+    replays = []
+
+    def recording_sweep(window, warm):
+        # A plain corpus over the window's documents and the vocabulary as
+        # it stood at sweep time (the stream's keeps growing).
+        vocab = window.vocabulary
+        plain = Corpus(
+            list(window.documents),
+            Vocabulary(vocab.word(w) for w in range(vocab.size)),
+        )
+        retired = trainer._retired.copy()
+        rng = copy.deepcopy(trainer.rng)
+        start = warm.copy()
+        sweep(window, warm)
+        replays.append((plain, start, retired, rng, warm.copy()))
+
+    trainer._sweep_window = recording_sweep
+    replay(trainer, train.slice(0, 100), batch_docs=20)
+    assert len(replays) == 5
+    assert replays[-1][0].num_documents < trainer.corpus.num_documents
+    for plain, warm, retired, rng, swept in replays:
+        sampler = build_sampler(corpus=plain, seed=rng, **trainer._sampler_keywords)
+        sampler.set_assignments(warm)
+        sampler.set_external_counts(np.rint(retired).astype(np.int64))
+        sampler.fit(trainer.sweeps_per_batch)
+        np.testing.assert_array_equal(sampler.assignments, swept)
