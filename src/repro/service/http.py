@@ -10,10 +10,12 @@ snapshots) are isolated so neither degrades the other.
 Endpoints
 ---------
 * ``POST /infer`` — body ``{"documents": [[token|id, ...], ...]}`` → θ rows
-  plus the snapshot version and worker that served them;
+  plus the snapshot version, its ``num_topics`` and the worker that served
+  them (``null`` when every document was answered from the cache);
 * ``GET /top-topics?words=N`` — top words per topic of the current snapshot;
 * ``GET /healthz`` — liveness (workers alive, served version);
-* ``GET /stats`` — JSON serving stats (p50/p95/p99 latency, utilization);
+* ``GET /stats`` — JSON serving stats (p50/p95/p99 latency, utilization,
+  cache hits/misses/size/evictions);
 * ``GET /metrics`` — Prometheus 0.0.4 text from the ``repro.obs`` registry.
 
 Production mechanics
@@ -30,6 +32,18 @@ Production mechanics
   in-process :meth:`TopicServer.refresh` contract, held across processes.
 * **Self-healing** — the poller also recycles dead workers onto the current
   generation.
+* **One result cache** — the front end encodes each document against the
+  served snapshot and looks it up, by :func:`~repro.serving.server.bow_key`,
+  in one service-wide LRU of ``cache_capacity`` rows.  A cached value is the
+  row's JSON text, exactly ``json.dumps(row.tolist())`` — workers format
+  their rows before replying — so an answer is assembled by joining bytes.
+  Only the unique missing documents go to the pool; a request whose
+  documents all hit never leaves the event loop.  Entries are
+  current-version only: the cache is cleared on a hot swap, a reply is
+  cached only if its version is still the served one, and a reply from
+  another version than the one the request was read under (a backlogged
+  task dispatched after a swap) makes the front end resubmit the whole
+  request once and answer from that reply alone — no answer mixes versions.
 
 Threading model: all service state (pending futures, counters) and every
 pool interaction live on the event loop — worker pipes are plain fds, so
@@ -45,18 +59,25 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 from urllib.parse import parse_qs, urlsplit
+
+import numpy as np
 
 from repro.evaluation.coherence import top_words
 from repro.obs import Histogram, Telemetry
+from repro.serving.server import LRUCache, bow_key
 from repro.serving.snapshot import ModelSnapshot
 from repro.service.pool import WorkerError, WorkerPool
+from repro.service.worker import _encode_documents
 from repro.streaming.registry import ModelRegistry
 
 __all__ = ["ServiceConfig", "ServiceStats", "TopicService", "parse_http_address"]
 
 _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Word ids are int64 on the way to the cache key and the pool.
+_MIN_ID, _MAX_ID = -(1 << 63), (1 << 63) - 1
 
 
 def parse_http_address(address: Any) -> Tuple[str, int]:
@@ -99,7 +120,9 @@ class ServiceConfig:
     num_iterations: int = 30
     num_mh_steps: int = 2
     seed: int = 0
+    #: Most documents a worker folds in per ``infer_ids`` call.
     max_batch_size: int = 64
+    #: θ rows held by the service's one front-end cache (0 disables it).
     cache_capacity: int = 4096
     max_body_bytes: int = 8 << 20
 
@@ -110,7 +133,6 @@ class ServiceConfig:
             "num_mh_steps": self.num_mh_steps,
             "seed": self.seed,
             "max_batch_size": self.max_batch_size,
-            "cache_capacity": self.cache_capacity,
         }
 
 
@@ -124,6 +146,10 @@ class ServiceStats:
     errors: int = 0
     hot_swaps: int = 0
     recycled_workers: int = 0
+    #: Documents answered from the front-end cache (in-request duplicates
+    #: included), and documents folded in by a worker.
+    cache_hits: int = 0
+    cache_misses: int = 0
 
 
 class _BadRequest(ValueError):
@@ -204,6 +230,8 @@ class TopicService:
         self._obs: Telemetry = telemetry if telemetry is not None else Telemetry()
         self._owns_obs = telemetry is None
         self.stats = ServiceStats()
+        #: bow_key -> the row's JSON text, for the served version only.
+        self._cache = LRUCache(self.config.cache_capacity)
         self._latency = Histogram()
         self._worker_busy: Dict[int, float] = {}
         self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -420,6 +448,7 @@ class TopicService:
         self._pool.swap(entry.snapshot, entry.version)
         self._snapshot = entry.snapshot
         self._version = entry.version
+        self._cache.clear()
         self.stats.hot_swaps += 1
         obs = self._obs
         if obs.enabled:
@@ -596,20 +625,10 @@ class TopicService:
             await self._respond_json(writer, request, 400, {"error": str(error)})
             return
         started = time.monotonic()
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._pending[request_id] = future
-        if obs.enabled:
-            obs.gauge("service.queue_depth", float(len(self._pending)))
-        self._pool.submit(request_id, documents)
+        deadline = started + self.config.request_timeout
         try:
-            payload = await asyncio.wait_for(
-                asyncio.shield(future), timeout=self.config.request_timeout
-            )
+            body = await self._answer_infer(documents, deadline)
         except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
             self.stats.timed_out += 1
             if obs.enabled:
                 obs.count("service.timeouts")
@@ -634,17 +653,94 @@ class TopicService:
         if obs.enabled:
             obs.count("service.requests")
             obs.observe("service.request_seconds", elapsed)
-        await self._respond_json(
-            writer,
-            request,
-            200,
-            {
-                "theta": payload["theta"],
-                "version": payload["version"],
-                "worker": payload["worker"],
-                "num_topics": self._snapshot.num_topics,
-            },
+        await self._respond(writer, request, 200, body)
+
+    async def _answer_infer(self, documents: List[List[Any]], deadline: float) -> bytes:
+        """The ``/infer`` JSON body: cached rows, the rest folded in by the pool.
+
+        Every row of one answer comes from one snapshot version: the cache
+        holds only the served version's rows, and a reply from another version
+        than the one this request was encoded and looked up under is thrown
+        away and the whole request folded in again, once, without the cache.
+        """
+        snapshot, version = self._snapshot, self._version
+        encoded = _encode_documents(documents, snapshot)
+        keys = [bow_key(ids) for ids in encoded]
+        cached: List[Optional[bytes]] = [self._cache.get(key) for key in keys]
+        if all(row is not None for row in cached):
+            rows = cast(List[bytes], cached)
+            misses = 0
+            tail = (version, b"null", snapshot.num_topics)
+        else:
+            payload, rows = await self._fold_in(encoded, keys, cached, deadline)
+            if payload["version"] != version:
+                encoded = _encode_documents(documents, self._snapshot)
+                keys = [bow_key(ids) for ids in encoded]
+                payload, rows = await self._fold_in(
+                    encoded, keys, [None] * len(keys), deadline
+                )
+            misses = len(payload["rows"])
+            worker = b"%d" % payload["worker"]
+            tail = (payload["version"], worker, payload["num_topics"])
+        self.stats.cache_hits += len(rows) - misses
+        self.stats.cache_misses += misses
+        obs = self._obs
+        if obs.enabled:
+            obs.count("service.cache_hits", len(rows) - misses)
+            obs.count("service.cache_misses", misses)
+        return (
+            b'{"theta": ['
+            + b", ".join(rows)
+            + b'], "version": %d, "worker": %s, "num_topics": %d}' % tail
         )
+
+    async def _fold_in(
+        self,
+        encoded: List[np.ndarray],
+        keys: List[bytes],
+        rows: Sequence[Optional[bytes]],
+        deadline: float,
+    ) -> Tuple[Dict[str, Any], List[bytes]]:
+        """Send the unique documents of ``rows``' gaps to the pool, fill them.
+
+        Returns the worker's reply and the filled rows.  The reply's rows are
+        cached only while their version is still the served one.
+        """
+        missing: Dict[bytes, np.ndarray] = {}
+        for key, ids, row in zip(keys, encoded, rows):
+            if row is None:
+                missing.setdefault(key, ids)
+        payload = await self._round_trip(list(missing.values()), deadline)
+        fresh: Dict[bytes, bytes] = dict(zip(missing, payload["rows"]))
+        if payload["version"] == self._version:
+            for key, row in fresh.items():
+                self._cache.put(key, row)
+        filled = [fresh[key] if row is None else row for key, row in zip(keys, rows)]
+        return payload, filled
+
+    async def _round_trip(
+        self, documents: List[np.ndarray], deadline: float
+    ) -> Dict[str, Any]:
+        """One pool task: submit ``documents`` and await the reply by ``deadline``."""
+        assert self._pool is not None
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise asyncio.TimeoutError
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        future: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._pending[request_id] = future
+        if self._obs.enabled:
+            self._obs.gauge("service.queue_depth", float(len(self._pending)))
+        self._pool.submit(request_id, documents)
+        try:
+            return await asyncio.wait_for(future, timeout=remaining)
+        finally:
+            # Timed out or cancelled: a late result finds no future and is
+            # dropped, never delivered to a closed exchange.
+            self._pending.pop(request_id, None)
 
     def _parse_infer_body(self, body: bytes) -> List[List[Any]]:
         try:
@@ -660,6 +756,8 @@ class TopicService:
             for token in document:
                 if not isinstance(token, (str, int)):
                     raise ValueError("tokens must be strings or integer word ids")
+                if isinstance(token, int) and not _MIN_ID <= token <= _MAX_ID:
+                    raise ValueError(f"word id {token} does not fit in int64")
         return documents
 
     async def _handle_top_topics(
@@ -724,6 +822,10 @@ class TopicService:
             "worker_utilization": utilization,
             "hot_swaps": self.stats.hot_swaps,
             "served_version": self._version,
+            "cache_hits": self.stats.cache_hits,
+            "cache_misses": self.stats.cache_misses,
+            "cache_size": len(self._cache),
+            "cache_evictions": self._cache.evictions,
             "live_generations": self._pool.live_generations,
             "uptime_seconds": uptime,
             "latency_ms": percentiles,

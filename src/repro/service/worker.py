@@ -8,7 +8,9 @@ ordered message protocol over **one duplex pipe** to the pool:
   ``("swap", descriptor)``, ``("diag", None)``, ``("stop", None)``;
 * worker → parent: ``("ready"|"swapped"|"diag", info)``, ``("result",
   request_id, payload)``, ``("error", request_id, payload)``, ``("stopped",
-  info)``.
+  info)``.  A result payload names the ``worker``, the snapshot ``version``
+  and its ``num_topics``, carries the θ ``rows`` and the task's ``seconds``
+  and ``queue_seconds``.
 
 A private pipe per worker (instead of one shared task queue) is what makes
 the pool kill-safe: a worker that dies mid-request corrupts nothing shared —
@@ -23,17 +25,23 @@ snapshot it started with, then the swap applies — exactly
 The loop body:
 
 * **attach** — map the shared snapshot segment named by the descriptor
-  (:func:`repro.service.shm.attach`) and build a
-  :class:`~repro.serving.server.TopicServer` over a zero-copy
-  :class:`~repro.serving.infer.InferenceEngine` — micro-batching and the LRU
-  result cache therefore work per worker exactly as in-process serving does;
-* **swap** — close the current server (the parent dispatches one request per
+  (:func:`repro.service.shm.attach`) and build a zero-copy
+  :class:`~repro.serving.infer.InferenceEngine` over it;
+* **infer** — encode the documents (:func:`_encode_documents`), fold them in
+  through :meth:`~repro.serving.infer.InferenceEngine.infer_ids` in chunks of
+  at most ``max_batch_size``, and reply with each θ row already formatted as
+  its JSON text (``"rows"``), so the front end's single event-loop thread
+  only joins bytes.  Workers keep no result cache: the one cache is the
+  front end's (:mod:`repro.service.http`), and a cached document never
+  reaches a worker;
+* **swap** — drop the current engine (the parent dispatches one request per
   worker at a time, so nothing is in flight), release the old attachment,
   re-attach to the new segment and ack.
 """
 
 from __future__ import annotations
 
+import json
 import time
 import traceback
 from typing import Any, Dict, List
@@ -42,7 +50,8 @@ import numpy as np
 
 from repro.obs import Telemetry, use_telemetry
 from repro.serving.infer import InferenceEngine
-from repro.serving.server import TopicServer
+from repro.serving.server import encode_document
+from repro.serving.snapshot import ModelSnapshot
 from repro.service.shm import AttachedSnapshot, attach
 
 __all__ = ["_worker_main"]
@@ -51,10 +60,10 @@ __all__ = ["_worker_main"]
 _POLL_SECONDS = 0.1
 
 
-def _build_server(
+def _build_engine(
     attached: AttachedSnapshot, worker_index: int, options: Dict[str, Any]
-) -> TopicServer:
-    engine = InferenceEngine(
+) -> InferenceEngine:
+    return InferenceEngine(
         attached.snapshot,
         strategy=str(options.get("strategy", "em")),
         num_iterations=int(options.get("num_iterations", 30)),
@@ -65,34 +74,42 @@ def _build_server(
             [int(options.get("seed", 0)), worker_index, attached.version]
         ),
     )
-    return TopicServer(
-        engine,
-        max_batch_size=int(options.get("max_batch_size", 64)),
-        cache_capacity=int(options.get("cache_capacity", 4096)),
-    )
 
 
 def _encode_documents(
-    documents: List[Any], server: TopicServer
+    documents: List[Any], snapshot: ModelSnapshot
 ) -> List[np.ndarray]:
-    """Normalise wire documents (token or id lists) to in-vocabulary ids.
+    """Normalise wire documents (token lists, id lists or id arrays) to
+    in-vocabulary int64 ids.
 
     String tokens go through the snapshot vocabulary with OOV dropping; raw
-    ids are clamped to ``[0, V)`` the same way the registry-serving path
-    drops ids a swapped-in snapshot has never seen.
+    ids outside ``[0, V)`` are dropped the same way, as words the snapshot
+    has never seen.  The front end encodes with this rule before its cache
+    lookup, and the worker applies it again against the snapshot it serves.
     """
-    vocab_size = server.engine.snapshot.vocabulary_size
+    vocab_size = snapshot.vocabulary_size
     encoded: List[np.ndarray] = []
     for document in documents:
-        ids = server.encode(document)
+        ids = encode_document(document, snapshot.vocabulary)
         if ids.size:
             ids = ids[(ids >= 0) & (ids < vocab_size)]
         encoded.append(ids)
     return encoded
 
 
+def _infer_rows(
+    engine: InferenceEngine, documents: List[np.ndarray], max_batch_size: int
+) -> List[bytes]:
+    """θ of ``documents`` in micro-batches, each row as its JSON text."""
+    rows: List[bytes] = []
+    for start in range(0, len(documents), max_batch_size):
+        theta = engine.infer_ids(documents[start : start + max_batch_size])
+        rows.extend(json.dumps(row).encode() for row in theta.tolist())
+    return rows
+
+
 def _worker_info(
-    worker_index: int, attached: AttachedSnapshot, server: TopicServer
+    worker_index: int, attached: AttachedSnapshot, engine: InferenceEngine
 ) -> Dict[str, Any]:
     """The identity block acked on ready/swap and reported by diag.
 
@@ -106,7 +123,7 @@ def _worker_info(
         "segment": attached.segment_name,
         "version": attached.version,
         "zero_copy": bool(
-            np.shares_memory(server.engine.snapshot.phi, attached.phi_view)
+            np.shares_memory(engine.snapshot.phi, attached.phi_view)
         ),
     }
 
@@ -120,10 +137,11 @@ def _worker_main(
     """Worker-process entry point (module-level for pickling, MP001)."""
     session = Telemetry()
     attached = attach(descriptor)
-    server = _build_server(attached, worker_index, options)
+    engine = _build_engine(attached, worker_index, options)
+    max_batch_size = int(options.get("max_batch_size", 64))
     busy_seconds = 0.0
     requests = 0
-    conn.send(("ready", _worker_info(worker_index, attached, server)))
+    conn.send(("ready", _worker_info(worker_index, attached, engine)))
     try:
         with use_telemetry(session):
             while True:
@@ -149,7 +167,7 @@ def _worker_main(
                     )
                     return
                 if kind == "diag":
-                    info = _worker_info(worker_index, attached, server)
+                    info = _worker_info(worker_index, attached, engine)
                     info["busy_seconds"] = busy_seconds
                     info["requests"] = requests
                     conn.send(("diag", info))
@@ -157,25 +175,26 @@ def _worker_main(
                     descriptor = message[1]
                     if descriptor["version"] == attached.version:
                         conn.send(
-                            ("swapped", _worker_info(worker_index, attached, server))
+                            ("swapped", _worker_info(worker_index, attached, engine))
                         )
                         continue
-                    # Retire the old server before its buffer is released.
-                    server.close()
-                    del server
+                    # Drop the old engine before its buffer is released.
+                    del engine
                     retiring = attached
                     attached = attach(descriptor)
                     retiring.close()
-                    server = _build_server(attached, worker_index, options)
+                    engine = _build_engine(attached, worker_index, options)
                     conn.send(
-                        ("swapped", _worker_info(worker_index, attached, server))
+                        ("swapped", _worker_info(worker_index, attached, engine))
                     )
                 elif kind == "infer":
                     _, request_id, documents, enqueued_at = message
                     started = time.monotonic()
                     try:
-                        theta = server.infer_batch(
-                            _encode_documents(documents, server)
+                        rows = _infer_rows(
+                            engine,
+                            _encode_documents(documents, engine.snapshot),
+                            max_batch_size,
                         )
                     except Exception:
                         conn.send(
@@ -200,7 +219,8 @@ def _worker_main(
                             {
                                 "worker": worker_index,
                                 "version": attached.version,
-                                "theta": theta.tolist(),
+                                "num_topics": engine.num_topics,
+                                "rows": rows,
                                 "seconds": elapsed,
                                 "queue_seconds": max(0.0, started - enqueued_at),
                             },

@@ -1,7 +1,9 @@
 """A micro-batching topic server over a frozen model snapshot.
 
-:class:`TopicServer` is the front door of the serving layer: requests (raw
-token documents or pre-encoded id arrays) are answered with folded-in θ rows.
+:class:`TopicServer` is the in-process front door of the serving layer:
+requests (raw token documents or pre-encoded id arrays) are answered with
+folded-in θ rows.  The HTTP tier (:mod:`repro.service`) does not run it: its
+workers call the engine directly and its front end keeps the one cache.
 Three production mechanisms sit between a request and the
 :class:`~repro.serving.infer.InferenceEngine`:
 
@@ -9,12 +11,15 @@ Three production mechanisms sit between a request and the
   batch to the engine in chunks of at most ``max_batch_size``, amortising
   the vectorised kernels across the documents of a call instead of paying
   per-document overheads.  The server holds no request queue: whoever owns
-  the concurrency (the :mod:`repro.service` pool, a caller's loop) collects
-  the batch and hands it over whole.
-* **Result caching** — an LRU cache keyed on the document's bag of words.
-  Fold-in is exchangeable (token order never enters the math), so two
-  permutations of the same document share one cache entry; repeated requests
-  (the common case under heavy traffic) skip inference entirely.
+  the concurrency (a caller's loop) collects the batch and hands it over
+  whole.
+* **Result caching** — an LRU cache keyed on the document's bag of words,
+  :func:`bow_key`: the document's sorted distinct word ids followed by their
+  counts, as the raw bytes of two equal-length int64 arrays.  Fold-in is
+  exchangeable (token order never enters the math), so two permutations of
+  the same document share one cache entry; repeated requests (the common case
+  under heavy traffic) skip inference entirely.  The HTTP tier's one
+  service-wide cache (:mod:`repro.service.http`) uses the same key.
 * **Observability** — per-request latencies and batch sizes are recorded and
   summarised as throughput plus p50/p95/p99 latency percentiles in
   :meth:`TopicServer.stats`.
@@ -36,6 +41,7 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Hashable,
     List,
     Optional,
     Sequence,
@@ -50,36 +56,59 @@ from repro.sampling.rng import RngLike
 from repro.serving.infer import InferenceEngine
 
 if TYPE_CHECKING:  # avoids the serving <-> streaming import cycle at runtime
+    from repro.corpus.vocabulary import Vocabulary
     from repro.streaming.registry import ModelRegistry
 
-__all__ = ["LRUCache", "ServerStats", "TopicServer", "bow_key"]
+__all__ = ["LRUCache", "ServerStats", "TopicServer", "bow_key", "encode_document"]
 
-#: Cache key type: the sorted ``(word_id, count)`` pairs of a document.
-BowKey = Tuple[Tuple[int, int], ...]
+#: Cache key type: the raw bytes of a document's sorted distinct word ids
+#: followed by their counts (both int64).
+BowKey = bytes
 
 DocumentLike = Union[np.ndarray, Sequence[int], Sequence[str]]
 
 
 def bow_key(word_ids: np.ndarray) -> BowKey:
-    """The cache key of a document: its bag of words as sorted pairs.
+    """The cache key of a document: its bag of words as compact bytes.
 
-    Canonicalisation contract (relied on by the server's LRU cache):
+    The key is ``unique.tobytes() + counts.tobytes()``, the sorted distinct
+    word ids and their multiplicities as int64.  Canonicalisation contract
+    (relied on by every result cache keyed on it):
 
     * **order-insensitive** — any permutation of the same tokens maps to the
       same key, matching the exchangeability of fold-in inference (token
       order never enters the math);
     * **multiplicity-exact** — repeated tokens are keyed by their counts, so
       ``[a, a, b]`` and ``[a, b, b]`` can never alias;
-    * **collision-free** — keys are the exact sorted ``(word_id, count)``
-      pairs as plain ints, not hashes, so two distinct bags always produce
-      distinct keys regardless of the input array's dtype.
+    * **collision-free** — the key is the exact ids and counts, not a hash.
+      Both halves have the same length, so equal keys split at the same
+      point and two distinct bags always produce distinct keys, whatever the
+      input array's dtype.  The empty document's key is ``b""``.
     """
     unique, counts = np.unique(np.asarray(word_ids, dtype=np.int64), return_counts=True)
-    return tuple((int(word), int(count)) for word, count in zip(unique, counts))
+    return unique.tobytes() + counts.astype(np.int64, copy=False).tobytes()
+
+
+def encode_document(document: DocumentLike, vocabulary: "Vocabulary") -> np.ndarray:
+    """Normalise one request document to an int64 word-id array.
+
+    An id array or id list is taken as is; a list holding any string goes
+    through ``vocabulary`` with out-of-vocabulary tokens dropped.
+    """
+    if isinstance(document, np.ndarray):
+        return np.asarray(document, dtype=np.int64)
+    items = list(document)
+    if any(isinstance(item, str) for item in items):
+        return vocabulary.encode(items, on_oov="drop")
+    return np.asarray(items, dtype=np.int64)
 
 
 class LRUCache:
-    """A fixed-capacity least-recently-used map from bag-of-words keys to θ."""
+    """A fixed-capacity least-recently-used map from bag-of-words keys to θ.
+
+    Values are opaque: :class:`TopicServer` caches read-only θ arrays, the
+    HTTP front end caches each row's JSON text.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -89,22 +118,23 @@ class LRUCache:
         #: nothing — evictions are a lifetime counter, cache clears are not
         #: evictions).
         self.evictions = 0
-        self._entries: "OrderedDict[BowKey, np.ndarray]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: BowKey) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: BowKey) -> Optional[np.ndarray]:
-        """Return the cached θ row for ``key`` (marking it recently used)."""
+    def get(self, key: Hashable) -> Any:
+        """Return the cached value for ``key`` (marking it recently used), or
+        ``None``."""
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
         return value
 
-    def put(self, key: BowKey, value: np.ndarray) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key``, evicting the least-recently-used entry if full."""
         if self.capacity == 0:
             return
@@ -371,12 +401,7 @@ class TopicServer:
     # ------------------------------------------------------------------ #
     def encode(self, document: DocumentLike) -> np.ndarray:
         """Normalise one request to a word-id array (OOV tokens dropped)."""
-        if isinstance(document, np.ndarray):
-            return np.asarray(document, dtype=np.int64)
-        items = list(document)
-        if any(isinstance(item, str) for item in items):
-            return self.engine.snapshot.vocabulary.encode(items, on_oov="drop")
-        return np.asarray(items, dtype=np.int64)
+        return encode_document(document, self.engine.snapshot.vocabulary)
 
     def infer_batch(self, documents: Sequence[DocumentLike]) -> np.ndarray:
         """Serve a batch of requests; returns the ``len(documents) x K`` θ."""

@@ -11,6 +11,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -20,7 +21,6 @@ import pytest
 import repro
 from repro.api import LDA
 from repro.serving.infer import InferenceEngine
-from repro.serving.server import TopicServer
 from repro.service import ServiceConfig, TopicService, parse_http_address
 from repro.streaming.registry import ModelRegistry
 
@@ -36,7 +36,8 @@ def http_get(url, timeout=30.0):
         return error.code, dict(error.headers), error.read()
 
 
-def http_post(url, payload, timeout=30.0):
+def http_post_raw(url, payload, timeout=30.0):
+    """(status, body bytes) without raising on 4xx/5xx."""
     request = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),
@@ -45,9 +46,46 @@ def http_post(url, payload, timeout=30.0):
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
+            return response.status, response.read()
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, error.read()
+
+
+def http_post(url, payload, timeout=30.0):
+    status, body = http_post_raw(url, payload, timeout)
+    return status, json.loads(body)
+
+
+def stats_of(service):
+    return json.loads(http_get(service.url + "/stats")[2])
+
+
+def wait_until(condition, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+@contextmanager
+def paused(process):
+    """Hold a pool worker stopped, so whatever is sent to it waits in its
+    pipe: a request that stays slow for exactly as long as the test needs."""
+    os.kill(process.pid, signal.SIGSTOP)
+    try:
+        yield
+    finally:
+        os.kill(process.pid, signal.SIGCONT)
+
+
+def post_in_thread(url, payload):
+    """Start a POST on a thread; returns (thread, answers) to join and read."""
+    answers = []
+    thread = threading.Thread(
+        target=lambda: answers.append(http_post(url, payload)), daemon=True
+    )
+    thread.start()
+    return thread, answers
 
 
 @pytest.fixture
@@ -75,12 +113,12 @@ class TestEndpoints:
         documents = [[0, 1, 2, 3], [5, 6]]
         status, body = http_post(service.url + "/infer", {"documents": documents})
         assert status == 200
-        reference = TopicServer(InferenceEngine(make_snapshot(0))).infer_batch(
-            documents
-        )
+        reference = InferenceEngine(make_snapshot(0)).infer_ids(documents)
         # EM fold-in is deterministic: HTTP serving over the shared buffer
-        # returns exactly what an in-process server over the same phi does.
-        np.testing.assert_allclose(np.array(body["theta"]), reference)
+        # returns exactly what an in-process engine over the same phi does.
+        np.testing.assert_allclose(
+            np.array(body["theta"]), reference, rtol=0, atol=1e-12
+        )
         assert body["version"] == 0
         assert body["num_topics"] == 4
 
@@ -97,6 +135,9 @@ class TestEndpoints:
             status, body = http_post(service.url + "/infer", payload)
             assert status == 400, payload
             assert "error" in body
+        status, body = http_post(service.url + "/infer", {"documents": [[1 << 64]]})
+        assert status == 400
+        assert "int64" in body["error"]
 
     def test_method_and_route_errors(self, service):
         assert http_get(service.url + "/infer")[0] == 405
@@ -120,14 +161,45 @@ class TestEndpoints:
 
     def test_stats_after_traffic(self, service):
         http_post(service.url + "/infer", {"documents": [[0, 1]]})
+        http_post(service.url + "/infer", {"documents": [[1, 0], [2]]})
         status, _, body = http_get(service.url + "/stats")
         assert status == 200
         payload = json.loads(body)
-        assert payload["requests"] >= 1
+        assert payload["requests"] == 2
         assert payload["workers"] == 2
         assert payload["in_flight"] == 0
         assert set(payload["latency_ms"]) == {"p50_ms", "p95_ms", "p99_ms"}
         assert payload["latency_ms"]["p50_ms"] > 0
+        # Counted in documents: [0, 1] and [2] folded in, [1, 0] answered
+        # from the one front-end cache.
+        assert payload["cache_hits"] == 1
+        assert payload["cache_misses"] == 2
+        assert payload["cache_size"] == 2
+        assert payload["cache_evictions"] == 0
+        metrics = http_get(service.url + "/metrics")[2].decode("utf-8").splitlines()
+        assert "service_cache_hits 1" in metrics
+        assert "service_cache_misses 2" in metrics
+
+    def test_repeats_permutations_and_duplicates_share_one_row(self, service):
+        document, permuted = [0, 1, 1, 2, 9], [9, 1, 2, 0, 1]
+        status, first = http_post_raw(
+            service.url + "/infer", {"documents": [document, document]}
+        )
+        assert status == 200
+        tokens = ["w1", "w9", "w0", "w2", "w1"]
+        status, second = http_post_raw(
+            service.url + "/infer", {"documents": [permuted, tokens]}
+        )
+        assert status == 200
+        # One row's text, exactly json.dumps of the row, everywhere it appears.
+        row = json.dumps(json.loads(first)["theta"][0]).encode()
+        theta_text = b'{"theta": [' + row + b", " + row + b"]"
+        assert first.startswith(theta_text + b', "version": 0, "worker": ')
+        assert second.startswith(theta_text + b', "version": 0, "worker": null, ')
+        assert json.loads(first)["worker"] in (0, 1)
+        assert json.loads(second)["num_topics"] == 4
+        stats = stats_of(service)
+        assert (stats["cache_hits"], stats["cache_misses"]) == (3, 1)
 
     def test_diagnostics_prove_single_copy(self, service):
         infos = service.diagnostics()
@@ -235,6 +307,16 @@ class TestAdmissionAndTimeouts:
             assert http_get(service.url + "/healthz")[0] == 200
 
 
+#: Requests the hot-swap hammer cycles through: repeats, permutations and
+#: overlaps, so cache hits and misses land on both sides of the swap.
+HAMMER_REQUESTS = [
+    [[0, 1, 2], [3, 4]],
+    [[4, 3], [5, 6, 6]],
+    [[2, 1, 0], [0, 1, 2]],
+    [[7], [3, 4], [5, 6, 6]],
+]
+
+
 class TestHotSwapUnderLoad:
     def test_publish_during_concurrent_load_is_seamless(self):
         registry = ModelRegistry()
@@ -246,30 +328,32 @@ class TestHotSwapUnderLoad:
             failures = []
             stop = threading.Event()
 
-            def hammer():
+            def hammer(offset):
+                sent = offset
                 while not stop.is_set():
+                    documents = HAMMER_REQUESTS[sent % len(HAMMER_REQUESTS)]
+                    sent += 1
                     try:
                         status, body = http_post(
-                            service.url + "/infer",
-                            {"documents": [[0, 1, 2], [3, 4]]},
+                            service.url + "/infer", {"documents": documents}
                         )
                     except Exception as error:  # noqa: BLE001 - test harness
                         failures.append(repr(error))
                         return
-                    responses.append((status, body))
+                    responses.append((documents, status, body))
 
-            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
             for thread in threads:
                 thread.start()
             time.sleep(0.4)
             second = registry.publish(make_snapshot(9))
-            # Keep hammering until a response arrives on the new version.
+            # Keep hammering until answers on the new version include hits.
             deadline = time.monotonic() + 20.0
             while time.monotonic() < deadline:
                 if any(
-                    response[1].get("version") == second.version
-                    for response in responses
-                    if response[0] == 200
+                    body.get("version") == second.version and body["worker"] is None
+                    for _, status, body in responses
+                    if status == 200
                 ):
                     break
                 time.sleep(0.05)
@@ -280,22 +364,97 @@ class TestHotSwapUnderLoad:
             assert not failures, failures
             assert responses
             # Satellite criterion: zero request errors across the swap...
-            assert {status for status, _ in responses} == {200}
+            assert {status for _, status, _ in responses} == {200}
             # ...every response from exactly the old or the new version...
-            versions = {body["version"] for _, body in responses}
+            versions = {body["version"] for _, _, body in responses}
             assert versions <= {first.version, second.version}
             # ...the new version actually took over...
             assert second.version in versions
             assert service.served_version == second.version
-            # ...and every θ row is a distribution.
-            for _, body in responses:
+            # ...both versions answered from the cache and from a worker...
+            for version in versions:
+                workers = {
+                    body["worker"]
+                    for _, _, body in responses
+                    if body["version"] == version
+                }
+                assert None in workers and workers - {None}, (version, workers)
+            # ...and every answer is exactly the fold-in of the version it
+            # names: no row was cached under, or mixed in from, the other.
+            engines = {
+                first.version: InferenceEngine(make_snapshot(0)),
+                second.version: InferenceEngine(make_snapshot(9)),
+            }
+            for documents, _, body in responses:
                 np.testing.assert_allclose(
-                    np.array(body["theta"]).sum(axis=1), 1.0, rtol=1e-9
+                    np.array(body["theta"]),
+                    engines[body["version"]].infer_ids(documents),
+                    rtol=0,
+                    atol=1e-12,
                 )
-            status, _, raw = http_get(service.url + "/stats")
-            stats = json.loads(raw)
+            stats = stats_of(service)
             assert stats["hot_swaps"] == 1
             assert stats["served_version"] == second.version
+            assert stats["cache_hits"] > 0 and stats["cache_misses"] > 0
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_num_topics_is_the_answering_versions(self):
+        registry = ModelRegistry()
+        first = registry.publish(make_snapshot(0))
+        config = ServiceConfig(
+            port=0, num_workers=1, num_iterations=300, poll_interval=0.02
+        )
+        with TopicService(registry=registry, config=config).start() as service:
+            worker = service._pool.workers[0].process
+            with paused(worker):
+                # The request reaches the worker before the swap does, so
+                # the old version (K = 4) answers it.
+                thread, answers = post_in_thread(
+                    service.url + "/infer", {"documents": [[0, 1, 2], [3, 4]]}
+                )
+                wait_until(lambda: stats_of(service)["in_flight"] == 1)
+                second = registry.publish(make_snapshot(1, num_topics=6))
+                wait_until(lambda: service.served_version == second.version)
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            (status, body), = answers
+            assert status == 200
+            assert body["version"] == first.version
+            assert len(body["theta"][0]) == body["num_topics"] == 4
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+    def test_backlogged_request_is_answered_by_one_version(self):
+        registry = ModelRegistry()
+        first = registry.publish(make_snapshot(0))
+        config = ServiceConfig(port=0, num_workers=1, poll_interval=0.02)
+        with TopicService(registry=registry, config=config).start() as service:
+            url = service.url + "/infer"
+            cached, new = [0, 1, 2], [3, 4]
+            assert http_post(url, {"documents": [cached]})[0] == 200
+            worker = service._pool.workers[0].process
+            with paused(worker):
+                slow, _ = post_in_thread(url, {"documents": [[5, 6, 7]]})
+                wait_until(lambda: stats_of(service)["in_flight"] == 1)
+                # Read under the first version: one hit, one miss, queued
+                # behind the slow request.
+                mixed, answers = post_in_thread(url, {"documents": [cached, new]})
+                wait_until(lambda: stats_of(service)["in_flight"] == 2)
+                second = registry.publish(make_snapshot(9))
+                wait_until(lambda: service.served_version == second.version)
+            for thread in (slow, mixed):
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            (status, body), = answers
+            assert status == 200
+            # The worker reached the backlogged task after the swap, so the
+            # cached first-version row must not be mixed into the answer.
+            assert body["version"] == second.version != first.version
+            np.testing.assert_allclose(
+                np.array(body["theta"]),
+                InferenceEngine(make_snapshot(9)).infer_ids([cached, new]),
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 class TestFacadeIntegration:

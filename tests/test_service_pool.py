@@ -1,6 +1,7 @@
 """Tests for the shared-memory worker pool (`repro.service.pool`)."""
 
 import gc
+import json
 import multiprocessing
 import time
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.serving.infer import InferenceEngine
-from repro.serving.server import TopicServer
 from repro.service.pool import WorkerPool
 from repro.service.shm import created_segments
 
@@ -30,6 +30,11 @@ def collect_results(pool, request_ids, timeout=30.0):
     return results
 
 
+def decode_rows(payload):
+    """The θ matrix of a reply, whose rows arrive as JSON text."""
+    return np.array([json.loads(row) for row in payload["rows"]])
+
+
 @pytest.fixture
 def pool():
     worker_pool = WorkerPool(
@@ -43,13 +48,25 @@ class TestServing:
     def test_results_match_in_process_server(self, pool):
         snapshot = make_snapshot(0)
         documents = [[0, 1, 2, 3], [5, 6], [7, 7, 8]]
-        reference = TopicServer(InferenceEngine(snapshot)).infer_batch(documents)
+        reference = InferenceEngine(snapshot).infer_ids(documents)
         pool.submit(0, documents)
         payload = collect_results(pool, [0])[0]
         # EM fold-in is deterministic: a worker over the shared buffer must
-        # produce exactly what an in-process server over the same phi does.
-        np.testing.assert_allclose(np.array(payload["theta"]), reference)
+        # produce exactly what an in-process engine over the same phi does,
+        # and each row's text is exactly what json.dumps makes of it.
+        np.testing.assert_allclose(decode_rows(payload), reference, rtol=0, atol=1e-12)
+        assert payload["rows"] == [
+            json.dumps(row).encode() for row in decode_rows(payload).tolist()
+        ]
         assert payload["version"] == 1
+        assert payload["num_topics"] == snapshot.num_topics
+
+    def test_id_arrays_are_accepted_and_clamped(self, pool):
+        documents = [np.array([0, 1, 2, 3]), np.array([5, -1, 6, 30])]
+        pool.submit(0, documents)
+        payload = collect_results(pool, [0])[0]
+        reference = InferenceEngine(make_snapshot(0)).infer_ids([[0, 1, 2, 3], [5, 6]])
+        np.testing.assert_allclose(decode_rows(payload), reference, rtol=0, atol=1e-12)
 
     def test_many_requests_fan_out_and_all_complete(self, pool):
         request_ids = list(range(12))
@@ -57,13 +74,13 @@ class TestServing:
             pool.submit(request_id, [[request_id % 5, 1, 2]])
         results = collect_results(pool, request_ids)
         for payload in results.values():
-            theta = np.array(payload["theta"])
+            theta = decode_rows(payload)
             np.testing.assert_allclose(theta.sum(axis=1), 1.0)
 
     def test_string_tokens_and_oov_ids_are_handled(self, pool):
         pool.submit(0, [["w0", "w1", "not-in-vocab"], [0, 999999]])
         payload = collect_results(pool, [0])[0]
-        theta = np.array(payload["theta"])
+        theta = decode_rows(payload)
         assert theta.shape[0] == 2
         np.testing.assert_allclose(theta.sum(axis=1), 1.0)
 
@@ -100,10 +117,8 @@ class TestHotSwap:
         pool.submit(0, [[0, 1, 2]])
         payload = collect_results(pool, [0])[0]
         assert payload["version"] == 2
-        reference = TopicServer(InferenceEngine(make_snapshot(9))).infer_batch(
-            [[0, 1, 2]]
-        )
-        np.testing.assert_allclose(np.array(payload["theta"]), reference)
+        reference = InferenceEngine(make_snapshot(9)).infer_ids([[0, 1, 2]])
+        np.testing.assert_allclose(decode_rows(payload), reference, rtol=0, atol=1e-12)
 
     def test_swap_to_same_version_is_ignored_by_workers(self, pool):
         pool.swap(make_snapshot(0), version=1)

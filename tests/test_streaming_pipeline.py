@@ -286,5 +286,8 @@ class TestServerStatsSatellites:
     def test_bow_key_of_empty_document(self):
         from repro.serving.server import bow_key
 
-        assert bow_key(np.array([], dtype=np.int64)) == ()
-        assert bow_key(np.array([3, 1, 3])) == ((1, 1), (3, 2))
+        assert bow_key(np.array([], dtype=np.int64)) == b""
+        # Sorted distinct ids [1, 3], then their counts [1, 2], as int64.
+        assert bow_key(np.array([3, 1, 3])) == np.array(
+            [1, 3, 1, 2], dtype=np.int64
+        ).tobytes()
