@@ -5,7 +5,7 @@ The paper's central claim is that LDA sampling throughput is decided by the
 applies the same lesson to the Python/NumPy reproduction: the interpreter-level
 loop over words, documents or tokens is itself a "random access" cost, so the
 kernels here batch whole groups of words/documents into rectangular **slabs**
-and execute every sampler hot path as a handful of whole-array NumPy
+and execute WarpLDA's hot paths as a handful of whole-array NumPy
 operations.
 
 Layout
@@ -16,9 +16,8 @@ Layout
     order whose flat token indices come from one ragged gather, built once
     per corpus and cached on it.
 :mod:`~repro.kernels.draws`
-    Batched inverse-CDF categorical draws: one draw per row of a weight
-    matrix, and per-token draws from a shared ``V x K`` weight table (one
-    ``cumsum``/``searchsorted`` pass each).
+    Batched inverse-CDF categorical draws: per-token draws from a shared
+    ``V x K`` weight table (one ``cumsum``/``searchsorted`` pass).
 :mod:`~repro.kernels.proposals`
     The one Sec. 4.3 proposal draw of the package, shared by WarpLDA's two
     phases and the serving MH fold-in: the CSR layout of a flat token batch
@@ -27,10 +26,6 @@ Layout
     WarpLDA's word and document phases (Alg. 2), token-major over bucket
     chunks: the MH accept/reject chains of Eq. (7) and the proposal draws
     run as flat NumPy expressions over a chunk's real tokens only.
-:mod:`~repro.kernels.cgs`
-    The blocked dense collapsed-Gibbs kernel: the full conditional of Eq. (1)
-    enumerated for a whole document block, sampled with one cumulative-sum
-    pass.
 :mod:`~repro.kernels.pool`
     The multi-core execution tier: the shared thread pool every kernel
     dispatches its independent work units through, plus the per-task RNG
@@ -43,30 +38,21 @@ Exactness
 WarpLDA freezes all counts for the duration of a phase (the MCEM E-step keeps
 Θ and Φ fixed), so processing the words of a phase slab-parallel instead of
 one-by-one is *exact*: no word's chain reads another word's in-phase updates.
-The blocked CGS kernel freezes counts per block, which is the same
-delayed-count device — a statistically equivalent chain targeting the same
-stationary distribution, not a bit-identical replay of the scalar path.  Every consumer therefore keeps the scalar implementation
-behind ``kernel="scalar"`` as the correctness oracle.
+WarpLDA still keeps its per-row loop behind ``kernel="scalar"`` as the
+correctness oracle; every other sampler has only its scalar per-token loop.
 """
 
 from repro.kernels.buckets import SlabBucket, build_buckets, corpus_buckets
-from repro.kernels.cgs import block_conditionals, blocked_gibbs_sweep
-from repro.kernels.draws import (
-    row_categorical_draw,
-    table_categorical_draws,
-)
+from repro.kernels.draws import table_categorical_draws
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.kernels.warp import document_phase, word_phase
 
 __all__ = [
     "SlabBucket",
-    "block_conditionals",
-    "blocked_gibbs_sweep",
     "build_buckets",
     "corpus_buckets",
     "document_phase",
     "positioning_mixture_proposal",
-    "row_categorical_draw",
     "table_categorical_draws",
     "token_layout",
     "word_phase",

@@ -1,21 +1,15 @@
 """Batched inverse-CDF categorical draws.
 
-Both helpers implement the same draw — index ``i`` is chosen when the
-uniform target falls in ``[cdf[i-1], cdf[i])`` — with the boundary convention
-of ``np.searchsorted(..., side="left")``, which is exactly what the scalar
-samplers use (:mod:`repro.sampling.discrete`).  They differ only in batching
-shape:
+:func:`table_categorical_draws` draws one index per token from a shared
+``(V, K)`` weight table indexed by a per-token row id (WarpLDA's
+external-count and exact word proposals).  Index ``i`` is chosen when the
+uniform target falls in ``[cdf[i-1], cdf[i])`` — the boundary convention of
+``np.searchsorted(..., side="left")``, which is exactly what the scalar
+samplers use (:mod:`repro.sampling.discrete`).
 
-* :func:`row_categorical_draw` — one draw per row of an ``(R, K)`` matrix
-  (the blocked CGS kernel's "one token, one conditional" case);
-* :func:`table_categorical_draws` — one draw per token from a shared
-  ``(V, K)`` weight table indexed by a per-token row id (WarpLDA's
-  external-count and exact word proposals).
-
-The per-token variant uses the offset-flattening trick: each row's CDF is
-normalised into ``(0, 1]`` and shifted by its row index, giving one globally
-non-decreasing array that a single ``searchsorted`` can answer every row's
-queries against.
+The draw uses the offset-flattening trick: each row's CDF is normalised into
+``(0, 1]`` and shifted by its row index, giving one globally non-decreasing
+array that a single ``searchsorted`` can answer every row's queries against.
 """
 
 from __future__ import annotations
@@ -24,24 +18,8 @@ import numpy as np
 
 __all__ = [
     "prepare_table",
-    "row_categorical_draw",
     "table_categorical_draws",
 ]
-
-
-def row_categorical_draw(
-    weights: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one index per row of ``weights`` (``(R, K)``, rows positive).
-
-    Returns an ``(R,)`` int64 array.  Equivalent to ``R`` calls to
-    ``searchsorted(cumsum(w), u * w.sum())`` but performed as one cumulative
-    sum and one broadcast comparison.
-    """
-    cdf = np.cumsum(weights, axis=1)
-    targets = rng.random(weights.shape[0]) * cdf[:, -1]
-    drawn = (cdf < targets[:, None]).sum(axis=1)
-    return np.minimum(drawn, weights.shape[1] - 1).astype(np.int64)
 
 
 def _flat_offset_cdf(weights: np.ndarray) -> np.ndarray:

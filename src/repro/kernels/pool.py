@@ -1,12 +1,12 @@
 """Shared thread pool for the slab kernels: the multi-core execution tier.
 
-The slab kernels decompose each phase into independent work units — bucket
-chunks in :mod:`repro.kernels.warp`, document-block waves in
-:mod:`repro.kernels.cgs` — whose writes are disjoint and whose shared reads
-are phase-frozen (the paper's delayed-count device, Sec. 4.2, is exactly what
-makes row-parallel execution legal).  NumPy releases the GIL on the large gathers, scatters and reductions
-those units are made of, so dispatching them onto a :class:`ThreadPoolExecutor`
-gives real multi-core speedup without multiprocessing copies.
+The slab kernels decompose each phase into independent work units — the
+bucket chunks of :mod:`repro.kernels.warp` — whose writes are disjoint and
+whose shared reads are phase-frozen (the paper's delayed-count device,
+Sec. 4.2, is exactly what makes row-parallel execution legal).  NumPy
+releases the GIL on the large gathers, scatters and reductions those units
+are made of, so dispatching them onto a :class:`ThreadPoolExecutor` gives
+real multi-core speedup without multiprocessing copies.
 
 Determinism contract
 --------------------

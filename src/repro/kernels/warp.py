@@ -59,9 +59,8 @@ dense ``(R, K)`` histogram is never needed for it:
   a per-row CDF over all ``K`` topics, so it keeps a dense ``R * K`` table
   and the ``R * K <= max_cells`` row cap.
 
-Elsewhere in the package ``repro.kernels.cgs`` (the blocked full conditional
-is a ``(T, K)`` matrix by construction) and the scalar oracle (a ``bincount``
-of length ``K`` per row) are O(K) by design; :func:`repro.evaluation.likelihood
+Elsewhere the scalar oracle (a ``bincount`` of length ``K`` per row) is O(K)
+by design; :func:`repro.evaluation.likelihood
 .log_joint_likelihood_from_assignments` is K-free.
 
 Threaded execution

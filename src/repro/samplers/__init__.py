@@ -3,7 +3,8 @@
 These are the algorithms the paper analyses and compares against (Table 2):
 
 * :class:`~repro.samplers.cgs.CollapsedGibbsSampler` — plain collapsed Gibbs
-  sampling, O(K) per token (Griffiths & Steyvers 2004).
+  sampling, O(K) per token (Griffiths & Steyvers 2004); the exact sequential
+  scan, and the reference conditional the tests hold the others to.
 * :class:`~repro.samplers.sparselda.SparseLDASampler` — the three-bucket
   sparsity-aware decomposition of Yao et al. (KDD 2009).
 * :class:`~repro.samplers.aliaslda.AliasLDASampler` — sparse document part plus

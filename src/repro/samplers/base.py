@@ -310,10 +310,10 @@ class Sampler(abc.ABC):
         sampling trajectory.
     kernel:
         Execution path: one of the class's :attr:`KERNELS`.  ``None`` picks
-        :attr:`DEFAULT_KERNEL`.  Samplers with a vectorised path in
-        :mod:`repro.kernels` accept ``"slab"`` (their default) and keep the
-        legacy per-token loop behind ``"scalar"`` as the correctness oracle;
-        the rest only accept ``"scalar"``.
+        :attr:`DEFAULT_KERNEL`.  WarpLDA, the one sampler with a vectorised
+        path in :mod:`repro.kernels`, accepts ``"slab"`` (its default) and
+        keeps the legacy per-row loop behind ``"scalar"`` as the correctness
+        oracle; the rest only accept ``"scalar"``.
     threads:
         Worker threads for the slab kernels (dispatched through
         :mod:`repro.kernels.pool`); ``None`` means 1.  The trajectory is

@@ -3,23 +3,16 @@
 For each token the full conditional of Eq. (1) is enumerated over all ``K``
 topics, so the per-token cost is O(K).  This is the reference sampler: every
 faster algorithm in the library must target the same stationary distribution,
-and the tests compare their conditionals against this one.
-
-Two execution paths share the conditional.  The default ``kernel="slab"``
-path runs the blocked dense kernel of :mod:`repro.kernels.cgs`: the
-conditional is enumerated for a whole document block with one matrix
-expression, sampled with one cumulative-sum pass, and counts are scattered
-back per block — counts are frozen within a block (the AD-LDA delayed-count
-device), so the chain is statistically equivalent to, but not a bit-identical
-replay of, the sequential scan.  ``kernel="scalar"`` keeps the token-by-token
-loop as the correctness oracle.
+and the tests compare their conditionals against this one.  It runs the exact
+sequential scan only (``kernel="scalar"``); a ``"slab"`` request through
+``ModelSpec``, the trainers or the CLI runs it on ``scalar``
+(:func:`repro.samplers.base.resolve_kernel`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.cgs import blocked_gibbs_sweep
 from repro.samplers.base import LDASampler
 
 __all__ = ["CollapsedGibbsSampler"]
@@ -29,8 +22,6 @@ class CollapsedGibbsSampler(LDASampler):
     """O(K)-per-token collapsed Gibbs sampler, visiting tokens document-by-document."""
 
     name = "CGS"
-    KERNELS = ("slab", "scalar")
-    DEFAULT_KERNEL = "slab"
 
     def conditional_distribution(self, token_index: int) -> np.ndarray:
         """Unnormalised CGS conditional of Eq. (1) for one token.
@@ -55,19 +46,6 @@ class CollapsedGibbsSampler(LDASampler):
         )
 
     def _sample_iteration(self) -> None:
-        if self.kernel == "slab":
-            blocked_gibbs_sweep(
-                self.state,
-                self.alpha,
-                self.beta,
-                self.beta_sum,
-                self.rng,
-                threads=self.threads,
-            )
-            return
-        self._sample_iteration_scalar()
-
-    def _sample_iteration_scalar(self) -> None:
         state = self.state
         alpha = self.alpha
         beta = self.beta

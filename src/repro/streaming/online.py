@@ -105,8 +105,9 @@ class OnlineTrainer:
         Every window sweep's sampler, as
         :func:`repro.samplers.registry.build_sampler` takes them; ``alpha``
         must be a scalar or ``None`` (50/K).  ``sampler`` defaults to
-        ``"cgs"``: the exact sampler mixes fastest per sweep, which matters
-        when each batch only gets a few sweeps.
+        ``"warplda"``, as ``ModelSpec`` and ``ParallelTrainer`` do: it is the
+        one sampler with a slab kernel, so a batch's few window sweeps stay
+        vectorised instead of running a per-token Python loop.
     window_docs:
         Sliding-window size in documents.  Documents beyond the window are
         retired into the decayed external counts.
@@ -137,7 +138,7 @@ class OnlineTrainer:
         num_topics: int = 20,
         alpha: Optional[float] = None,
         beta: float = 0.01,
-        sampler: str = "cgs",
+        sampler: str = "warplda",
         kernel: str = "slab",
         threads: Optional[int] = None,
         window_docs: int = 1024,

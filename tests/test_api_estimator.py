@@ -161,7 +161,7 @@ class TestModelAccess:
     @pytest.mark.parametrize(
         "algorithm, ran",
         [
-            ("cgs", "slab"),
+            ("cgs", "scalar"),
             ("aliaslda", "scalar"),
             ("lightlda", "scalar"),
             ("sparselda", "scalar"),

@@ -284,9 +284,9 @@ class TestRetiredKernelName:
         assert resumed["retired"][1] == resumed["slab"][1]
 
 
-@pytest.mark.parametrize("algorithm", ["aliaslda", "lightlda"])
+@pytest.mark.parametrize("algorithm", ["aliaslda", "cgs", "lightlda"])
 class TestSlabNamedForScalarOnlySampler:
-    """AliasLDA and LightLDA had a slab path once; artefacts naming it run scalar."""
+    """AliasLDA, CGS and LightLDA had a slab path once; artefacts naming it run scalar."""
 
     def test_spec_file_builds_and_exports_scalar(self, small_corpus, tmp_path, algorithm):
         path = tmp_path / "spec.json"

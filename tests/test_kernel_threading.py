@@ -5,8 +5,8 @@ The contract under test (``repro.kernels.pool`` module docstring, README
 **bit-identical for every thread count** — the task decomposition never
 depends on the worker count, per-task RNG streams are spawned from a single
 main-stream draw, and results are applied in task order.  These tests pin
-that matrix for both slab kernels (warp, cgs), from the constructor
-argument down to the exported snapshot bytes.
+that matrix for WarpLDA's slab kernel, from the constructor argument down to
+the exported snapshot bytes.
 """
 
 import numpy as np
@@ -14,8 +14,6 @@ import pytest
 
 from repro.core.warplda import WarpLDA
 from repro.kernels import pool
-from repro.kernels.cgs import blocked_gibbs_sweep
-from repro.samplers import CollapsedGibbsSampler
 
 THREAD_MATRIX = (1, 2, 4)
 
@@ -25,12 +23,6 @@ SLAB_SAMPLERS = [
             corpus, num_topics=5, seed=3, threads=threads
         ),
         id="warplda",
-    ),
-    pytest.param(
-        lambda corpus, threads: CollapsedGibbsSampler(
-            corpus, num_topics=5, seed=3, threads=threads
-        ),
-        id="cgs",
     ),
 ]
 
@@ -123,30 +115,6 @@ class TestThreadCountDeterminism:
         assert blobs[2] == blobs[1]
         assert blobs[4] == blobs[1]
 
-    def test_cgs_multi_wave_sweep_is_thread_invariant(self, small_corpus):
-        # A tiny block budget forces many blocks, so the wave size exceeds 1
-        # and blocks genuinely run concurrently within a wave.
-        states = {}
-        for threads in THREAD_MATRIX:
-            sampler = CollapsedGibbsSampler(
-                small_corpus, num_topics=5, seed=3, kernel="scalar"
-            )
-            rng = np.random.default_rng(17)
-            for _ in range(3):
-                blocked_gibbs_sweep(
-                    sampler.state,
-                    sampler.alpha,
-                    sampler.beta,
-                    sampler.beta_sum,
-                    rng,
-                    max_block_tokens=16,
-                    threads=threads,
-                )
-            assert sampler.state.check_consistency()
-            states[threads] = sampler.state.assignments.copy()
-        np.testing.assert_array_equal(states[2], states[1])
-        np.testing.assert_array_equal(states[4], states[1])
-
 
 # --------------------------------------------------------------------- #
 # Shared-buffer safety across concurrent buckets (regression)
@@ -173,8 +141,7 @@ class TestSharedBufferSafety:
 
     def test_external_counts_are_frozen_copies(self, small_corpus):
         # The installed counts are copies: mutating the caller's array must
-        # not alias into concurrently running bucket tasks (nor, for the
-        # count-matrix samplers, into the exact subtraction on clear).
+        # not alias into concurrently running bucket tasks.
         for param in SLAB_SAMPLERS:
             plain = self._run_with_external(small_corpus, param.values[0], 2)
             mutated = self._run_with_external(

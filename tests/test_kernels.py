@@ -10,7 +10,6 @@ from repro.kernels import (
     build_buckets,
     corpus_buckets,
     positioning_mixture_proposal,
-    row_categorical_draw,
     table_categorical_draws,
     token_layout,
 )
@@ -160,15 +159,6 @@ class TestBucketLayoutProperties:
 
 
 class TestDraws:
-    def test_row_draw_matches_searchsorted_semantics(self):
-        weights = np.array([[1.0, 0.0, 3.0], [2.0, 2.0, 0.0]])
-        rng = np.random.default_rng(0)
-        draws = row_categorical_draw(np.tile(weights, (5000, 1)), rng)
-        frequencies = np.bincount(draws[0::2], minlength=3) / 5000
-        np.testing.assert_allclose(frequencies, [0.25, 0.0, 0.75], atol=0.03)
-        frequencies = np.bincount(draws[1::2], minlength=3) / 5000
-        np.testing.assert_allclose(frequencies, [0.5, 0.5, 0.0], atol=0.03)
-
     def test_table_draws_follow_row_ids(self):
         rng = np.random.default_rng(3)
         table = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

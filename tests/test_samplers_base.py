@@ -114,7 +114,7 @@ class TestBuildSampler:
         "algorithm, kernel, ran",
         [
             ("warplda", "slab", "slab"),
-            ("cgs", "slab", "slab"),
+            ("cgs", "slab", "scalar"),
             ("sparselda", "slab", "scalar"),
             ("aliaslda", "slab", "scalar"),
             ("lightlda", "slab", "scalar"),

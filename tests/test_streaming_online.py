@@ -5,9 +5,9 @@ import copy
 import numpy as np
 import pytest
 
+from repro.core.warplda import WarpLDA
 from repro.corpus import Corpus, SyntheticCorpusSpec, Vocabulary, generate_lda_corpus
 from repro.samplers.registry import build_sampler
-from repro.samplers.cgs import CollapsedGibbsSampler
 from repro.serving import InferenceEngine
 from repro.streaming import (
     DocumentStream,
@@ -154,7 +154,7 @@ class TestStateInvariants:
         assert trainer.phi().shape == (3, 5)
         snapshot = trainer.export_snapshot()
         assert snapshot.vocabulary_size == 5
-        assert snapshot.metadata["sampler"] == "Online[cgs]"
+        assert snapshot.metadata["sampler"] == "Online[warplda]"
 
     def test_export_consistent_while_vocabulary_grows_ahead(self):
         """Pushed-but-not-ingested words must not desynchronise the export."""
@@ -226,7 +226,7 @@ class TestEndToEndParity:
         online_engine = InferenceEngine(trainer.export_snapshot(), seed=0)
         online_ppl = online_engine.held_out_perplexity(held_docs)
 
-        batch_sampler = CollapsedGibbsSampler(trainer.corpus, 5, seed=0).fit(100)
+        batch_sampler = WarpLDA(trainer.corpus, 5, seed=0).fit(100)
         batch_engine = InferenceEngine(batch_sampler.export_snapshot(), seed=0)
         batch_ppl = batch_engine.held_out_perplexity(held_docs)
 
