@@ -53,6 +53,24 @@ class TestCommonBehaviour:
         assert sampler.assignments.min() >= 0
         assert sampler.assignments.max() < 4
 
+    def test_imported_global_counts_survive_sweeps(self, small_corpus, sampler_class):
+        # Data-parallel epochs add external word-topic counts onto the live
+        # ones; a sweep must update them incrementally, never rebuild them
+        # down to the shard-local contribution — which is what makes
+        # clear_external_counts() an exact subtraction.
+        sampler = sampler_class(small_corpus, num_topics=5, seed=0)
+        external = np.random.default_rng(1).integers(
+            0, 5, size=(small_corpus.vocabulary_size, 5)
+        ).astype(np.int64)
+        sampler.set_external_counts(external)
+        sampler.fit(2)
+        local = np.zeros_like(external)
+        np.add.at(local, (small_corpus.token_words, sampler.assignments), 1)
+        np.testing.assert_array_equal(sampler.state.word_topic - local, external)
+        np.testing.assert_array_equal(sampler.word_topic_counts(), local)
+        sampler.clear_external_counts()
+        assert sampler.state.check_consistency()
+
 
 class TestCgsConditional:
     def test_conditional_is_positive_and_normalisable(self, tiny_corpus):
@@ -79,6 +97,26 @@ class TestCgsConditional:
             / (topic_count + sampler.beta_sum)
         )
         assert weights[topic] == pytest.approx(expected)
+
+    def test_matches_eq1_for_every_topic_and_token(self, small_corpus):
+        sampler = CollapsedGibbsSampler(small_corpus, num_topics=5, seed=2)
+        sampler.fit(1)  # leave uniform init so the counts carry structure
+        stop = min(64, small_corpus.num_tokens)
+        docs = small_corpus.token_documents[:stop]
+        words = small_corpus.token_words[:stop]
+        own = np.eye(5)[sampler.assignments[:stop]]  # the ¬dn exclusion
+        state = sampler.state
+        expected = (
+            (state.doc_topic[docs] - own + sampler.alpha)
+            * (state.word_topic[words] - own + sampler.beta)
+            / (state.topic_counts - own + sampler.beta_sum)
+        )
+        for token_index in range(stop):
+            np.testing.assert_allclose(
+                sampler.conditional_distribution(token_index),
+                expected[token_index],
+                rtol=1e-12,
+            )
 
 
 class TestSamplerSpecifics:
