@@ -392,6 +392,9 @@ def run_outofcore_bench(
                 "ram": budget_ram["status"],
             },
             "snapshots_identical": snapshots_identical,
+            # Φ of the store-backed run: equal across two commits means their
+            # fixed-seed out-of-core training is byte-identical.
+            "phi_sha256": train_store["phi_sha256"],
         },
     }
 
@@ -536,7 +539,8 @@ def main(argv: Optional[list] = None) -> int:
     print(
         f"store-backed training: {results['tokens_per_sec']} tokens/s, "
         f"replay {results['replay_tokens_per_sec']} tokens/s, "
-        f"snapshots identical: {results['snapshots_identical']}"
+        f"snapshots identical: {results['snapshots_identical']}, "
+        f"phi sha256 {results['phi_sha256']}"
     )
     if results["budget_bytes"]:
         print(

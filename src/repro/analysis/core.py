@@ -205,13 +205,6 @@ class ModuleContext:
                 return scope
         return None
 
-    def enclosing_class(self) -> Optional[ast.ClassDef]:
-        """Innermost enclosing class (``None`` outside any class body)."""
-        for scope in reversed(self.scopes):
-            if isinstance(scope, ast.ClassDef):
-                return scope
-        return None
-
 
 class Checker:
     """Base class for rule-family plugins.

@@ -148,7 +148,6 @@ _SPEC_FIELD_FLAGS = (
     ("mh_steps", "num_mh_steps"),
     ("kernel", "kernel"),
     ("threads", "threads"),
-    ("word_proposal", "word_proposal"),
     ("seed", "seed"),
     ("telemetry", "telemetry"),
 )
@@ -187,7 +186,6 @@ def _add_spec_arguments(
         help="kernel worker threads (default 1); "
         "results are bit-identical for any value",
     )
-    model.add_argument("--word-proposal", choices=("mixture", "alias"))
     model.add_argument("--seed", type=int, help="master seed")
     model.add_argument(
         "--telemetry",

@@ -144,13 +144,7 @@ def build_engine(spec: ModelSpec, corpus: Optional["Corpus"] = None) -> Any:
             **keywords,
             **options,
         )
-    return build_sampler(
-        spec.algorithm,
-        corpus,
-        word_proposal=spec.word_proposal,
-        seed=spec.seed,
-        **keywords,
-    )
+    return build_sampler(spec.algorithm, corpus, seed=spec.seed, **keywords)
 
 
 class LDA:

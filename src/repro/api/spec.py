@@ -94,9 +94,6 @@ class ModelSpec:
         Worker threads for the slab kernels' bucket dispatch: a positive
         int, or ``None`` for 1.  Thread count never changes results — the
         sampled trajectory is bit-identical for every value.
-    word_proposal:
-        WarpLDA's word-proposal strategy, ``"mixture"`` or ``"alias"``
-        (ignored by the other algorithms).
     backend:
         Execution backend: ``"serial"`` (one in-process sampler),
         ``"parallel"`` (:class:`~repro.training.parallel.ParallelTrainer`)
@@ -128,7 +125,6 @@ class ModelSpec:
     num_mh_steps: int = 2
     kernel: str = "slab"
     threads: Optional[int] = None
-    word_proposal: str = "mixture"
     backend: str = "serial"
     backend_options: Mapping[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
@@ -155,7 +151,6 @@ class ModelSpec:
             num_mh_steps=self.num_mh_steps,
             kernel=self.kernel,
             threads=self.threads,
-            word_proposal=self.word_proposal,
         )
         if self.threads is not None:
             # numpy integers become plain ints so the spec stays JSON-stable.
@@ -204,15 +199,6 @@ class ModelSpec:
                 f"the {self.backend!r} backend supports only a scalar (or default) "
                 "alpha; a length-K alpha vector requires backend='serial'"
             )
-        # The trainers take no word_proposal keyword, so a non-default setting
-        # would be silently dropped while the snapshot metadata still records
-        # it — reject instead of lying about provenance.
-        if self.word_proposal != "mixture":
-            raise ValueError(
-                f"word_proposal={self.word_proposal!r} is only honoured by "
-                f"backend='serial'; the {self.backend!r} backend always uses "
-                "the mixture proposal"
-            )
         if self.backend == "parallel":
             from repro.training.parallel import validate_schedule
 
@@ -240,16 +226,18 @@ class ModelSpec:
 
         Missing keys take the dataclass defaults, so a spec file only needs
         to name what it overrides.  A retired kernel name reads as its
-        successor (:func:`repro.samplers.base.read_kernel`).
+        successor (:func:`repro.samplers.base.read_kernel`), and the retired
+        ``word_proposal`` key (``"mixture"`` or ``"alias"``) is dropped
+        whatever its value: WarpLDA has one word proposal, the mixture.
         """
+        values = {key: value for key, value in data.items() if key != "word_proposal"}
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(values) - known
         if unknown:
             raise ValueError(
                 f"unknown ModelSpec keys {sorted(unknown)}; known keys: "
                 f"{sorted(known)}"
             )
-        values = dict(data)
         if "kernel" in values:
             values["kernel"] = read_kernel(values["kernel"])
         return cls(**values)

@@ -37,7 +37,6 @@ class AddressSpace:
         self.word_topic_base = self.doc_topic_base + num_documents * num_topics * _ENTRY_BYTES
         self.topic_counts_base = self.word_topic_base + vocabulary_size * num_topics * _ENTRY_BYTES
         self.scratch_base = self.topic_counts_base + num_topics * _ENTRY_BYTES
-        self.token_data_base = self.scratch_base + num_topics * _ENTRY_BYTES
 
     def doc_topic(self, doc: np.ndarray, topic: np.ndarray) -> np.ndarray:
         """Addresses of ``C_d[doc, topic]`` (vectorised)."""
@@ -54,10 +53,6 @@ class AddressSpace:
     def scratch(self, topic: np.ndarray) -> np.ndarray:
         """Addresses of WarpLDA's per-row scratch count vector (size K)."""
         return self.scratch_base + topic * _ENTRY_BYTES
-
-    def token_data(self, token_index: np.ndarray, width: int = 2) -> np.ndarray:
-        """Addresses of the per-token data (assignment + proposals), sequential."""
-        return self.token_data_base + token_index * width * _ENTRY_BYTES
 
 
 class AccessTraceGenerator:

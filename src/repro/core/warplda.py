@@ -38,8 +38,9 @@ Implementation notes
 * The doc proposal is drawn by *random positioning* (pick the assignment of a
   uniformly random token of the document) mixed with the prior α; the word
   proposal by random positioning mixed with the uniform distribution implied
-  by the symmetric β, or optionally from a dense alias table
-  (``word_proposal="alias"``), matching the two O(1) strategies of Sec. 4.3.
+  by the symmetric β: the O(1) random-positioning strategy of Sec. 4.3.
+  With external shard counts installed the word proposal covers those
+  counts too (:meth:`WarpLDA.set_external_counts`).
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class WarpLDA(Sampler):
     beta:
         Symmetric word Dirichlet parameter (0.01 in the paper; 0.001 for the
         1M-topic ClueWeb run).
-    word_proposal:
-        ``"mixture"`` (random positioning + uniform, the default) or
-        ``"alias"`` (dense alias table per word).
     kernel:
         ``"slab"`` (the default: bucketed whole-bucket NumPy execution, see
         :mod:`repro.kernels.warp`) or ``"scalar"`` (the legacy row-by-row
@@ -163,7 +161,6 @@ class WarpLDA(Sampler):
         num_mh_steps: int = 2,
         alpha: Optional[Union[float, np.ndarray]] = None,
         beta: float = 0.01,
-        word_proposal: str = "mixture",
         kernel: str = "slab",
         threads: Optional[int] = None,
         seed: RngLike = None,
@@ -177,10 +174,8 @@ class WarpLDA(Sampler):
             kernel,
             threads,
             num_mh_steps=num_mh_steps,
-            word_proposal=word_proposal,
         )
         self.num_mh_steps = num_mh_steps
-        self.word_proposal = word_proposal
 
         num_tokens = corpus.num_tokens
         self.assignments = self.rng.integers(
@@ -454,7 +449,6 @@ class WarpLDA(Sampler):
             self.beta,
             self.beta_sum,
             self.rng,
-            exact_word_proposal=self.word_proposal == "alias",
             external_word_topic=self._external_word_topic,
             external_proposal=self._external_proposal,
             chain_stats=chain_stats,
@@ -495,15 +489,14 @@ class WarpLDA(Sampler):
         """Draw M samples per token from ``q_word(k) ∝ C_wk + β``."""
         if length == 0:
             return
-        if self.word_proposal == "alias" or self._external_word_topic is not None:
+        if self._external_word_topic is not None:
+            # Exact global proposal: random positioning cannot reach the
+            # other shards' tokens, so draw from a per-word alias table over
+            # the combined counts (the Sec. 4.3 alias strategy).
             word_counts = np.bincount(current, minlength=self.num_topics).astype(
                 np.float64
             )
-            if self._external_word_topic is not None:
-                # Exact global proposal: random positioning cannot reach the
-                # other shards' tokens, so fall back to a per-word alias table
-                # over the combined counts (the Sec. 4.3 alias strategy).
-                word_counts += self._external_word_topic[word]
+            word_counts += self._external_word_topic[word]
             table = AliasTable(word_counts + self.beta)
             for step in range(self.num_mh_steps):
                 self.proposals[step, token_indices] = table.draw_many(length, rng)

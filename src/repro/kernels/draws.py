@@ -1,11 +1,11 @@
 """Batched inverse-CDF categorical draws.
 
 :func:`table_categorical_draws` draws one index per token from a shared
-``(V, K)`` weight table indexed by a per-token row id (WarpLDA's
-external-count and exact word proposals).  Index ``i`` is chosen when the
-uniform target falls in ``[cdf[i-1], cdf[i])`` — the boundary convention of
-``np.searchsorted(..., side="left")``, which is exactly what the scalar
-samplers use (:mod:`repro.sampling.discrete`).
+``(V, K)`` weight table indexed by a per-token row id (the installed-table
+component of WarpLDA's word proposal under external counts).  Index ``i`` is
+chosen when the uniform target falls in ``[cdf[i-1], cdf[i])`` — the boundary
+convention of ``np.searchsorted(..., side="left")``, which is exactly what the
+scalar samplers use (:mod:`repro.sampling.discrete`).
 
 The draw uses the offset-flattening trick: each row's CDF is normalised into
 ``(0, 1]`` and shifted by its row index, giving one globally non-decreasing

@@ -54,12 +54,8 @@ dense ``(R, K)`` histogram is never needed for it:
   + E_wk + β`` — random positioning, a draw from the installed table's CDF,
   or uniform.  The CDF is one O(VK) pass per installed table
   (:func:`external_proposal_table`), not per row or per phase.
-* **Inherently O(K) per row** — only the explicit exact word proposal
-  (``word_proposal="alias"``): it draws from ``q_word(k) ∝ C_wk + β`` through
-  a per-row CDF over all ``K`` topics, so it keeps a dense ``R * K`` table
-  and the ``R * K <= max_cells`` row cap.
 
-Elsewhere the scalar oracle (a ``bincount`` of length ``K`` per row) is O(K)
+Only the scalar oracle (a ``bincount`` of length ``K`` per row) is O(K)
 by design; :func:`repro.evaluation.likelihood
 .log_joint_likelihood_from_assignments` is K-free.
 
@@ -73,8 +69,8 @@ fixed for the phase.  The chunks are dispatched through
 phase RNG (:func:`repro.kernels.pool.spawn_task_rngs`), so the result is
 bit-identical for every thread count — ``threads=1`` simply runs the same
 tasks inline.  The chunk list is a pure function of the corpus, the table
-width (so of ``K`` only while ``K < max(64, 2 L)``), the proposal kind and
-``max_cells``; it never depends on the thread count.
+width (so of ``K`` only while ``K < max(64, 2 L)``) and ``max_cells``; it
+never depends on the thread count.
 """
 
 from __future__ import annotations
@@ -86,7 +82,7 @@ import numpy as np
 
 from repro.kernels import pool
 from repro.kernels.buckets import MAX_SLAB_CELLS, MIN_SLOT_WIDTH, SlabBucket
-from repro.kernels.draws import prepare_table, table_categorical_draws
+from repro.kernels.draws import prepare_table
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.sampling.alias import AliasTable
 
@@ -122,26 +118,21 @@ def _phase_chunks(
     buckets: List[SlabBucket],
     num_topics: int,
     max_cells: Optional[int],
-    dense: bool = False,
 ) -> List[SlabBucket]:
     """The phase's task list: every bucket chunk, in bucket order.
 
     ``max_cells`` bounds both the ``R x L`` band cells and (via the row
     cap) the ``R x W`` per-row count table — the slab working-set knob the
     cache-analysis bench turns.  ``W`` is :func:`slot_table_width` of the
-    bucket, or ``K`` when ``dense`` (the exact word proposal needs the whole
-    histogram).  The decomposition depends only on the buckets, ``K``,
-    ``dense`` and ``max_cells``, never on the thread count: that is what
-    makes the per-task RNG streams (and so the whole trajectory)
-    thread-count-invariant.
+    bucket.  The decomposition depends only on the buckets, ``K`` and
+    ``max_cells``, never on the thread count: that is what makes the
+    per-task RNG streams (and so the whole trajectory) thread-count-invariant.
     """
     if max_cells is None:
         max_cells = MAX_SLAB_CELLS
     chunks: List[SlabBucket] = []
     for bucket in buckets:
-        width = (
-            num_topics if dense else slot_table_width(num_topics, bucket.slab_len)
-        )
+        width = slot_table_width(num_topics, bucket.slab_len)
         max_rows = max(1, max_cells // max(1, width))
         chunks.extend(bucket.chunks(max_cells=max_cells, max_rows=max_rows))
     return chunks
@@ -283,7 +274,6 @@ def _chunk_body(
     prior_mass: float,
     num_topics: int,
     alpha_alias: Optional[AliasTable],
-    exact: bool,
     external: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     chunk: SlabBucket,
     rng: np.random.Generator,
@@ -304,7 +294,7 @@ def _chunk_body(
     _, row, token_offset, token_length = layout
     flat = chunk.token_indices(layout)
     current = assignments.take(flat)
-    width = num_topics if exact else slot_table_width(num_topics, chunk.slab_len)
+    width = slot_table_width(num_topics, chunk.slab_len)
     count_at, count_current = _slot_counts(
         current, row, chunk.num_rows, num_topics, width
     )
@@ -332,16 +322,6 @@ def _chunk_body(
 
     # Fresh counts for the proposal distribution (Alg. 2 recomputes them
     # after the chain): random positioning reads them off ``current`` itself.
-    if exact:
-        fresh = np.bincount(
-            row * num_topics + current, minlength=chunk.num_rows * num_topics
-        ).reshape(chunk.num_rows, num_topics)
-        if external is not None:
-            fresh = fresh + external_table[chunk.rows]
-        cdf = prepare_table(fresh + prior)
-        for step in range(proposals.shape[0]):
-            proposals[step][flat] = table_categorical_draws(cdf, num_topics, row, rng)
-        return
     table = None
     if external is not None:
         table = (external_cdf, token_words, external_mass[token_words])
@@ -390,7 +370,6 @@ def word_phase(
     beta: float,
     beta_sum: float,
     rng: np.random.Generator,
-    exact_word_proposal: bool = False,
     external_word_topic: Optional[np.ndarray] = None,
     chain_stats: Optional[dict] = None,
     threads: Optional[int] = None,
@@ -406,8 +385,7 @@ def word_phase(
     draw from the table's CDF (random positioning cannot reach the other
     shards' tokens); ``external_proposal`` is that table's
     :func:`external_proposal_table`, built here when the caller has not kept
-    one.  ``exact_word_proposal`` selects the Sec. 4.3 alias strategy instead
-    — an exact per-row draw from ``q_word(k) ∝ C_wk + β``.
+    one.
 
     Bucket chunks run as independent tasks on :mod:`repro.kernels.pool`
     (``threads`` per :func:`repro.kernels.pool.resolve_threads`), each with
@@ -430,10 +408,9 @@ def word_phase(
         num_topics * beta,
         num_topics,
         None,
-        exact_word_proposal,
         external,
     )
-    chunks = _phase_chunks(buckets, num_topics, max_cells, dense=exact_word_proposal)
+    chunks = _phase_chunks(buckets, num_topics, max_cells)
     _run_phase("warp.word", chunks, body, rng, chain_stats, threads)
 
 
@@ -473,7 +450,6 @@ def document_phase(
         alpha_sum,
         num_topics,
         alpha_alias,
-        False,
         None,
     )
     chunks = _phase_chunks(buckets, num_topics, max_cells)

@@ -11,9 +11,9 @@ it needs from ``Z`` (see :mod:`repro.core.warplda`).
 
 This module is also the one home of *what a sampler run is made of*: the
 kernel names (:data:`KERNELS`), the ``(K, α, β)`` check
-(:func:`validate_hyperparameters`), the ``(M, kernel, threads,
-word_proposal)`` check (:func:`validate_sampler_options`), the count-option
-check (:func:`validate_positive_int`) and the kernel degradation rule
+(:func:`validate_hyperparameters`), the ``(M, kernel, threads)`` check
+(:func:`validate_sampler_options`), the count-option check
+(:func:`validate_positive_int`) and the kernel degradation rule
 (:func:`resolve_kernel`).  Every entry point of a run — ``ModelSpec``, the
 ``ParallelTrainer`` / ``OnlineTrainer`` keywords and the sampler
 constructors themselves — validates through these and nothing else;
@@ -57,8 +57,6 @@ __all__ = [
 #: per-row/per-token loops, kept as the correctness oracle.
 KERNELS = ("slab", "scalar")
 
-_WORD_PROPOSALS = ("mixture", "alias")
-
 
 def _one_of(names: tuple) -> str:
     """``('a', 'b', 'c')`` → ``"'a', 'b' or 'c'"`` for error messages."""
@@ -70,16 +68,15 @@ def validate_sampler_options(
     num_mh_steps: int = 2,
     kernel: str = "slab",
     threads: Optional[int] = None,
-    word_proposal: str = "mixture",
 ) -> None:
     """Raise the shared ``ValueError`` family for invalid run options.
 
     The companion of :func:`validate_hyperparameters` for the knobs that are
     not Dirichlet parameters: the paper's ``M`` (``num_mh_steps``), the
-    execution path, the kernel thread count and WarpLDA's word-proposal
-    kind.  Every entry point checks the options it carries here (the rest
-    keep their valid defaults), so ``kernel="fast"`` or ``threads=True``
-    raises the same text from a spec, a trainer or a sampler.
+    execution path and the kernel thread count.  Every entry point checks
+    the options it carries here (the rest keep their valid defaults), so
+    ``kernel="fast"`` or ``threads=True`` raises the same text from a spec,
+    a trainer or a sampler.
     """
     if num_mh_steps <= 0:
         raise ValueError(f"num_mh_steps must be positive, got {num_mh_steps}")
@@ -90,11 +87,6 @@ def validate_sampler_options(
             raise ValueError(f"threads must be an int or None, got {threads!r}")
         if threads <= 0:
             raise ValueError(f"threads must be positive, got {threads}")
-    if word_proposal not in _WORD_PROPOSALS:
-        raise ValueError(
-            f"word_proposal must be {_one_of(_WORD_PROPOSALS)}, got "
-            f"{word_proposal!r}"
-        )
 
 
 def validate_positive_int(name: str, value: Any) -> None:
@@ -320,8 +312,8 @@ class Sampler(abc.ABC):
         bit-identical for every thread count; the scalar path ignores the
         setting.
     **options:
-        The further run options a sampler carries (``num_mh_steps``,
-        ``word_proposal``), checked by :func:`validate_sampler_options`.
+        The further run options a sampler carries (``num_mh_steps``),
+        checked by :func:`validate_sampler_options`.
     """
 
     #: Human-readable algorithm name used in benchmark tables.

@@ -92,7 +92,6 @@ def build_sampler(
     num_mh_steps: int = 2,
     kernel: str = "slab",
     threads: Optional[int] = None,
-    word_proposal: str = "mixture",
     seed: RngLike = None,
 ) -> Any:
     """Construct the sampler ``algorithm`` names over ``corpus``.
@@ -100,10 +99,9 @@ def build_sampler(
     ``kernel`` is the *requested* path: a sampler that lacks it runs the
     best one it has (:func:`~repro.samplers.base.resolve_kernel`).
     ``num_mh_steps`` is the paper's ``M`` and reaches the two samplers it
-    is defined for (WarpLDA, LightLDA); ``word_proposal`` reaches WarpLDA
-    only.  The other samplers ignore both — AliasLDA's own inner MH count
-    keeps its default under every backend, as it always has.  Validation is
-    the constructors' own.
+    is defined for (WarpLDA, LightLDA).  The other samplers ignore it —
+    AliasLDA's own inner MH count keeps its default under every backend, as
+    it always has.  Validation is the constructors' own.
     """
     sampler_cls = _sampler_class(algorithm)
     kwargs: Dict[str, Any] = {
@@ -116,6 +114,4 @@ def build_sampler(
     }
     if sampler_cls in (WarpLDA, LightLDASampler):
         kwargs["num_mh_steps"] = num_mh_steps
-    if sampler_cls is WarpLDA:
-        kwargs["word_proposal"] = word_proposal
     return sampler_cls(corpus, **kwargs)

@@ -406,10 +406,6 @@ class WorkerPool:
     def alive_workers(self) -> int:
         return sum(1 for worker in self._workers if worker.alive())
 
-    def backlog_depth(self) -> int:
-        """Requests admitted but not yet dispatched to a worker."""
-        return len(self._backlog)
-
     # ------------------------------------------------------------------ #
     # Shutdown
     # ------------------------------------------------------------------ #

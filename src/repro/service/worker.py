@@ -49,8 +49,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.obs import Telemetry, use_telemetry
-from repro.serving.infer import InferenceEngine
-from repro.serving.server import encode_document
+from repro.serving.infer import InferenceEngine, encode_document
 from repro.serving.snapshot import ModelSnapshot
 from repro.service.shm import AttachedSnapshot, attach
 

@@ -41,13 +41,23 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.corpus.vocabulary import Vocabulary
 from repro.evaluation.likelihood import check_priors
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.sampling.alias import AliasTable
 from repro.sampling.rng import RngLike, ensure_rng
 from repro.serving.snapshot import ModelSnapshot
 
-__all__ = ["InferenceEngine", "em_fold_in", "mh_fold_in", "perplexity_from_theta"]
+__all__ = [
+    "InferenceEngine",
+    "em_fold_in",
+    "encode_document",
+    "mh_fold_in",
+    "perplexity_from_theta",
+]
+
+#: One request document: a word-id array, a word-id list or a token list.
+DocumentLike = Union[np.ndarray, Sequence[int], Sequence[str]]
 
 #: Cap on ``K * batch * padded_length`` float64 elements materialised at once
 #: by the EM kernel.  Kept small (~1 MB) so the per-chunk working set stays
@@ -57,6 +67,20 @@ __all__ = ["InferenceEngine", "em_fold_in", "mh_fold_in", "perplexity_from_theta
 #: 2-core VM): 2^15-2^17 tie at ~14.6 ms per request, 2^18-2^21 are 12-39%
 #: slower.
 _MAX_EM_ELEMENTS = 1 << 17
+
+
+def encode_document(document: DocumentLike, vocabulary: Vocabulary) -> np.ndarray:
+    """Normalise one request document to an int64 word-id array.
+
+    An id array or id list is taken as is; a list holding any string goes
+    through ``vocabulary`` with out-of-vocabulary tokens dropped.
+    """
+    if isinstance(document, np.ndarray):
+        return np.asarray(document, dtype=np.int64)
+    items = list(document)
+    if any(isinstance(item, str) for item in items):
+        return vocabulary.encode(items, on_oov="drop")
+    return np.asarray(items, dtype=np.int64)
 
 
 def _prior_mean(alpha: np.ndarray) -> np.ndarray:
@@ -407,9 +431,7 @@ class InferenceEngine:
         encoded, _ = self.encode(token_documents)
         return self.infer_ids(encoded)
 
-    def held_out_perplexity(
-        self, documents: Sequence[Union[np.ndarray, Sequence[int], Sequence[str]]]
-    ) -> float:
+    def held_out_perplexity(self, documents: Sequence[DocumentLike]) -> float:
         """Held-out perplexity of ``documents`` under the frozen snapshot.
 
         Documents may be raw token sequences (OOV tokens are dropped via the
@@ -424,19 +446,8 @@ class InferenceEngine:
             If no document contributes any in-vocabulary token (there is
             nothing to score).
         """
-        encoded: List[np.ndarray] = []
-        for document in documents:
-            if isinstance(document, np.ndarray):
-                encoded.append(np.asarray(document, dtype=np.int64))
-                continue
-            items = list(document)
-            if any(isinstance(item, str) for item in items):
-                encoded.append(
-                    self.snapshot.vocabulary.encode(items, on_oov="drop")
-                )
-            else:
-                encoded.append(np.asarray(items, dtype=np.int64))
-
+        vocabulary = self.snapshot.vocabulary
+        encoded = [encode_document(document, vocabulary) for document in documents]
         theta = self.infer_ids(encoded)
         return perplexity_from_theta(encoded, theta, self.snapshot.phi)
 

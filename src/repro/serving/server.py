@@ -46,26 +46,22 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from repro.obs import Histogram, get_telemetry
 from repro.sampling.rng import RngLike
-from repro.serving.infer import InferenceEngine
+from repro.serving.infer import DocumentLike, InferenceEngine, encode_document
 
 if TYPE_CHECKING:  # avoids the serving <-> streaming import cycle at runtime
-    from repro.corpus.vocabulary import Vocabulary
     from repro.streaming.registry import ModelRegistry
 
-__all__ = ["LRUCache", "ServerStats", "TopicServer", "bow_key", "encode_document"]
+__all__ = ["LRUCache", "ServerStats", "TopicServer", "bow_key"]
 
 #: Cache key type: the raw bytes of a document's sorted distinct word ids
 #: followed by their counts (both int64).
 BowKey = bytes
-
-DocumentLike = Union[np.ndarray, Sequence[int], Sequence[str]]
 
 
 def bow_key(word_ids: np.ndarray) -> BowKey:
@@ -87,20 +83,6 @@ def bow_key(word_ids: np.ndarray) -> BowKey:
     """
     unique, counts = np.unique(np.asarray(word_ids, dtype=np.int64), return_counts=True)
     return unique.tobytes() + counts.astype(np.int64, copy=False).tobytes()
-
-
-def encode_document(document: DocumentLike, vocabulary: "Vocabulary") -> np.ndarray:
-    """Normalise one request document to an int64 word-id array.
-
-    An id array or id list is taken as is; a list holding any string goes
-    through ``vocabulary`` with out-of-vocabulary tokens dropped.
-    """
-    if isinstance(document, np.ndarray):
-        return np.asarray(document, dtype=np.int64)
-    items = list(document)
-    if any(isinstance(item, str) for item in items):
-        return vocabulary.encode(items, on_oov="drop")
-    return np.asarray(items, dtype=np.int64)
 
 
 class LRUCache:

@@ -37,11 +37,9 @@ class TestSerialEquivalence:
         )
 
     def test_warplda_config_spelling_matches(self, small_corpus):
-        spec = ModelSpec(num_topics=6, kernel="scalar", word_proposal="alias", seed=9)
+        spec = ModelSpec(num_topics=6, kernel="scalar", seed=9)
         facade = LDA(spec).fit(small_corpus, num_iterations=3)
-        direct = WarpLDA(
-            small_corpus, num_topics=6, kernel="scalar", word_proposal="alias", seed=9
-        ).fit(3)
+        direct = WarpLDA(small_corpus, num_topics=6, kernel="scalar", seed=9).fit(3)
         np.testing.assert_array_equal(facade.model.assignments, direct.assignments)
 
     @pytest.mark.parametrize(

@@ -95,17 +95,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="scalar"):
             OnlineTrainer(num_topics=3, alpha=alpha)
 
-    def test_nondefault_word_proposal_serial_only(self):
-        assert ModelSpec(word_proposal="alias").word_proposal == "alias"
-        for backend, options in (
-            ("parallel", {"backend": "inline"}),
-            ("online", {}),
-        ):
-            with pytest.raises(ValueError, match="word_proposal"):
-                ModelSpec(
-                    word_proposal="alias", backend=backend, backend_options=options
-                )
-
     def test_parallel_build_options_validated_at_construction(self):
         with pytest.raises(ValueError, match="num_workers"):
             ModelSpec(backend="parallel", backend_options={"num_workers": 0})

@@ -112,16 +112,6 @@ class TestValidationConsistency:
             assert sampler.iterations_completed == 0
         assert str(raised.value) == "evaluate_every must be positive, got 0"
 
-    def test_word_proposal_checked_by_spec_and_sampler(self, small_corpus):
-        message = "word_proposal must be 'mixture' or 'alias', got 'bogus'"
-        for make in (
-            lambda: ModelSpec(word_proposal="bogus"),
-            lambda: WarpLDA(small_corpus, num_topics=5, word_proposal="bogus"),
-        ):
-            with pytest.raises(ValueError) as raised:
-                make()
-            assert str(raised.value) == message
-
 
 #: Every integer scheduling option: ``option -> (spec backend, CLI
 #: subcommand, direct construction with the value)``.
@@ -321,3 +311,57 @@ class TestSlabNamedForScalarOnlySampler:
             assert model.spec.algorithm == algorithm
             embedded = model.export_snapshot().metadata[SPEC_METADATA_KEY]
             assert embedded["kernel"] == "scalar"
+
+
+@pytest.mark.parametrize("value", ["mixture", "alias"])
+class TestRetiredWordProposal:
+    """Artefacts written while ``word_proposal`` was a spec field still load.
+
+    The key is dropped whatever its value: WarpLDA has one word proposal, the
+    positioning mixture, so both values train as a spec without the key.
+    """
+
+    def test_spec_file_builds_and_trains(self, small_corpus, tmp_path, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"num_topics": 4, "seed": 0, "word_proposal": value}))
+        spec = ModelSpec.load(path)
+        assert spec == ModelSpec(num_topics=4, seed=0)
+        named = LDA(spec).fit(small_corpus, num_iterations=2)
+        plain = LDA(num_topics=4, seed=0).fit(small_corpus, num_iterations=2)
+        assert named.export_snapshot() == plain.export_snapshot()
+        assert "word_proposal" not in named.export_snapshot().metadata[SPEC_METADATA_KEY]
+
+    def test_cli_spec_file_trains_and_writes_no_key(self, tmp_path, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"num_topics": 4, "word_proposal": value}))
+        main([
+            "train", "--synthetic", "--docs", "20", "--vocab-size", "40",
+            "--iterations", "1", "--seed", "0", "--spec", str(path),
+            "--spec-out", str(tmp_path / "out.json"),
+        ])  # fmt: skip
+        written = json.loads((tmp_path / "out.json").read_text())
+        assert "word_proposal" not in written
+        assert ModelSpec.from_dict(written) == ModelSpec(num_topics=4, seed=0)
+
+    def test_saved_snapshot_loads_serves_and_trains(self, small_corpus, tmp_path, value):
+        model = LDA(num_topics=4, seed=0).fit(small_corpus, num_iterations=1)
+        path = model.save(tmp_path / "model.npz")
+        sidecar = tmp_path / "model.npz.json"
+        document = json.loads(sidecar.read_text())
+        assert "word_proposal" not in document["metadata"][SPEC_METADATA_KEY]
+        document["metadata"][SPEC_METADATA_KEY]["word_proposal"] = value
+        sidecar.write_text(json.dumps(document))
+        loaded = LDA.load(path)
+        assert loaded.spec == model.spec
+        assert loaded.export_snapshot() == model.export_snapshot()
+        assert loaded.transform([small_corpus.documents[0]]).shape == (1, 4)
+        loaded.fit(small_corpus, num_iterations=1)
+        embedded = loaded.export_snapshot().metadata[SPEC_METADATA_KEY]
+        assert "word_proposal" not in embedded
+        assert ModelSpec.from_dict(embedded) == model.spec
+
+    def test_code_that_passes_it_gets_a_type_error(self, small_corpus, value):
+        with pytest.raises(TypeError, match="word_proposal"):
+            ModelSpec(word_proposal=value)
+        with pytest.raises(TypeError, match="word_proposal"):
+            WarpLDA(small_corpus, num_topics=4, word_proposal=value)

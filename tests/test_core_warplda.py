@@ -14,14 +14,12 @@ class TestConfig:
         assert model.num_mh_steps == 2
         assert model.beta == pytest.approx(0.01)
         assert model.kernel == "slab"
-        assert model.word_proposal == "mixture"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_topics": 0},
             {"num_topics": 5, "num_mh_steps": 0},
-            {"num_topics": 5, "word_proposal": "bogus"},
             {"num_topics": 5, "kernel": "fast"},
         ],
     )
@@ -82,12 +80,6 @@ class TestSampling:
         first = WarpLDA(small_corpus, num_topics=5, seed=42).fit(5)
         second = WarpLDA(small_corpus, num_topics=5, seed=42).fit(5)
         np.testing.assert_array_equal(first.assignments, second.assignments)
-
-    def test_alias_word_proposal_also_converges(self, small_corpus):
-        model = WarpLDA(small_corpus, num_topics=5, seed=0, word_proposal="alias")
-        initial = model.log_likelihood()
-        model.fit(6)
-        assert model.log_likelihood() > initial
 
     def test_more_mh_steps_do_not_hurt(self, small_corpus):
         few = WarpLDA(small_corpus, num_topics=5, seed=0, num_mh_steps=1).fit(8)

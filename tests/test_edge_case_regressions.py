@@ -171,14 +171,12 @@ class TestWarpLDADegenerateDocuments:
         assert model.assignments.size == 0
         assert np.allclose(model.phi().sum(axis=1), 1.0)
 
-    def test_alias_proposal_with_degenerate_documents(self):
+    def test_mixture_proposal_with_degenerate_documents(self):
         vocab = Vocabulary(["a", "b", "c"])
         corpus = Corpus(
             [Document(np.array([0])), Document(np.array([1, 2]))], vocab
         )
-        model = WarpLDA(
-            corpus, num_topics=3, seed=0, word_proposal="alias"
-        ).fit(3)
+        model = WarpLDA(corpus, num_topics=3, seed=0).fit(3)
         assert model.topic_counts.sum() == 3
 
 

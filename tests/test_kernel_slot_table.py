@@ -233,15 +233,17 @@ class TestDenseOracle:
     # binds on neither, so both consume the same per-chunk RNG streams).
     NUM_TOPICS = 512
 
-    def test_cap_is_not_binding(self, corpus):
-        for axis in ("word", "doc"):
-            buckets = corpus_buckets(corpus, axis)
+    def test_cap_is_not_binding(self, corpus, dense_oracle):
+        all_buckets = {axis: corpus_buckets(corpus, axis) for axis in ("word", "doc")}
+        for buckets in all_buckets.values():
             assert len(_phase_chunks(buckets, self.NUM_TOPICS, None)) == len(buckets)
-            assert len(_phase_chunks(buckets, self.NUM_TOPICS, None, dense=True)) == len(buckets)
             narrow = [
                 slot_table_width(self.NUM_TOPICS, b.slab_len) < self.NUM_TOPICS for b in buckets
             ]
             assert sum(narrow) >= len(buckets) - 1
+        dense_oracle()
+        for buckets in all_buckets.values():
+            assert len(_phase_chunks(buckets, self.NUM_TOPICS, None)) == len(buckets)
 
     def test_chain_output_is_bit_equal(self, corpus, dense_oracle):
         slot = run_phases(corpus, self.NUM_TOPICS, rng_seed=11)
@@ -330,20 +332,6 @@ class TestKScalingGuard:
         # would add 1 MiB at LARGE.
         small, large = peak(self.SMALL), peak(self.LARGE)
         assert abs((large - small) - 8 * (self.LARGE - self.SMALL)) < 64 * 1024
-
-    def test_exact_alias_path_keeps_the_dense_cap(self, corpus, monkeypatch):
-        # q_word(k) ∝ C_wk + β is drawn from a per-row CDF over all K topics:
-        # inherently O(K) per row, so its chunks stay bounded by R * K.
-        num_topics, max_cells = 300, 1 << 12
-        buckets = corpus_buckets(corpus, "word")
-        exact = _phase_chunks(buckets, num_topics, max_cells, dense=True)
-        assert len(exact) > len(_phase_chunks(buckets, num_topics, max_cells))
-        assert all(c.num_rows * num_topics <= max(max_cells, num_topics) for c in exact)
-
-        seen = self.record_tables(monkeypatch)
-        self.run_word_phase(corpus, num_topics, max_cells, exact_word_proposal=True)
-        assert seen and all(width == num_topics for _, width in seen)
-        assert all(rows * width <= max(max_cells, width) for rows, width in seen)
 
     def test_external_counts_allocate_no_row_by_k_array(self, corpus, monkeypatch):
         # Frozen external counts used to force the dense (R, K) table and a
