@@ -418,23 +418,30 @@ class LDA:
         """
         self._require_fitted("exporting a snapshot")
         if self._snapshot is None or self._snapshot_stale:
-            snapshot = self._model.export_snapshot()
-            # Record the spec as *executed*: a sampler without the requested
-            # path degraded (slab -> scalar) when it was built, and
-            # the provenance must say so rather than echo the request.
-            spec_dict = self.spec.to_dict()
-            spec_dict["kernel"] = resolve_kernel(
-                SAMPLER_REGISTRY[self.spec.algorithm], self.spec.kernel
-            )
-            # Telemetry is a property of the *run*, not the model: a loaded
-            # model must not silently reopen (and truncate) the training
-            # run's trace file.
-            spec_dict["telemetry"] = None
-            if snapshot.metadata.get(SPEC_METADATA_KEY) != spec_dict:
-                snapshot = snapshot.with_metadata(**{SPEC_METADATA_KEY: spec_dict})
-            self._snapshot = snapshot
+            self._snapshot = self._with_spec(self._model.export_snapshot())
             self._snapshot_stale = False
         return self._snapshot
+
+    def _with_spec(self, snapshot: "ModelSnapshot") -> "ModelSnapshot":
+        """``snapshot`` carrying this estimator's spec dict as executed.
+
+        Today's normalised dict, whatever spelling the spec was read from:
+        a retired value never survives a load-and-save round trip.
+        """
+        # Record the spec as *executed*: a sampler without the requested
+        # path degraded (slab -> scalar) when it was built, and
+        # the provenance must say so rather than echo the request.
+        spec_dict = self.spec.to_dict()
+        spec_dict["kernel"] = resolve_kernel(
+            SAMPLER_REGISTRY[self.spec.algorithm], self.spec.kernel
+        )
+        # Telemetry is a property of the *run*, not the model: a loaded
+        # model must not silently reopen (and truncate) the training
+        # run's trace file.
+        spec_dict["telemetry"] = None
+        if snapshot.metadata.get(SPEC_METADATA_KEY) != spec_dict:
+            snapshot = snapshot.with_metadata(**{SPEC_METADATA_KEY: spec_dict})
+        return snapshot
 
     def _get_engine(
         self,
@@ -530,7 +537,11 @@ class LDA:
     def from_snapshot(
         cls, snapshot: "ModelSnapshot", spec: Optional[ModelSpec] = None
     ) -> "LDA":
-        """Wrap an existing snapshot; ``spec`` overrides the embedded one."""
+        """Wrap an existing snapshot; ``spec`` overrides the embedded one.
+
+        The wrapped snapshot re-embeds the spec as this estimator reads it,
+        so saving it again writes today's spec dict.
+        """
         if spec is None:
             spec_dict = snapshot.metadata.get(SPEC_METADATA_KEY)
             if spec_dict is None:
@@ -540,7 +551,7 @@ class LDA:
                 )
             spec = ModelSpec.from_dict(spec_dict)
         model = cls(spec)
-        model._snapshot = snapshot
+        model._snapshot = model._with_spec(snapshot)
         return model
 
     # ------------------------------------------------------------------ #

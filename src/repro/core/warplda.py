@@ -274,8 +274,9 @@ class WarpLDA(Sampler):
         rates read ``c_w^local + c_w^external`` and ``c_k^local +
         c_k^external``, and the word proposal becomes an exact draw from
         ``q_word(k) ∝ C_wk^global + β`` (scalar kernel: a per-word alias
-        table; slab kernel: random positioning, a draw from this table's CDF,
-        or uniform, mixed by their masses).  Freezing
+        table; slab kernel: random positioning over the word's own tokens or
+        over this table's pseudo-tokens, or uniform, mixed by their masses,
+        O(1) per token).  Freezing
         the external contribution for a whole epoch is precisely the delayed
         count update that makes WarpLDA's MCEM reordering legal (Sec. 4.2) —
         only the delay grows from one phase to one epoch.
@@ -283,8 +284,10 @@ class WarpLDA(Sampler):
         A table with no mass (a single shard, or an empty retired window) is
         never installed: the acceptance rates are identical either way, and
         skipping it keeps the two-component mixture word proposal and avoids
-        the O(VK) proposal table (on the scalar kernel, the per-word alias
-        tables) — so it is RNG-identical to not calling this at all.
+        building the pseudo-tokens (on the scalar kernel, the per-word alias
+        tables) — so it is RNG-identical to not calling this at all.  The
+        pseudo-tokens (``ΣE`` ints, which can exceed ``V·K`` in a long
+        ``decay=1`` stream) are built once, at the next slab word phase.
         """
         word_topic = self._checked_external_counts(word_topic)
         self.clear_external_counts()
@@ -434,8 +437,8 @@ class WarpLDA(Sampler):
     def _word_phase_slab(self, chain_stats: Optional[dict] = None) -> None:
         """Word phase over bucketed word slabs (kernel path)."""
         if self._external_word_topic is not None and self._external_proposal is None:
-            # The proposal's third component draws from the installed table's
-            # CDF: one O(VK) pass per installed table, not per phase.
+            # The proposal's third component positions over the installed
+            # table's pseudo-tokens: built once per installed table.
             self._external_proposal = external_proposal_table(
                 self._external_word_topic
             )

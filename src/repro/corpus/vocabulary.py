@@ -54,6 +54,20 @@ class Vocabulary:
         self._frozen = True
         return self
 
+    def frozen_copy(self) -> "Vocabulary":
+        """A frozen copy of the words held now, built without re-validation.
+
+        The words were checked when they were added, so the copy takes the
+        word list as is and builds its index in one pass.  Words added to
+        this vocabulary later do not reach the copy: it is a fixed prefix.
+        """
+        words = self._id_to_word[:]
+        copy = Vocabulary.__new__(Vocabulary)
+        copy._id_to_word = words
+        copy._word_to_id = dict(zip(words, range(len(words))))
+        copy._frozen = True
+        return copy
+
     # ------------------------------------------------------------------ #
     def add(self, word: str) -> int:
         """Return the id of ``word``, adding it if unseen (unless frozen)."""

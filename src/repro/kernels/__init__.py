@@ -15,13 +15,13 @@ Layout
     length buckets, each a ``(rows, lengths)`` view over the axis offsets and
     order whose flat token indices come from one ragged gather, built once
     per corpus and cached on it.
-:mod:`~repro.kernels.draws`
-    Batched inverse-CDF categorical draws: per-token draws from a shared
-    ``V x K`` weight table (one ``cumsum``/``searchsorted`` pass).
 :mod:`~repro.kernels.proposals`
     The one Sec. 4.3 proposal draw of the package, shared by WarpLDA's two
     phases and the serving MH fold-in: the CSR layout of a flat token batch
-    and the positioning-mixture draw over it.
+    and the positioning-mixture draw over it, whose optional third component
+    (installed external counts) is random positioning over word-sorted
+    pseudo-tokens: O(1) per token, ``ΣE`` ints built once per installed
+    table.
 :mod:`~repro.kernels.warp`
     WarpLDA's word and document phases (Alg. 2), token-major over bucket
     chunks: the MH accept/reject chains of Eq. (7) and the proposal draws
@@ -43,7 +43,6 @@ correctness oracle; every other sampler has only its scalar per-token loop.
 """
 
 from repro.kernels.buckets import SlabBucket, build_buckets, corpus_buckets
-from repro.kernels.draws import table_categorical_draws
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.kernels.warp import document_phase, word_phase
 
@@ -53,7 +52,6 @@ __all__ = [
     "corpus_buckets",
     "document_phase",
     "positioning_mixture_proposal",
-    "table_categorical_draws",
     "token_layout",
     "word_phase",
 ]

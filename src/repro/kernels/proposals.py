@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.draws import table_categorical_draws
 from repro.sampling.alias import AliasTable
 
 __all__ = ["positioning_mixture_proposal", "token_layout"]
@@ -57,9 +56,11 @@ def positioning_mixture_proposal(
     """Draw one mixture proposal per token: ``q(k) ∝ C_rk + E_rk + prior_k``.
 
     One uniform ``x = u · (L + E + prior mass)`` per token picks the
-    component, and where ``x < L`` its integer part *is* the random position
-    (uniform on ``0 .. L - 1`` up to a bias below ``L · 2**-53``).  Only the
-    tokens that chose the table or the prior consume a second draw.
+    component, and where ``x < L + E`` its integer part *is* the random
+    position (uniform on ``0 .. L + E - 1`` up to a bias below ``(L + E) ·
+    2**-53``): a token of the row where ``x < L``, else pseudo-token
+    ``floor(x) - L`` of the row's table segment.  Only the tokens that chose
+    the prior consume a second draw.
 
     Parameters
     ----------
@@ -79,14 +80,15 @@ def positioning_mixture_proposal(
         ``K``; the prior component draws uniformly when ``alpha_alias`` is
         ``None`` (symmetric prior), from the alias table otherwise.
     table:
-        Optional frozen third component ``(cdf, token_rows, token_mass)``:
-        a :func:`repro.kernels.draws.prepare_table` CDF of a ``(V, K)``
-        count table, each token's row in it and that row's total mass
-        ``E_r`` (a row of zero mass is never selected).
+        Optional frozen third component ``(topics, token_start, token_mass)``:
+        the pseudo-tokens of a ``(V, K)`` count table
+        (:func:`repro.kernels.warp.external_proposal_table`), and per token
+        the start ``offsets[r]`` and length ``E_r`` of its row's segment in
+        them (a row of zero mass is never selected).
     """
     reach = token_length
     if table is not None:
-        cdf, token_rows, token_mass = table
+        table_topics, token_start, token_mass = table
         reach = token_length + token_mass
     target = rng.random(token_offset.size) * (reach + prior_mass)
     rest = np.flatnonzero(target >= token_length)
@@ -94,9 +96,10 @@ def positioning_mixture_proposal(
     positions[rest] = 0  # not a position there; any in-row token will do
     drawn = source_assignments.take(token_offset + positions)
     if table is not None:
-        from_table = target[rest] < reach[rest]
+        past = target[rest].astype(np.int64) - token_length[rest]
+        from_table = past < token_mass[rest]
         tabled = rest[from_table]
-        drawn[tabled] = table_categorical_draws(cdf, num_topics, token_rows[tabled], rng)
+        drawn[tabled] = table_topics.take(token_start[tabled] + past[from_table])
         rest = rest[~from_table]
     if alpha_alias is None:
         drawn[rest] = rng.integers(num_topics, size=rest.size)

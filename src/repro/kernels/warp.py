@@ -49,11 +49,13 @@ dense ``(R, K)`` histogram is never needed for it:
   dense histogram, with no ownership check.
 * **Frozen external counts** (``external_word_topic``: every shard of the
   data-parallel trainer, every streaming batch once documents have retired)
-  stay K-free per token: the chain reads ``slot lookup + E[word, topic]`` and
+  stay O(1) per token: the chain reads ``slot lookup + E[word, topic]`` and
   the word proposal is the exact three-component mixture ``q(k) ∝ C_wk^local
-  + E_wk + β`` — random positioning, a draw from the installed table's CDF,
-  or uniform.  The CDF is one O(VK) pass per installed table
-  (:func:`external_proposal_table`), not per row or per phase.
+  + E_wk + β`` — random positioning over the word's tokens, over its
+  ``E_w`` pseudo-tokens (:func:`external_proposal_table`: ``ΣE`` ints and
+  ``V + 1`` offsets, built once per installed table; ``ΣE`` can exceed
+  ``V·K`` in a long ``decay=1`` stream), or uniform.  One uniform picks the
+  component and the position, so a table draw is one gather, with no search.
 
 Only the scalar oracle (a ``bincount`` of length ``K`` per row) is O(K)
 by design; :func:`repro.evaluation.likelihood
@@ -82,7 +84,6 @@ import numpy as np
 
 from repro.kernels import pool
 from repro.kernels.buckets import MAX_SLAB_CELLS, MIN_SLOT_WIDTH, SlabBucket
-from repro.kernels.draws import prepare_table
 from repro.kernels.proposals import positioning_mixture_proposal, token_layout
 from repro.sampling.alias import AliasTable
 
@@ -143,14 +144,23 @@ def external_proposal_table(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The proposal side of a frozen ``(V, K)`` external count table.
 
-    Returns its :func:`~repro.kernels.draws.prepare_table` CDF and the
-    per-word mass ``E_w``: what the three-component word proposal draws from
-    and weighs.  One O(VK) pass, so callers that keep a table installed for
-    several phases (``WarpLDA.set_external_counts``) build it once and hand
-    it to :func:`word_phase`.
+    Returns ``(topics, offsets)``: the table as word-sorted pseudo-tokens —
+    every non-zero cell ``(w, k)`` contributes topic ``k`` ``E_wk`` times —
+    and the ``V + 1`` cumulative sums of ``E_w``, so word ``w``'s
+    pseudo-tokens are ``topics[offsets[w]:offsets[w + 1]]`` (empty for a
+    word of zero mass).  A uniformly random one of them is an exact draw
+    from ``E_w· / E_w``, the third component of the word proposal.  Callers
+    that keep a table installed for several phases (``WarpLDA``) build this
+    once and hand it to :func:`word_phase`.
     """
-    mass = external_word_topic.sum(axis=1).astype(np.float64)
-    return prepare_table(external_word_topic), mass
+    num_words, num_topics = external_word_topic.shape
+    flat = external_word_topic.reshape(-1)
+    cells = np.flatnonzero(flat)
+    topic_dtype = np.min_scalar_type(num_topics - 1)
+    topics = np.repeat((cells % num_topics).astype(topic_dtype), flat[cells])
+    offsets = np.zeros(num_words + 1, dtype=np.int64)
+    np.cumsum(external_word_topic.sum(axis=1), out=offsets[1:])
+    return topics, offsets
 
 
 def _slot_counts(
@@ -283,7 +293,8 @@ def _chunk_body(
 
     ``prior`` is β (word phase) or the α vector (document phase),
     ``prior_mass`` its total over the topics; ``external`` is the frozen
-    ``(table, cdf, mass)`` of the other shards' word-topic counts.  Mutates
+    ``(table, topics, offsets)`` of the other shards' word-topic counts
+    (the table and its :func:`external_proposal_table`).  Mutates
     ``assignments`` (this chunk's tokens only — chunks are disjoint) and
     ``proposals`` (the same token columns) in place; every random draw comes
     from the task-local ``rng``.  The flat view of the chunk is rebuilt here
@@ -299,7 +310,7 @@ def _chunk_body(
         current, row, chunk.num_rows, num_topics, width
     )
     if external is not None:
-        external_table, external_cdf, external_mass = external
+        external_table, table_topics, table_offsets = external
         token_words = chunk.rows[row]
         external_at = _external_counts(external_table, token_words)
 
@@ -324,7 +335,9 @@ def _chunk_body(
     # after the chain): random positioning reads them off ``current`` itself.
     table = None
     if external is not None:
-        table = (external_cdf, token_words, external_mass[token_words])
+        token_start = table_offsets.take(token_words)
+        token_mass = table_offsets.take(token_words + 1) - token_start
+        table = (table_topics, token_start, token_mass)
     for step in range(proposals.shape[0]):
         proposals[step][flat] = positioning_mixture_proposal(
             current, token_offset, token_length, prior_mass, num_topics, rng,
@@ -381,11 +394,11 @@ def word_phase(
     Mutates ``assignments`` and ``proposals`` in place.  ``stale_topic_counts``
     is the phase-frozen global ``c_k`` (float64, external shard counts already
     added).  With frozen ``external_word_topic`` counts installed the chain
-    reads ``C_wk^local + E_wk`` and the proposal gains a third component, a
-    draw from the table's CDF (random positioning cannot reach the other
-    shards' tokens); ``external_proposal`` is that table's
-    :func:`external_proposal_table`, built here when the caller has not kept
-    one.
+    reads ``C_wk^local + E_wk`` and the proposal gains a third component,
+    random positioning over the table's pseudo-tokens (the word's own tokens
+    cannot reach the other shards' counts); ``external_proposal`` is that
+    table's :func:`external_proposal_table`, built here when the caller has
+    not kept one.
 
     Bucket chunks run as independent tasks on :mod:`repro.kernels.pool`
     (``threads`` per :func:`repro.kernels.pool.resolve_threads`), each with

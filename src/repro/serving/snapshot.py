@@ -63,7 +63,8 @@ class ModelSnapshot:
         Symmetric word Dirichlet parameter.
     vocabulary:
         The training vocabulary; ``V`` must equal ``vocabulary.size``.  The
-        snapshot stores a frozen copy so later lookups can never grow it.
+        snapshot stores a frozen copy so later lookups can never grow it (a
+        vocabulary that is frozen already cannot grow, and is kept as is).
     metadata:
         Optional JSON-compatible provenance (sampler name, iterations, ...).
     """
@@ -100,7 +101,7 @@ class ModelSnapshot:
         self._phi = phi
         self._alpha = alpha_vector
         self._beta = float(beta)
-        self._vocabulary = Vocabulary(vocabulary.words()).freeze()
+        self._vocabulary = vocabulary if vocabulary.frozen else vocabulary.frozen_copy()
         self._metadata = dict(metadata) if metadata else {}
 
     # ------------------------------------------------------------------ #
@@ -230,7 +231,7 @@ class ModelSnapshot:
         snapshot._phi = phi
         snapshot._alpha = alpha
         snapshot._beta = float(beta)
-        snapshot._vocabulary = vocabulary if vocabulary.frozen else Vocabulary(vocabulary.words()).freeze()
+        snapshot._vocabulary = vocabulary if vocabulary.frozen else vocabulary.frozen_copy()
         snapshot._metadata = dict(metadata) if metadata else {}
         return snapshot
 

@@ -320,11 +320,9 @@ class OnlineTrainer:
         offsets = self.corpus.doc_offsets
         start = int(offsets[self._retired_docs]) if self.corpus.num_documents else 0
         if self.corpus.num_tokens > start:
-            np.add.at(
-                counts,
-                (self.corpus.token_words[start:], self.assignments[start:]),
-                1.0,
-            )
+            cells = self.corpus.token_words[start:].astype(np.int64) * self.num_topics
+            cells += self.assignments[start:]
+            counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
         return counts
 
     def phi(self, vocab_size: Optional[int] = None) -> np.ndarray:
@@ -350,7 +348,7 @@ class OnlineTrainer:
 
         if self.batches_ingested == 0 or self.corpus.num_tokens == 0:
             raise ValueError("cannot export a snapshot before ingesting any tokens")
-        words = self.corpus.vocabulary.words()
+        vocabulary = self.corpus.vocabulary.frozen_copy()
         metadata: Dict[str, Any] = {
             "sampler": f"Online[{self._sampler_keywords['algorithm']}]",
             "batches_ingested": self.batches_ingested,
@@ -362,10 +360,10 @@ class OnlineTrainer:
         if extra_metadata:
             metadata.update(extra_metadata)
         return ModelSnapshot(
-            phi=self.phi(vocab_size=len(words)),
+            phi=self.phi(vocab_size=vocabulary.size),
             alpha=self.alpha,
             beta=self.beta,
-            vocabulary=Vocabulary(words),
+            vocabulary=vocabulary,
             metadata=metadata,
         )
 

@@ -254,6 +254,23 @@ class TestRetiredKernelName:
         assert loaded.spec == model.spec
         assert loaded.export_snapshot() == model.export_snapshot()
 
+    def test_load_and_save_writes_todays_spec(self, small_corpus, tmp_path):
+        model = LDA(num_topics=4, seed=0).fit(small_corpus, num_iterations=1)
+        path = model.save(tmp_path / "model.npz")
+        sidecar = tmp_path / "model.npz.json"
+        today = json.loads(sidecar.read_text())["metadata"][SPEC_METADATA_KEY]
+        _rewrite_kernel(sidecar, "metadata", SPEC_METADATA_KEY)
+        document = json.loads(sidecar.read_text())
+        document["metadata"][SPEC_METADATA_KEY]["word_proposal"] = "alias"
+        sidecar.write_text(json.dumps(document))
+        resaved = LDA.load(path).save(tmp_path / "resaved.npz")
+        written = json.loads((tmp_path / "resaved.npz.json").read_text())
+        assert written["metadata"][SPEC_METADATA_KEY] == today
+        reloaded = LDA.load(resaved).export_snapshot()
+        assert reloaded.metadata[SPEC_METADATA_KEY] == today
+        assert reloaded.phi.tobytes() == model.export_snapshot().phi.tobytes()
+        assert resaved.read_bytes() == path.read_bytes()
+
     def test_checkpoint_resumes_byte_identically_to_slab(self, small_corpus, tmp_path):
         with ParallelTrainer(
             small_corpus, num_workers=2, num_topics=5, seed=11, backend="inline"

@@ -59,6 +59,17 @@ class TestFreeze:
         with pytest.raises(KeyError):
             vocab.add("b")
 
+    def test_frozen_copy_is_a_fixed_prefix(self):
+        vocab = Vocabulary(["a", "b", "c"])
+        copy = vocab.frozen_copy()
+        vocab.add("d")
+        assert copy.frozen and not vocab.frozen
+        assert copy == Vocabulary(["a", "b", "c"])
+        assert [copy[word] for word in "abc"] == [0, 1, 2]
+        assert "d" not in copy
+        with pytest.raises(KeyError):
+            copy.add("d")
+
 
 class TestEquality:
     def test_equal_vocabularies(self):

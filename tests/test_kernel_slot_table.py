@@ -13,8 +13,8 @@ histogram.  Two things are pinned here:
 * **K-independence, by counting** — the chunk list and every allocated table
   cell are the same at ``K = 2**14`` and ``K = 2**20``, nothing on the
   positioning path — external counts installed or not — allocates a table
-  along a ``K`` axis, and the exact-alias path, which must, still honours
-  ``R * K <= max_cells``.
+  along a ``K`` axis, and the installed table's proposal side costs
+  ``O(ΣE + V)``, not ``O(VK)``.
 """
 
 import tracemalloc
@@ -334,21 +334,28 @@ class TestKScalingGuard:
         assert abs((large - small) - 8 * (self.LARGE - self.SMALL)) < 64 * 1024
 
     def test_external_counts_allocate_no_row_by_k_array(self, corpus, monkeypatch):
-        # Frozen external counts used to force the dense (R, K) table and a
-        # per-row CDF.  Now the chunks and their tables are the positioning
-        # path's own, and the whole phase peaks below one (R, K) array of its
-        # largest chunk.
+        # The proposal side of installed counts is ΣE pseudo-tokens plus
+        # V + 1 offsets, and the chunks and their tables are the positioning
+        # path's own: on a sparse table (ΣE << VK) building the proposal
+        # table and running the phase together peak below one byte per
+        # (V, K) cell.
         num_topics, max_cells = 4096, 1 << 12
+        num_words = corpus.vocabulary_size
         buckets = corpus_buckets(corpus, "word")
         chunks = _phase_chunks(buckets, num_topics, max_cells)
         rng = np.random.default_rng(4)
-        external = rng.integers(0, 3, size=(corpus.vocabulary_size, num_topics))
+        external = np.zeros((num_words, num_topics), dtype=np.int64)
+        for word in range(num_words):
+            used = rng.choice(num_topics, size=8, replace=False)
+            external[word, used] = rng.integers(1, 4, size=8)
         external[buckets[0].rows[0]] = 0
-        proposal = external_proposal_table(external)
+        total = int(external.sum())
 
         seen = self.record_tables(monkeypatch)
         tracemalloc.start()
         try:
+            proposal = external_proposal_table(external)
+            table_peak = tracemalloc.get_traced_memory()[1]
             self.run_word_phase(
                 corpus, num_topics, max_cells,
                 external_word_topic=external, external_proposal=proposal,
@@ -360,7 +367,8 @@ class TestKScalingGuard:
             (c.num_rows, slot_table_width(num_topics, c.slab_len)) for c in chunks
         ]
         assert all(width < num_topics for _, width in seen)
-        assert peak < max(c.num_rows for c in chunks) * num_topics * 8
+        assert table_peak < 32 * (total + num_words + 1)
+        assert peak < num_words * num_topics
 
     @staticmethod
     def record_tables(monkeypatch):

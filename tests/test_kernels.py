@@ -10,10 +10,9 @@ from repro.kernels import (
     build_buckets,
     corpus_buckets,
     positioning_mixture_proposal,
-    table_categorical_draws,
     token_layout,
 )
-from repro.kernels.draws import prepare_table
+from repro.kernels.warp import external_proposal_table
 
 
 @pytest.fixture
@@ -158,19 +157,6 @@ class TestBucketLayoutProperties:
                 )
 
 
-class TestDraws:
-    def test_table_draws_follow_row_ids(self):
-        rng = np.random.default_rng(3)
-        table = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        cdf = prepare_table(table)
-        row_ids = np.array([0] * 100 + [1] * 100 + [2] * 10000)
-        draws = table_categorical_draws(cdf, 2, row_ids, rng)
-        assert (draws[:100] == 0).all()
-        assert (draws[100:200] == 1).all()
-        frequency = np.mean(draws[200:])
-        assert abs(frequency - 0.5) < 0.03
-
-
 class TestProposals:
     def test_token_layout(self):
         offsets, token_row, token_offset, token_length = token_layout([2, 0, 3])
@@ -197,3 +183,67 @@ class TestProposals:
         )
         frequencies = np.bincount(proposed, minlength=4) / 20000
         np.testing.assert_allclose(frequencies, 0.25, atol=0.02)
+
+
+class ScriptedRng:
+    """Stands in for a Generator: the given uniforms, then ``K - 1`` for the prior."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+    def integers(self, high, size):
+        return np.full(size, high - 1, dtype=np.int64)
+
+
+class TestExternalProposalTable:
+    @given(
+        num_words=st.integers(1, 12),
+        num_topics=st.sampled_from([1, 3, 8, 300]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pseudo_tokens_are_the_table(self, num_words, num_topics, seed):
+        rng = np.random.default_rng(seed)
+        external = rng.integers(0, 4, size=(num_words, num_topics))
+        external[rng.random(num_words) < 0.3] = 0  # zero-mass words
+        topics, offsets = external_proposal_table(external)
+        mass = external.sum(axis=1)
+        np.testing.assert_array_equal(offsets, np.concatenate([[0], np.cumsum(mass)]))
+        assert topics.size == mass.sum()
+        for word in range(num_words):
+            segment = topics[offsets[word] : offsets[word + 1]]
+            np.testing.assert_array_equal(
+                np.bincount(segment, minlength=num_topics), external[word]
+            )
+            if mass[word] == 0:
+                assert segment.size == 0
+
+    def test_boundaries_pick_the_right_component(self):
+        # Word 1's segment holds pseudo-tokens [1, 3] at offsets 1..2; word 2
+        # has no mass.  With L = 2 tokens (topics 5, 6) and prior mass 4, the
+        # uniform scales to x in [0, 8) for word 1: [0, 2) positions in the
+        # row, [2, 4) in the segment, [4, 8) is the prior (sentinel K - 1).
+        external = np.zeros((3, 8), dtype=np.int64)
+        external[0, 2] = 1
+        external[1, [1, 3]] = 1
+        topics, offsets = external_proposal_table(external)
+        np.testing.assert_array_equal(topics, [2, 1, 3])
+        uniforms = np.array([0.0, 0.25, 0.25, 0.375, 0.5, 0.5, 1 / 3, 1 / 3])
+        uniforms[[1, 4, 7]] = np.nextafter(uniforms[[1, 4, 7]], 0.0)  # just below
+        expected = [5, 6, 1, 3, 3, 7, 7, 6]
+        words = np.array([1, 1, 1, 1, 1, 1, 2, 2])  # word 2: x = L is the prior
+        source = np.array([5, 6])
+        proposed = positioning_mixture_proposal(
+            source,
+            np.zeros(words.size, dtype=np.int64),
+            np.full(words.size, 2),
+            4.0,
+            8,
+            ScriptedRng(uniforms),
+            table=(topics, offsets[words], offsets[words + 1] - offsets[words]),
+        )
+        np.testing.assert_array_equal(proposed, expected)
