@@ -291,13 +291,16 @@ class WarpLDA(Sampler):
         """
         word_topic = self._checked_external_counts(word_topic)
         self.clear_external_counts()
-        if not word_topic.any():
+        # The counts are non-negative, so the table has no mass iff its
+        # column sums are all zero.
+        topic_sums = word_topic.sum(axis=0)
+        if not topic_sums.any():
             return
         # The kernels read these from every concurrent bucket task, so they
         # are immutable for the phase (and never alias the caller's array).
         word_topic.flags.writeable = False
         self._external_word_topic = word_topic
-        self._external_topic_f64 = word_topic.sum(axis=0).astype(np.float64)
+        self._external_topic_f64 = topic_sums.astype(np.float64)
         self._external_topic_f64.flags.writeable = False
 
     def clear_external_counts(self) -> None:

@@ -37,16 +37,21 @@ dense ``(R, K)`` histogram is never needed for it:
 * **K-free per token** — the MH chain of both phases and the positioning
   mixture proposals.  Counts live in ``R * W`` slots with ``W =``
   :func:`slot_table_width` ``= min(K, max(64, 2 L))``: topic ``t`` of row
-  ``r`` sits in slot ``r * W + (t & (W - 1))``, an owner array says which
-  topic holds each slot, and the few tokens whose topic lost its slot go to a
-  sorted overflow list that a lookup consults only for slots flagged
-  contested (:func:`_slot_counts`).  Counts are integers, so every read is
-  exactly the dense histogram's; chunks are cut so ``R * W <= max_cells``,
-  which makes the chunk list, the table sizes and the allocations the same at
-  ``K = 2**14`` and ``K = 2**20``.  The only K-long arrays touched are the
-  shared ``stale_topic_counts`` (and its reciprocal) and ``alpha``.  For
-  ``K <= 64`` (and wherever ``2 L >= K``) ``W == K``: the table *is* the
-  dense histogram, with no ownership check.
+  ``r`` hashes to slot ``r * W + (t & (W - 1))``, whose one cell (int32
+  up to ``K = 2**16``) packs the owning topic and its count, so a read is
+  one gather.  The tokens whose topic lost its slot are hashed again into a
+  second level (``t ^ (t >> log2 W)``), and the few that lose twice go to a
+  sorted list; a lookup goes down a level only where it missed a slot
+  flagged contested (:func:`_slot_counts`).  The cells are a workspace owned by the phase,
+  one per running task, that a chunk claims and releases slot by slot: the
+  build costs O(tokens), not O(``R * W``), and nothing is allocated per
+  chunk along the table.  Counts are integers, so every read is exactly the
+  dense histogram's; chunks are cut so ``R * W <= max_cells``, which makes
+  the chunk list, the table sizes and the allocations the same at ``K =
+  2**14`` and ``K = 2**20``.  The only K-long arrays touched are the shared
+  ``stale_topic_counts`` (and its reciprocal) and ``alpha``.  For ``K <=
+  64`` (and wherever ``2 L >= K``) ``W == K``: the table *is* the dense
+  histogram, one ``bincount``, with no ownership check.
 * **Frozen external counts** (``external_word_topic``: every shard of the
   data-parallel trainer, every streaming batch once documents have retired)
   stay O(1) per token: the chain reads ``slot lookup + E[word, topic]`` and
@@ -77,6 +82,7 @@ never depends on the thread count.
 
 from __future__ import annotations
 
+import queue
 from functools import partial
 from typing import Callable, List, Optional, Tuple, Union
 
@@ -96,7 +102,7 @@ __all__ = [
 
 #: One chunk's delayed per-row counts as the MH chain reads them: maps one
 #: topic per real token of the chunk to ``c[row of the token, topic]``
-#: (float64), exact for any topic, present in the row or not.
+#: (float64 or integer), exact for any topic, present in the row or not.
 CountLookup = Callable[[np.ndarray], np.ndarray]
 
 
@@ -154,30 +160,142 @@ def external_proposal_table(
     once and hand it to :func:`word_phase`.
     """
     num_words, num_topics = external_word_topic.shape
-    flat = external_word_topic.reshape(-1)
-    cells = np.flatnonzero(flat)
-    topic_dtype = np.min_scalar_type(num_topics - 1)
-    topics = np.repeat((cells % num_topics).astype(topic_dtype), flat[cells])
     offsets = np.zeros(num_words + 1, dtype=np.int64)
     np.cumsum(external_word_topic.sum(axis=1), out=offsets[1:])
+    topics = np.empty(int(offsets[-1]), dtype=np.min_scalar_type(num_topics - 1))
+    # Rows are scanned a block at a time through a bool mask (cheaper to scan
+    # than the int64 cells), the block about ΣE + V cells, so the scratch
+    # stays O(ΣE + V) however many of the V·K cells are zero.
+    block = max(1, (topics.size + num_words) // max(1, num_topics))
+    for start in range(0, num_words, block):
+        rows = external_word_topic[start : start + block].reshape(-1)
+        cells = np.flatnonzero(rows != 0)
+        topics[offsets[start] : offsets[min(start + block, num_words)]] = np.repeat(
+            cells % num_topics, rows.take(cells)
+        )
     return topics, offsets
 
 
+class _SlotWorkspace:
+    """Reusable cells for the slot tables of one running task.
+
+    Two levels of ``cells`` slots.  A slot's cell packs the topic that owns
+    it (the high bits, ``-1`` if the slot is free) and that topic's count in
+    the row (the low ``shift`` bits), so one gather reads both; a
+    ``contested`` flag per slot says some other topic of the row hashed
+    there and lost.  A narrow table's rows are shorter than ``K / 2``, so
+    for ``K <= 2**16`` a 16-bit topic and a 15-bit count fit an int32 cell
+    (half the bytes to gather and scatter); above, an int64 cell holds
+    topics up to ``2**31``.
+
+    A build writes only the slots its tokens hash to and :meth:`release`
+    clears exactly those again, so building a chunk costs O(tokens), not
+    O(``R * W``), and the arrays are allocated once per phase and task
+    instead of once per chunk.  ``cells`` is the largest ``R * W`` of the
+    phase's narrow chunks — at most ``max_cells`` unless one row is wider —
+    whatever ``K`` is.  A workspace serves one chunk at a time: the lookup
+    of a chunk is valid until :meth:`release`.
+    """
+
+    LEVELS = 2
+
+    def __init__(self, cells: int, num_topics: int) -> None:
+        if num_topics > 1 << 31:
+            raise ValueError(f"slot tables hold topics below 2**31, got K = {num_topics}")
+        dtype, self.shift = (np.int32, 15) if num_topics <= 1 << 16 else (np.int64, 32)
+        self.count_mask = (1 << self.shift) - 1
+        self.one = dtype(1)
+        self.cell = np.full((self.LEVELS, cells), -1, dtype=dtype)
+        self.contested = np.zeros((self.LEVELS, cells), dtype=bool)
+        self._touched: List[Tuple[int, np.ndarray, np.ndarray]] = []
+
+    def claim(self, level: int, slot: np.ndarray, topics: np.ndarray) -> np.ndarray:
+        """Count ``topics`` into ``slot`` of ``level``; returns the losers' indices.
+
+        Every slot ends up owned by one of the topics hashed to it, with that
+        topic's exact count; the tokens of the other topics lose, and their
+        slots are flagged contested.  Which claimant wins is immaterial.
+        """
+        cell = self.cell[level]
+        claimed = (topics << self.shift).astype(cell.dtype, copy=False)
+        cell[slot] = claimed
+        lost = np.flatnonzero(cell.take(slot) != claimed)
+        np.add.at(cell, slot, self.one)
+        lost_slot = slot.take(lost)
+        if lost.size:
+            np.subtract.at(cell, lost_slot, self.one)
+            self.contested[level][lost_slot] = True
+        self._touched.append((level, slot, lost_slot))
+        return lost
+
+    def counts(self, level: int, slot: np.ndarray) -> np.ndarray:
+        """The counts held in ``slot`` of ``level`` (whichever topic owns them)."""
+        return self.cell[level].take(slot) & self.count_mask
+
+    def read(
+        self, level: int, at: np.ndarray, topics: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Counts of ``topics`` at slots ``at`` of ``level``, and which to look up deeper.
+
+        A topic that owns its slot reads its count, any other reads 0, which
+        is exact unless the slot is contested: the topic may then have lost
+        it, so the second returned array names the reads to repeat one level
+        down.
+        """
+        cell = self.cell[level].take(at)
+        hit = cell >> self.shift == topics.astype(cell.dtype, copy=False)
+        counts = np.where(hit, cell & self.count_mask, 0)
+        deeper = np.flatnonzero(self.contested[level].take(at) > hit)  # and not hit
+        return counts, deeper
+
+    def release(self) -> None:
+        """Free every slot the current chunk claimed, for the next chunk."""
+        for level, slot, lost_slot in self._touched:
+            self.cell[level][slot] = -1
+            self.contested[level][lost_slot] = False
+        self._touched.clear()
+
+
+def _workspace_cells(chunks: List[SlabBucket], num_topics: int) -> int:
+    """Slots a :class:`_SlotWorkspace` needs for the narrow (``W < K``) chunks."""
+    cells = [
+        chunk.num_rows * width
+        for chunk in chunks
+        if (width := slot_table_width(num_topics, chunk.slab_len)) < num_topics
+    ]
+    return max(cells, default=0)
+
+
 def _slot_counts(
-    current: np.ndarray, row: np.ndarray, num_rows: int, num_topics: int, width: int
+    current: np.ndarray,
+    row: np.ndarray,
+    num_rows: int,
+    num_topics: int,
+    width: int,
+    workspace: Optional[_SlotWorkspace] = None,
 ) -> Tuple[CountLookup, np.ndarray]:
-    """Exact per-row counts of a chunk's real tokens in ``num_rows * width`` cells.
+    """Exact per-row counts of a chunk's real tokens, in ``num_rows * width`` slots.
 
     ``current`` and ``row`` hold one topic and one local row id per token.
-    Topic ``t`` of row ``r`` lives in slot ``r * width + (t & (width - 1))``;
-    ``owner[slot]`` names the one topic of the row whose count the slot holds.
-    Tokens whose topic lost its slot to another are counted in a sorted
-    ``(row * K + topic)`` overflow list instead, and their slots are flagged
-    contested, so a lookup pays for a ``searchsorted`` only where it misses
-    the owner of a contested slot.  Every read is exact — the lookup equals
-    the dense histogram at ``(row, topic)`` for any topics, present in the
-    row or not — and nothing here has a ``K``-sized axis.  ``width ==
-    num_topics`` is the dense histogram, with no ownership check.
+    ``width == num_topics`` is the dense ``(R, K)`` histogram (one
+    ``bincount``).  Otherwise topic ``t`` of row ``r`` is hashed to slot
+    ``r * width + (t & (width - 1))`` of the first level of ``workspace``
+    (:meth:`_SlotWorkspace.claim`, which claims and later releases only the
+    slots the tokens touch); the tokens whose topic lost its slot are
+    claimed again in the second level at ``r * width + ((t ^ (t >> log2
+    width)) & (width - 1))`` — topics congruent mod ``width`` spread out
+    there — and the few that lose twice are counted in a sorted ``(row * K +
+    topic)`` list.  A lookup reads the first level, goes down a level only
+    where it missed a contested slot, and searches the list only where it
+    missed a contested second-level slot.
+
+    Every read is exact — the lookup, given one topic per token, equals the
+    dense histogram at ``(row of the token, topic)`` for any topics, present
+    in the row or not — and nothing here has a ``K``-sized axis.  Counts are
+    float64 from the dense histogram and integers from a narrow table (int32
+    cells for ``K <= 2**16``), which needs ``K <= 2**31``.  ``workspace``
+    defaults to a private one; a caller that passes its own releases it
+    (:meth:`_SlotWorkspace.release`) once the lookup is no longer needed.
 
     Returns the lookup and, since building the table has already found where
     every token's own count lives, the counts at ``current`` itself.
@@ -188,35 +306,55 @@ def _slot_counts(
             np.float64
         )
         return (lambda topics: dense.take(base + topics)), dense.take(base + current)
+    if workspace is None:
+        workspace = _SlotWorkspace(num_rows * width, num_topics)
+    mask = width - 1
+    shift = width.bit_length() - 1
     base = row * width
-    slot = base + (current & (width - 1))
-    # Which of a slot's claimants wins is immaterial: the losers overflow.
-    owner = np.full(num_rows * width, -1, dtype=current.dtype)
-    owner[slot] = current
-    owned = owner[slot] == current
-    lost = np.flatnonzero(~owned)
-    table = np.bincount(slot[owned], minlength=owner.size).astype(np.float64)
-    overflow_keys, lost_index, overflow_counts = np.unique(
-        row[lost] * num_topics + current[lost], return_inverse=True, return_counts=True
-    )
-    contested = np.zeros(owner.size, dtype=bool)
-    contested[slot[lost]] = True
-    count_current = table[slot]
-    count_current[lost] = overflow_counts[lost_index]
+
+    def second_slot(which: np.ndarray, topics: np.ndarray) -> np.ndarray:
+        return base.take(which) + ((topics ^ (topics >> shift)) & mask)
+
+    slot = current & mask
+    slot += base
+    lost = workspace.claim(0, slot, current)
+    count_current = workspace.counts(0, slot)
+    overflow_keys = overflow_counts = None
+    if lost.size:
+        lost_topics = current.take(lost)
+        lost_slot = second_slot(lost, lost_topics)
+        lost_twice = workspace.claim(1, lost_slot, lost_topics)
+        lost_counts = workspace.counts(1, lost_slot)
+        if lost_twice.size:
+            overflow_keys, inverse, overflow_counts = np.unique(
+                row.take(lost.take(lost_twice)) * num_topics
+                + lost_topics.take(lost_twice),
+                return_inverse=True,
+                return_counts=True,
+            )
+            lost_counts[lost_twice] = overflow_counts.take(inverse)
+        count_current[lost] = lost_counts
 
     def lookup(topics: np.ndarray) -> np.ndarray:
-        at = base + (topics & (width - 1))
-        hit = owner[at] == topics
-        counts = np.where(hit, table[at], 0.0)
-        missed = np.flatnonzero(contested[at] & ~hit)
-        if missed.size:
-            keys = row[missed] * num_topics + topics[missed]
-            found = np.minimum(
-                np.searchsorted(overflow_keys, keys), overflow_keys.size - 1
+        at = topics & mask
+        at += base
+        counts, deeper = workspace.read(0, at, topics)
+        if deeper.size:
+            deep_topics = topics.take(deeper)
+            deep_counts, deepest = workspace.read(
+                1, second_slot(deeper, deep_topics), deep_topics
             )
-            counts[missed] = np.where(
-                overflow_keys[found] == keys, overflow_counts[found], 0
-            )
+            if deepest.size:
+                keys = row.take(deeper.take(deepest)) * num_topics + deep_topics.take(
+                    deepest
+                )
+                found = np.minimum(
+                    np.searchsorted(overflow_keys, keys), overflow_keys.size - 1
+                )
+                deep_counts[deepest] = np.where(
+                    overflow_keys.take(found) == keys, overflow_counts.take(found), 0
+                )
+            counts[deeper] = deep_counts
         return counts
 
     return lookup, count_current
@@ -288,6 +426,7 @@ def _chunk_body(
     chunk: SlabBucket,
     rng: np.random.Generator,
     chain_stats: Optional[dict],
+    workspace: _SlotWorkspace,
 ) -> None:
     """Either phase's body for one bucket chunk (one pool task).
 
@@ -297,9 +436,10 @@ def _chunk_body(
     (the table and its :func:`external_proposal_table`).  Mutates
     ``assignments`` (this chunk's tokens only — chunks are disjoint) and
     ``proposals`` (the same token columns) in place; every random draw comes
-    from the task-local ``rng``.  The flat view of the chunk is rebuilt here
-    on every call rather than cached: it is cheap next to the chain and a
-    cache would hold a second copy of the corpus index.
+    from the task-local ``rng``; ``workspace`` holds the chunk's slot table
+    and is released again before the call returns.  The flat view of the
+    chunk is rebuilt here on every call rather than cached: it is cheap next
+    to the chain and a cache would hold a second copy of the corpus index.
     """
     layout = token_layout(chunk.lengths)
     _, row, token_offset, token_length = layout
@@ -307,7 +447,7 @@ def _chunk_body(
     current = assignments.take(flat)
     width = slot_table_width(num_topics, chunk.slab_len)
     count_at, count_current = _slot_counts(
-        current, row, chunk.num_rows, num_topics, width
+        current, row, chunk.num_rows, num_topics, width, workspace
     )
     if external is not None:
         external_table, table_topics, table_offsets = external
@@ -329,6 +469,7 @@ def _chunk_body(
         rng,
         chain_stats=chain_stats,
     )
+    workspace.release()
     assignments[flat] = current
 
     # Fresh counts for the proposal distribution (Alg. 2 recomputes them
@@ -348,7 +489,8 @@ def _chunk_body(
 def _run_phase(
     label: str,
     chunks: List[SlabBucket],
-    body: Callable[[SlabBucket, np.random.Generator, Optional[dict]], None],
+    num_topics: int,
+    body: Callable[..., None],
     rng: np.random.Generator,
     chain_stats: Optional[dict],
     threads: Optional[int],
@@ -356,14 +498,29 @@ def _run_phase(
     """Dispatch ``body`` over the phase's chunks, one spawned RNG stream each.
 
     ``chain_stats`` is modified in place: its ``proposed``/``accepted``
-    entries accumulate the per-task totals.
+    entries accumulate the per-task totals.  The phase owns the
+    :class:`_SlotWorkspace` s: a task takes a free one (or makes one, so there
+    are never more than tasks running at once) and hands it back when it is
+    done, so each is used by one task at a time.  A workspace holds nothing
+    between chunks, so which task gets which never changes a result.
     """
     if not chunks:
         return
     task_rngs = pool.spawn_task_rngs(rng, len(chunks))
     per_task = [{"proposed": 0, "accepted": 0} for _ in chunks]
+    cells = _workspace_cells(chunks, num_topics)
+    free: "queue.SimpleQueue[_SlotWorkspace]" = queue.SimpleQueue()
+
+    def task(chunk: SlabBucket, task_rng: np.random.Generator, stats: Optional[dict]):
+        try:
+            workspace = free.get_nowait()
+        except queue.Empty:
+            workspace = _SlotWorkspace(cells, num_topics)
+        body(chunk, task_rng, stats, workspace)
+        free.put(workspace)
+
     tasks = [
-        partial(body, chunk, task_rng, stats if chain_stats is not None else None)
+        partial(task, chunk, task_rng, stats if chain_stats is not None else None)
         for chunk, task_rng, stats in zip(chunks, task_rngs, per_task)
     ]
     pool.run_tasks(tasks, threads=threads, label=label)
@@ -424,7 +581,7 @@ def word_phase(
         external,
     )
     chunks = _phase_chunks(buckets, num_topics, max_cells)
-    _run_phase("warp.word", chunks, body, rng, chain_stats, threads)
+    _run_phase("warp.word", chunks, num_topics, body, rng, chain_stats, threads)
 
 
 def document_phase(
@@ -466,4 +623,4 @@ def document_phase(
         None,
     )
     chunks = _phase_chunks(buckets, num_topics, max_cells)
-    _run_phase("warp.doc", chunks, body, rng, chain_stats, threads)
+    _run_phase("warp.doc", chunks, num_topics, body, rng, chain_stats, threads)

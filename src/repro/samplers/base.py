@@ -541,7 +541,7 @@ class Sampler(abc.ABC):
                 f"external word_topic must have shape {expected}, got "
                 f"{word_topic.shape}"
             )
-        if np.any(word_topic < 0):
+        if word_topic.size and word_topic.min() < 0:
             raise ValueError("external word-topic counts must be non-negative")
         return word_topic
 

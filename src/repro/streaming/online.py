@@ -298,7 +298,9 @@ class OnlineTrainer:
         """
         sampler = build_sampler(corpus=window, seed=self.rng, **self._sampler_keywords)
         sampler.set_assignments(warm)
-        sampler.set_external_counts(np.rint(self._retired).astype(np.int64))
+        # Undecayed retired counts are sums of whole tokens, exact in float64.
+        retired = self._retired if self.decay == 1.0 else np.rint(self._retired)
+        sampler.set_external_counts(retired.astype(np.int64))
         sampler.fit(self.sweeps_per_batch)
         warm[:] = sampler.assignments
 

@@ -14,9 +14,14 @@ histogram.  Two things are pinned here:
   cell are the same at ``K = 2**14`` and ``K = 2**20``, nothing on the
   positioning path — external counts installed or not — allocates a table
   along a ``K`` axis, and the installed table's proposal side costs
-  ``O(ΣE + V)``, not ``O(VK)``.
+  ``O(ΣE + V)``, not ``O(VK)``;
+* **the reused workspace** — a chunk built after another has used the same
+  :class:`_SlotWorkspace` reads exactly the dense oracle (no stale slot
+  leaks), a build allocates O(tokens) however wide its rows' tables are, and
+  a phase makes one workspace per running task, not one per chunk.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -33,6 +38,8 @@ from repro.kernels.warp import (
     _external_counts,
     _phase_chunks,
     _slot_counts,
+    _SlotWorkspace,
+    _workspace_cells,
     document_phase,
     external_proposal_table,
     slot_table_width,
@@ -376,9 +383,9 @@ class TestKScalingGuard:
         seen = []
         original = warp._slot_counts
 
-        def recording(current, row, num_rows, num_topics, width):
+        def recording(current, row, num_rows, num_topics, width, *workspace):
             seen.append((num_rows, width))
-            return original(current, row, num_rows, num_topics, width)
+            return original(current, row, num_rows, num_topics, width, *workspace)
 
         monkeypatch.setattr(warp, "_slot_counts", recording)
         return seen
@@ -393,3 +400,179 @@ class TestKScalingGuard:
             assignments, proposals, corpus_buckets(corpus, "word"), stale,
             num_topics, 1, 0.01, 1.5, rng, threads=1, max_cells=max_cells, **kwargs,
         )  # fmt: skip
+
+
+class TestWorkspaceReuse:
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    @given(chunks(), chunks())
+    def test_second_chunk_reads_the_dense_oracle(self, first, second):
+        cells = max(chunk[2] * chunk[4] for chunk in (first, second))
+        # Both chunks' topics fit either cell layout; int64 if either needs it.
+        workspace = _SlotWorkspace(cells, max(first[3], second[3]))
+        for current, row, num_rows, num_topics, width, queries in (first, second):
+            count_at, count_current = _slot_counts(
+                current, row, num_rows, num_topics, width, workspace
+            )
+            for topics in (queries, current):
+                np.testing.assert_array_equal(
+                    count_at(topics), dense_lookup(current, row, num_rows, num_topics, topics)
+                )
+            np.testing.assert_array_equal(
+                count_current, dense_lookup(current, row, num_rows, num_topics, current)
+            )
+            workspace.release()
+            # Released means pristine: nothing of this chunk is left to leak.
+            assert (workspace.cell == -1).all() and not workspace.contested.any()
+
+    def test_heavy_collisions_after_reuse(self):
+        # Every row holds topics congruent mod W, so both levels contest and
+        # the sorted overflow is reached; the same cells then serve a chunk
+        # whose topics would match the first chunk's stale owners.
+        width, num_topics = 4, 4 * 64
+        workspace = _SlotWorkspace(3 * width, num_topics)
+        first, row = ragged((np.arange(24).reshape(3, 8) % 8) * width * width, [8, 8, 8])
+        second, _ = ragged(np.full((3, 8), 4 * width), [8, 8, 8])
+        for current in (first, second, first):
+            count_at, count_current = _slot_counts(
+                current, row, 3, num_topics, width, workspace
+            )
+            for topics in (first, second, current + 1):
+                np.testing.assert_array_equal(
+                    count_at(topics), dense_lookup(current, row, 3, num_topics, topics)
+                )
+            workspace.release()
+
+    @pytest.mark.parametrize("num_topics", [1 << 16, (1 << 16) + 1, 1 << 31])
+    def test_cell_layout_holds_the_largest_topics_and_counts(self, num_topics):
+        # int32 cells up to K = 2**16, int64 above: the top topic and a row
+        # of K / 2 - 1 tokens (the longest a narrow table holds, W = 2 L < K)
+        # read back exactly, next to a topic that lost its slot.
+        width = 1 << 14
+        top, length = num_topics - 1, min(num_topics // 2 - 1, 1 << 15)
+        current = np.array([top] * length + [top - width, 0])
+        row = np.zeros(current.size, dtype=np.int64)
+        count_at, count_current = _slot_counts(current, row, 1, num_topics, width)
+        queries = np.resize([top, top - width, 0, top - 1], current.size)
+        expected = np.resize([length, 1, 1, 0], current.size)
+        np.testing.assert_array_equal(count_at(queries), expected)
+        np.testing.assert_array_equal(count_current[[0, -2, -1]], [length, 1, 1])
+
+    def test_same_chunk_built_twice_reads_the_same(self):
+        rng = np.random.default_rng(6)
+        lengths = rng.integers(1, 33, size=40)
+        current, row = ragged(rng.integers(3000, size=(40, 32)), lengths)
+        queries = rng.integers(3000, size=current.size)
+        workspace = _SlotWorkspace(40 * 64, 3000)
+        reads = []
+        for _ in range(2):
+            count_at, count_current = _slot_counts(current, row, 40, 3000, 64, workspace)
+            reads.append((count_at(queries).tobytes(), count_current.tobytes()))
+            workspace.release()
+        assert reads[0] == reads[1]
+
+    def test_build_allocates_per_token_not_per_cell(self):
+        # One-token rows under a 64-slot table: R·W is 64 cells per token, so
+        # anything sized by the table would cost at least 512 bytes per token.
+        num_rows, width = 4096, 64
+        current = np.random.default_rng(8).integers(1 << 20, size=num_rows)
+        row = np.arange(num_rows)
+        workspace = _SlotWorkspace(num_rows * width, 1 << 20)
+        tracemalloc.start()
+        try:
+            count_at, _ = _slot_counts(current, row, num_rows, 1 << 20, width, workspace)
+            count_at(current[::-1].copy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * num_rows
+
+    @staticmethod
+    def run_phases(corpus, num_topics, max_cells, threads):
+        """A word and a document phase from a fixed state; the end state's bytes."""
+        rng = np.random.default_rng(12)
+        assignments = rng.integers(num_topics, size=corpus.num_tokens)
+        proposals = rng.integers(num_topics, size=(2, corpus.num_tokens))
+        alpha = np.full(num_topics, 0.1)
+        stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
+        word_phase(
+            assignments, proposals, corpus_buckets(corpus, "word"), stale,
+            num_topics, 2, 0.01, 1.5, rng, threads=threads, max_cells=max_cells,
+        )  # fmt: skip
+        stale = np.bincount(assignments, minlength=num_topics).astype(np.float64)
+        document_phase(
+            assignments, proposals, corpus_buckets(corpus, "doc"), stale, alpha,
+            float(alpha.sum()), num_topics, 2, 1.5, rng, threads=threads,
+            max_cells=max_cells,
+        )  # fmt: skip
+        return assignments.tobytes() + proposals.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_workspace_per_running_task(self, corpus, monkeypatch, threads):
+        num_topics, max_cells = 1 << 14, 1 << 10
+        made = []
+        original = warp._SlotWorkspace
+
+        def counting(cells, num_topics):
+            made.append(cells)
+            return original(cells, num_topics)
+
+        monkeypatch.setattr(warp, "_SlotWorkspace", counting)
+        chunks = {
+            axis: _phase_chunks(corpus_buckets(corpus, axis), num_topics, max_cells)
+            for axis in ("word", "doc")
+        }
+        assert min(len(phase) for phase in chunks.values()) > 4
+        self.run_phases(corpus, num_topics, max_cells, threads)
+        # Per phase: at most one per running task, each sized by the chunks.
+        expected = {_workspace_cells(phase, num_topics) for phase in chunks.values()}
+        assert 2 <= len(made) <= 2 * threads
+        assert set(made) == expected
+        assert max(made) <= max_cells
+
+    def test_phase_is_thread_count_invariant_with_many_chunks(self, corpus):
+        # Many chunks share few workspaces, in whatever order the threads
+        # take them; the result may not depend on it.
+        num_topics, max_cells = 4096, 1 << 10
+        one = self.run_phases(corpus, num_topics, max_cells, threads=1)
+        assert self.run_phases(corpus, num_topics, max_cells, threads=2) == one
+
+    def test_workspaces_are_not_shared_under_thread_stress(self, corpus):
+        # More threads than cores and a tiny switch interval: two tasks in
+        # one workspace at once would mix their slots and change the result.
+        num_topics, max_cells = 4096, 1 << 9
+        one = self.run_phases(corpus, num_topics, max_cells, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert self.run_phases(corpus, num_topics, max_cells, threads=6) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestExternalProposalTable:
+    @staticmethod
+    def reference(table):
+        """Pseudo-tokens by ``np.repeat`` over every cell, in row-major order."""
+        num_words, num_topics = table.shape
+        topics = np.repeat(np.tile(np.arange(num_topics), num_words), table.reshape(-1))
+        offsets = np.concatenate([[0], np.cumsum(table.sum(axis=1))])
+        return topics, offsets
+
+    @pytest.mark.parametrize(
+        "num_words, num_topics, density",
+        [(0, 5, 0.5), (7, 1, 0.5), (30, 3, 0.0), (60, 70, 0.05), (40, 300, 0.5), (1, 4096, 0.01)],
+    )
+    def test_matches_the_repeat_reference(self, num_words, num_topics, density):
+        rng = np.random.default_rng(num_words * 1000 + num_topics)
+        table = rng.integers(1, 5, size=(num_words, num_topics))
+        table[rng.random(table.shape) >= density] = 0
+        if num_words > 2:
+            table[rng.integers(num_words)] = 0  # a word with no mass
+        topics, offsets = external_proposal_table(table)
+        expected_topics, expected_offsets = self.reference(table)
+        np.testing.assert_array_equal(topics, expected_topics)
+        np.testing.assert_array_equal(offsets, expected_offsets)
+        assert offsets.dtype == np.int64
+        assert topics.dtype == np.min_scalar_type(num_topics - 1)
